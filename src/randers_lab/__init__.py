@@ -45,6 +45,7 @@ from .randers import (  # noqa: F401
 from .geodesics import (  # noqa: F401
     GeodesicCurve,
     NoMatchingField,
+    RootNotBracketed,
     f_distance,
     f_distance_batch,
     f_geodesic_flowcurve,

@@ -22,9 +22,15 @@ from .cw import (
     cw_displacement_check,
     direction_exhaustion_check,
 )
-from .geodesics import f_distance, f_geodesic_flowcurve, f_geodesic_ode
+from .geodesics import (
+    NoMatchingField,
+    RootNotBracketed,
+    f_distance,
+    f_geodesic_flowcurve,
+    f_geodesic_ode,
+)
 from .killing import constant_length_family, killing_from_config, zero_field
-from .oracle import build_graph, oracle_distance
+from .oracle import GraphDisconnected, build_graph, oracle_distance
 from .randers import NavigationData, from_navigation, to_navigation
 from .reports import geodesic_rows, polyline_svg, histogram_svg, render_json, write_csv
 from .selftest import run_selftest
@@ -32,9 +38,7 @@ from .spaces import SpaceError, space_from_config
 
 
 def _json_arg(s):
-    """Inline JSON, or @path / bare path to a JSON file."""
-    if s is None:
-        return None
+    """Inline JSON, or @path / bare path to a JSON file (an argparse type)."""
     s = s.strip()
     if s.startswith("@"):
         return json.loads(Path(s[1:]).read_text())
@@ -44,16 +48,23 @@ def _json_arg(s):
         return json.loads(Path(s).read_text())
 
 
+# arguments that are not verb parameters: the dispatch, the fields
+# ExperimentConfig holds itself, and where output and cache files go
+_NOT_PARAMS = {"command", "func", "space", "wind", "seed", "tol", "format", "out", "cache"}
+
+
+def _config(args) -> ExperimentConfig:
+    params = {k: v for k, v in vars(args).items() if k not in _NOT_PARAMS}
+    return ExperimentConfig(space=args.space, wind=args.wind,
+                            seed=args.seed, tol=args.tol, fmt=args.format, params=params)
+
+
 def _nav_from_args(args) -> tuple[NavigationData, ExperimentConfig]:
-    space_cfg = _json_arg(args.space)
-    if space_cfg is None:
+    if args.space is None:
         raise ConfigError("--space is required")
-    space = space_from_config(space_cfg)
-    wind_cfg = _json_arg(getattr(args, "wind", None))
-    wind = killing_from_config(space, wind_cfg) if wind_cfg is not None else zero_field(space)
-    cfg = ExperimentConfig(space=space_cfg, wind=wind_cfg, seed=args.seed,
-                           tol=args.tol, out=args.out, fmt=args.format)
-    return NavigationData(space, wind), cfg
+    space = space_from_config(args.space)
+    wind = killing_from_config(space, args.wind) if args.wind is not None else zero_field(space)
+    return NavigationData(space, wind), _config(args)
 
 
 def _emit(args, name: str, result: dict, cfg: ExperimentConfig) -> None:
@@ -67,7 +78,7 @@ def _emit(args, name: str, result: dict, cfg: ExperimentConfig) -> None:
 
 def cmd_convert(args) -> int:
     nav, cfg = _nav_from_args(args)
-    x = np.asarray(_json_arg(args.point), dtype=float)
+    x = np.asarray(args.point, dtype=float)
     df = from_navigation(nav, x)
     h, wc, wamb = to_navigation(df)
     result = {
@@ -84,8 +95,8 @@ def cmd_convert(args) -> int:
 
 def cmd_norm(args) -> int:
     nav, cfg = _nav_from_args(args)
-    x = np.asarray(_json_arg(args.point), dtype=float)
-    y = np.asarray(_json_arg(args.vector), dtype=float)
+    x = np.asarray(args.point, dtype=float)
+    y = np.asarray(args.vector, dtype=float)
     df = from_navigation(nav, x)
     result = {
         "F_navigation": float(nav.finsler_norm(x, y)),
@@ -98,8 +109,8 @@ def cmd_norm(args) -> int:
 
 def cmd_distance(args) -> int:
     nav, cfg = _nav_from_args(args)
-    x = np.asarray(_json_arg(args.x), dtype=float)
-    y = np.asarray(_json_arg(args.y), dtype=float)
+    x = np.asarray(args.x, dtype=float)
+    y = np.asarray(args.y, dtype=float)
     result = {"d_xy": f_distance(nav, x, y), "d_yx": f_distance(nav, y, x)}
     _emit(args, "distance", result, cfg)
     return 0
@@ -107,8 +118,8 @@ def cmd_distance(args) -> int:
 
 def cmd_geodesic(args) -> int:
     nav, cfg = _nav_from_args(args)
-    x = np.asarray(_json_arg(args.x), dtype=float)
-    y = np.asarray(_json_arg(args.direction), dtype=float)
+    x = np.asarray(args.x, dtype=float)
+    y = np.asarray(args.direction, dtype=float)
     y = y / nav.finsler_norm(x, y)  # normalize to unit F-speed
     if args.method == "flow":
         curve = f_geodesic_flowcurve(nav, x, y, T=args.T, n_steps=args.steps)
@@ -135,9 +146,8 @@ def cmd_geodesic(args) -> int:
 
 def cmd_flow(args) -> int:
     nav, cfg = _nav_from_args(args)
-    field_cfg = _json_arg(args.field)
-    X = killing_from_config(nav.space, field_cfg) if field_cfg is not None else nav.wind
-    x = np.asarray(_json_arg(args.point), dtype=float)
+    X = killing_from_config(nav.space, args.field) if args.field is not None else nav.wind
+    x = np.asarray(args.point, dtype=float)
     result = {"point": X.flow(x, args.t).tolist(), "t": args.t}
     _emit(args, "flow", result, cfg)
     return 0
@@ -145,9 +155,8 @@ def cmd_flow(args) -> int:
 
 def cmd_cw_check(args) -> int:
     nav, cfg = _nav_from_args(args)
-    field_cfg = _json_arg(args.field)
-    if field_cfg is not None:
-        Y = killing_from_config(nav.space, field_cfg)
+    if args.field is not None:
+        Y = killing_from_config(nav.space, args.field)
     else:
         family = constant_length_family(nav)
         rng = np.random.default_rng(args.seed)
@@ -164,7 +173,7 @@ def cmd_cw_check(args) -> int:
 def cmd_exhaust(args) -> int:
     nav, cfg = _nav_from_args(args)
     if args.point is not None:
-        x = np.asarray(_json_arg(args.point), dtype=float)
+        x = np.asarray(args.point, dtype=float)
     else:
         x = nav.space.sample(np.random.default_rng(args.seed), 1)[0]
     rep = direction_exhaustion_check(nav, x, n_directions=args.directions,
@@ -175,8 +184,8 @@ def cmd_exhaust(args) -> int:
 
 def cmd_connect(args) -> int:
     nav, cfg = _nav_from_args(args)
-    x0 = np.asarray(_json_arg(args.x0), dtype=float)
-    x1 = np.asarray(_json_arg(args.x1), dtype=float)
+    x0 = np.asarray(args.x0, dtype=float)
+    x1 = np.asarray(args.x1, dtype=float)
     try:
         res = cw_connect(nav, x0, x1, tol=args.tol)
     except SearchFailed as e:
@@ -200,8 +209,8 @@ def cmd_oracle(args) -> int:
                   "n_nodes": g.n_nodes, "k": g.k, "n_edges": int(len(g.weights))}
         _emit(args, "oracle-build", result, cfg)
         return 0
-    x = np.asarray(_json_arg(args.x), dtype=float)
-    y = np.asarray(_json_arg(args.y), dtype=float)
+    x = np.asarray(args.x, dtype=float)
+    y = np.asarray(args.y, dtype=float)
     est, hint = oracle_distance(g, nav, x, y)
     _emit(args, "oracle-query", {"estimate": est, "error_hint": hint}, cfg)
     return 0
@@ -214,11 +223,7 @@ def cmd_selftest(args) -> int:
         status = "PASS" if r["passed"] else "FAIL"
         print(f"CRITERION {r['criterion']}: {status} ({r['name']})")
     if args.out:
-        space_cfg = {"kind": "euclidean", "n": 2}
-        cfg = ExperimentConfig(space=space_cfg, seed=args.seed, tol=args.tol,
-                               out=args.out, fmt=args.format,
-                               params={"criteria": args.criteria or "all"})
-        text = render_json({"results": results}, cfg)
+        text = render_json({"results": results}, _config(args))
         outdir = Path(args.out)
         outdir.mkdir(parents=True, exist_ok=True)
         (outdir / "selftest.json").write_text(text)
@@ -231,10 +236,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--version", action="version", version=f"randers-lab {__version__}")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, wind=True):
-        sp.add_argument("--space", help="space JSON (inline, @file, or path)")
-        if wind:
-            sp.add_argument("--wind", help="wind field JSON (inline, @file, or path)")
+    def common(sp):
+        sp.add_argument("--space", type=_json_arg, help="space JSON (inline, @file, or path)")
+        sp.add_argument("--wind", type=_json_arg, help="wind field JSON (inline, @file, or path)")
         sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--tol", type=float, default=1e-6)
         sp.add_argument("--out", help="output directory")
@@ -242,25 +246,25 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("convert", help="navigation data -> defining form at a point")
     common(sp)
-    sp.add_argument("--point", required=True)
+    sp.add_argument("--point", type=_json_arg, required=True)
     sp.set_defaults(func=cmd_convert)
 
     sp = sub.add_parser("norm", help="Finsler norm of a tangent vector")
     common(sp)
-    sp.add_argument("--point", required=True)
-    sp.add_argument("--vector", required=True)
+    sp.add_argument("--point", type=_json_arg, required=True)
+    sp.add_argument("--vector", type=_json_arg, required=True)
     sp.set_defaults(func=cmd_norm)
 
     sp = sub.add_parser("distance", help="asymmetric distance between two points")
     common(sp)
-    sp.add_argument("--x", required=True)
-    sp.add_argument("--y", required=True)
+    sp.add_argument("--x", type=_json_arg, required=True)
+    sp.add_argument("--y", type=_json_arg, required=True)
     sp.set_defaults(func=cmd_distance)
 
     sp = sub.add_parser("geodesic", help="trace an F-geodesic")
     common(sp)
-    sp.add_argument("--x", required=True)
-    sp.add_argument("--direction", required=True)
+    sp.add_argument("--x", type=_json_arg, required=True)
+    sp.add_argument("--direction", type=_json_arg, required=True)
     sp.add_argument("--T", type=float, default=1.0)
     sp.add_argument("--step", type=float, default=1e-3, help="ODE step")
     sp.add_argument("--steps", type=int, default=200, help="flow-curve samples")
@@ -269,28 +273,29 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("flow", help="flow a point along a Killing field")
     common(sp)
-    sp.add_argument("--field", help="field JSON (defaults to the wind)")
-    sp.add_argument("--point", required=True)
+    sp.add_argument("--field", type=_json_arg, help="field JSON (defaults to the wind)")
+    sp.add_argument("--point", type=_json_arg, required=True)
     sp.add_argument("--t", type=float, default=1.0)
     sp.set_defaults(func=cmd_flow)
 
     sp = sub.add_parser("cw-check", help="displacement-constancy check of a flow")
     common(sp)
-    sp.add_argument("--field", help="full field to flow (default: family member + wind)")
+    sp.add_argument("--field", type=_json_arg,
+                    help="full field to flow (default: family member + wind)")
     sp.add_argument("--t", type=float, default=0.1)
     sp.add_argument("--samples", type=int, default=100)
     sp.set_defaults(func=cmd_cw_check, tol=1e-4)  # relative spread verdict
 
     sp = sub.add_parser("exhaust", help="direction exhaustion check")
     common(sp)
-    sp.add_argument("--point")
+    sp.add_argument("--point", type=_json_arg)
     sp.add_argument("--directions", type=int, default=50)
     sp.set_defaults(func=cmd_exhaust)
 
     sp = sub.add_parser("connect", help="CW-connect two points")
     common(sp)
-    sp.add_argument("--x0", required=True)
-    sp.add_argument("--x1", required=True)
+    sp.add_argument("--x0", type=_json_arg, required=True)
+    sp.add_argument("--x1", type=_json_arg, required=True)
     sp.set_defaults(func=cmd_connect)
 
     sp = sub.add_parser("oracle", help="epsilon-net distance oracle")
@@ -302,8 +307,8 @@ def build_parser() -> argparse.ArgumentParser:
         osp.add_argument("--k", type=int, default=64)
         osp.add_argument("--cache", help="cache directory (default: $RANDERS_LAB_CACHE)")
         if name == "query":
-            osp.add_argument("--x", required=True)
-            osp.add_argument("--y", required=True)
+            osp.add_argument("--x", type=_json_arg, required=True)
+            osp.add_argument("--y", type=_json_arg, required=True)
         osp.set_defaults(func=cmd_oracle)
 
     sp = sub.add_parser("selftest", help="run the acceptance criteria")
@@ -316,11 +321,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        # an unreadable JSON file raises OSError from argument parsing
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except (ConfigError, SpaceError, ValueError, OSError, KeyError) as e:
+    except (ConfigError, SpaceError, ValueError, OSError, KeyError,
+            RootNotBracketed, NoMatchingField, GraphDisconnected) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -1,4 +1,4 @@
-"""Experiment configuration: JSON round-trip, validation, hashing.
+"""Experiment configuration: canonical JSON, validation, hashing.
 
 Configs serialize canonically (sorted keys, fixed separators) so that a
 config hash is stable across runs and the same config always produces
@@ -17,16 +17,14 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    space: dict
+    """What a verb ran: the space, the wind, and the verb's own arguments
+    in `params`; output locations are not part of it."""
+
+    space: dict | None = None
     wind: object = None  # field spec dict, list of per-factor specs, or None
     seed: int = 0
     tol: float = 1e-6
-    n_samples: int = 100
-    n_nodes: int = 20000
-    k: int = 256
-    out: str | None = None
     fmt: str = "json"
-    workers: int = 1
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -36,15 +34,9 @@ class ExperimentConfig:
             raise ConfigError("tolerances must be positive")
         if self.fmt not in ("json", "csv", "svg"):
             raise ConfigError(f"unknown format {self.fmt!r}")
-        if self.workers < 1:
-            raise ConfigError("workers must be >= 1")
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True, separators=(",", ":"))
-
-    @classmethod
-    def from_json(cls, text: str) -> "ExperimentConfig":
-        return cls(**json.loads(text))
 
     @property
     def config_hash(self) -> str:

@@ -12,13 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.optimize
 
 from .geodesics import f_distance, f_distance_batch
 from .killing import KillingField, constant_length_family, length_stats, zero_field
 from .oracle import oracle_distance
 from .randers import NavigationData
-from .spaces import frame as h_frame
 from .spaces import random_tangent
 
 
@@ -180,16 +178,15 @@ class ConnectResult:
         return iter((self.member, self.t))
 
 
-def cw_connect(nav: NavigationData, x0, x1, tol: float = 1e-6,
-               n_starts: int = 8, seed: int = 0) -> ConnectResult:
+def cw_connect(nav: NavigationData, x0, x1, tol: float = 1e-6) -> ConnectResult:
     """Find (X, t) with flow(X+W, t)(x0) = x1 and displacement t =
     f_distance(x0, x1).
 
-    The closed form works on every supported space: pull x1 back along
-    the wind for time t, take the h-log, and match the family member
-    through that h-geodesic direction. A multi-start Nelder-Mead over
-    direction parameters remains as a fallback for the residual-check
-    failure path.
+    Closed form: pull x1 back along the wind for time t, take the h-log,
+    and match the family member through that h-geodesic direction. It is
+    exact on every supported space, because constant-length Killing
+    fields there have h-geodesic orbits; a residual above `tol` raises
+    SearchFailed carrying that residual.
     """
     space = nav.space
     x0 = np.asarray(x0, dtype=float)
@@ -207,39 +204,7 @@ def cw_connect(nav: NavigationData, x0, x1, tol: float = 1e-6,
     X = family.match(x0, v / vn) if vn > 0 else zero_field(space)
     Y = X + nav.wind
     residual = float(np.linalg.norm(Y.flow(x0, t) - x1))
-    if residual < tol:
-        return ConnectResult(member=X, t=t, residual=residual, total=Y,
-                             method="closed-form")
-
-    # fallback: derivative-free search over h-unit directions at x0
-    B = h_frame(space, x0)
-    rng = np.random.default_rng(seed)
-
-    def make_member(w):
-        u = w @ B
-        n = np.sqrt(space.h_inner(x0, u, u))
-        if n < 1e-12:
-            return None
-        return family.match(x0, u / n)
-
-    def objective(w):
-        Xw = make_member(w)
-        if Xw is None:
-            return 1e6
-        return float(np.linalg.norm((Xw + nav.wind).flow(x0, t) - x1))
-
-    w_seed = np.array([space.h_inner(x0, v / vn, f) for f in B]) if vn > 0 else np.ones(len(B))
-    starts = [w_seed] + [w_seed + 0.5 * rng.normal(size=len(B)) for _ in range(n_starts - 1)]
-    best = (np.inf, np.inf, None)  # (residual, param norm, member)
-    for w0 in starts:
-        res = scipy.optimize.minimize(objective, w0, method="Nelder-Mead",
-                                      options={"xatol": 1e-12, "fatol": 1e-14,
-                                               "maxiter": 2000})
-        cand = (res.fun, float(np.linalg.norm(res.x)), make_member(res.x))
-        if cand[0] < best[0] - 1e-15 or (abs(cand[0] - best[0]) <= 1e-15 and cand[1] < best[1]):
-            best = cand
-    residual, _, X = best
-    if X is None or residual > tol:
+    if not residual < tol:  # NaN fails too
         raise SearchFailed(f"cw_connect residual {residual:.3e} > tol {tol:.1e}", residual)
-    return ConnectResult(member=X, t=t, residual=float(residual),
-                         total=X + nav.wind, method="nelder-mead")
+    return ConnectResult(member=X, t=t, residual=residual, total=Y,
+                         method="closed-form")

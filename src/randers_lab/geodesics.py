@@ -11,8 +11,8 @@ Two independent geodesic routes are kept deliberately separate:
 `f_distance` realizes the navigation description of the distance: the
 smallest root of g(t) = d_h(x, phi_{W;-t}(y)) - t. Since d_h is
 1-Lipschitz and the target moves with h-speed ||W|| < 1, g is strictly
-decreasing, so the root is unique; the scan is kept as a bracket search
-with step = injectivity_radius/64 before bisection.
+decreasing, so the root is unique and [0, d_h(x, y)/(1 - ||W||)] brackets
+it; bisection starts on that interval directly.
 """
 from __future__ import annotations
 
@@ -201,51 +201,27 @@ def f_distance_batch(nav: NavigationData, xs, ys, tol: float = 1e-10) -> np.ndar
     active = g0 > tol
     if not np.any(active):
         return out
-    hi = g0 / (1.0 - wmax) + 1e-12
-
-    rinj = space.injectivity_radius
-    span = float(np.max(hi[active]))
-    n_scan = 64 if not np.isfinite(rinj) else int(np.clip(np.ceil(64 * span / rinj), 64, 4096))
-
-    def g_of(t, rows):
-        moved = nav.wind.flow(ys[rows], -t)
-        return space.h_distance(xs[rows], moved) - t
-
-    lo_b = np.zeros(m)
-    hi_b = hi.copy()
-    undone = active.copy()
-    prev_t = np.zeros(m)
-    for j in range(1, n_scan + 1):
-        rows = np.flatnonzero(undone)
-        if rows.size == 0:
-            break
-        t = hi[rows] * (j / n_scan)
-        neg = g_of(t, rows) <= 0.0
-        hit = rows[neg]
-        lo_b[hit] = prev_t[hit]
-        hi_b[hit] = t[neg]
-        undone[hit] = False
-        prev_t[rows] = t
-    rows = np.flatnonzero(undone)
-    if rows.size:
-        # cannot occur for valid navigation data; keep the diagnostic
-        chk = g_of(hi[rows], rows)
-        if np.any(chk > 1e-9):
-            raise RootNotBracketed(f"g({np.max(hi[rows]):.6f}) = {np.max(chk):.3e} > 0")
-        lo_b[rows] = prev_t[rows]
-        hi_b[rows] = hi[rows]
-
     rows = np.flatnonzero(active)
-    lo = lo_b[rows]
-    hi2 = hi_b[rows]
+    xa, ya = xs[rows], ys[rows]
+    lo = np.zeros(rows.size)
+    hi = g0[rows] / (1.0 - wmax) + 1e-12
+
+    def g_of(t):
+        return space.h_distance(xa, nav.wind.flow(ya, -t)) - t
+
+    # g is strictly decreasing, so g(hi) <= 0 brackets the root; a wind
+    # with |W| >= 1 breaks that (a NaN fails the check too)
+    chk = g_of(hi)
+    if not np.all(chk <= 1e-9):
+        raise RootNotBracketed(f"g(hi) = {np.max(chk):.3e} > 0; is |W| < 1?")
     for _ in range(200):
-        if np.max(hi2 - lo) < tol:
+        if np.max(hi - lo) < tol:
             break
-        mid = 0.5 * (lo + hi2)
-        pos = g_of(mid, rows) > 0.0
+        mid = 0.5 * (lo + hi)
+        pos = g_of(mid) > 0.0
         lo = np.where(pos, mid, lo)
-        hi2 = np.where(pos, hi2, mid)
-    out[rows] = 0.5 * (lo + hi2)
+        hi = np.where(pos, hi, mid)
+    out[rows] = 0.5 * (lo + hi)
     return out
 
 

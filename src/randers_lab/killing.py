@@ -370,21 +370,15 @@ def fd_lie_bracket(space, X, Y, x, eps: float = 1e-5):
 
 
 def _involution_swapping(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Hermitian involution S with S a = b, S b = a for unit complex vectors."""
-    k = a.shape[0]
-    eye = np.eye(k, dtype=complex)
-    s = a + b
+    """Hermitian involution S with S a = b, S b = a for unit complex
+    vectors: the reflection I - 2nn* along n = (a - b)/|a - b|."""
+    eye = np.eye(a.shape[0], dtype=complex)
     d = a - b
-    ns, nd = np.linalg.norm(s), np.linalg.norm(d)
+    nd = np.linalg.norm(d)
     if nd < 1e-12:
         return eye
-    if ns < 1e-12:
-        return eye - 2.0 * np.outer(a, a.conj())
-    m = s / ns
     n = d / nd
-    mm = np.outer(m, m.conj())
-    nn = np.outer(n, n.conj())
-    return eye - 2.0 * nn  # = mm - nn + (I - mm - nn); S m = m, S n = -n
+    return eye - 2.0 * np.outer(n, n.conj())
 
 
 @dataclass(frozen=True)
@@ -393,11 +387,6 @@ class SphereFamily:
     constant length commuting with J (and hence with the wind c*J)."""
 
     space: Sphere
-    wind_c: float
-
-    @property
-    def J(self) -> np.ndarray:
-        return standard_J(self.space.ambient_dim // 2)
 
     def match(self, x, v) -> SphereKilling:
         """The member X with X(x) = v exactly; h-length |v| everywhere."""
@@ -501,7 +490,7 @@ def constant_length_family(nav, factor: int | None = None):
         c = float(np.tensordot(J, A) / np.tensordot(J, J))
         if np.max(np.abs(A - c * J)) > 1e-9:
             raise UnsupportedWind("sphere wind must be a multiple of the standard J")
-        return SphereFamily(space, c)
+        return SphereFamily(space)
     if isinstance(space, CompactGroup):
         left = bool(W.l.any())
         right = bool(W.r.any())

@@ -35,7 +35,7 @@ from scipy.spatial import cKDTree
 from .randers import NavigationData
 
 C_HINT = 4.0
-_CACHE_VERSION = 1
+_CACHE_VERSION = 2
 
 
 class GraphDisconnected(RuntimeError):

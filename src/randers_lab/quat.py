@@ -30,11 +30,6 @@ def qconj(q: np.ndarray) -> np.ndarray:
     return q * np.array([1.0, -1.0, -1.0, -1.0])
 
 
-def qinv_unit(q: np.ndarray) -> np.ndarray:
-    """Inverse of a unit quaternion (= conjugate)."""
-    return qconj(q)
-
-
 def qexp_pure(v: np.ndarray) -> np.ndarray:
     """exp of a pure imaginary quaternion (0, v); axis-angle closed form."""
     v = np.asarray(v, dtype=float)
@@ -56,12 +51,3 @@ def pure(v3) -> np.ndarray:
     out = np.zeros(v3.shape[:-1] + (4,))
     out[..., 1:] = v3
     return out
-
-
-def impart(q: np.ndarray) -> np.ndarray:
-    return np.asarray(q, dtype=float)[..., 1:]
-
-
-def qnormalize(q: np.ndarray) -> np.ndarray:
-    q = np.asarray(q, dtype=float)
-    return q / np.linalg.norm(q, axis=-1, keepdims=True)

@@ -21,12 +21,6 @@ def render_json(result: dict, config=None) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
-def write_json(path, result: dict, config=None) -> str:
-    text = render_json(result, config)
-    Path(path).write_text(text)
-    return text
-
-
 def write_csv(path, header, rows) -> None:
     lines = [",".join(header)]
     for row in rows:

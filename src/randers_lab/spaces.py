@@ -19,8 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import quat
-
 
 class SpaceError(ValueError):
     pass
@@ -28,34 +26,6 @@ class SpaceError(ValueError):
 
 def _dot(u, v):
     return np.einsum("...i,...i->...", u, v)
-
-
-def _great_circle_dexp(x, v, u, R):
-    """Differential of the great-circle exponential map.
-
-    Returns d/ds Exp_x(v + s u) at s = 0 for Exp_x(v) = cos(|v|/R) x +
-    R sin(|v|/R) v/|v|, with v, u tangent at x. Splitting u into the
-    radial part a = <u, v/|v|> and the normal rest gives
-
-        dExp(u) = a (cos(t) v/|v| - sin(t) x / R) + sinc(t) u_perp,
-
-    t = |v|/R — the radial part rides the geodesic, the normal part is a
-    Jacobi field. Exact (no finite differences), which matters: the ODE
-    integrator differentiates through this twice.
-    """
-    x = np.asarray(x, dtype=float)
-    v = np.asarray(v, dtype=float)
-    u = np.asarray(u, dtype=float)
-    r = np.linalg.norm(v, axis=-1)
-    theta = r / R
-    small = r < 1e-300
-    vhat = v / np.where(small, 1.0, r)[..., None]
-    a = _dot(u, vhat)
-    uperp = u - a[..., None] * vhat
-    out = (a * np.cos(theta))[..., None] * vhat \
-        - (a * np.sin(theta) / R)[..., None] * x \
-        + np.sinc(theta / np.pi)[..., None] * uperp
-    return np.where(small[..., None], u, out)
 
 
 # ---------------------------------------------------------------------------
@@ -161,18 +131,23 @@ class Sphere:
         return self.retract(out)
 
     def h_log(self, x, y):
-        """Tangent v at x with h_exp(x, v) = y; antipodes get a fixed direction."""
+        """Tangent v at x with h_exp(x, v) = y; antipodes get a fixed direction.
+
+        The angle is atan2(|perp|, R cos) with both parts formed from
+        d = y - x, so it keeps full relative precision near coincident
+        points, where arccos of the dot product loses half the digits.
+        """
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
         R = self.radius
-        c = np.clip(_dot(x, y) / R**2, -1.0, 1.0)
-        theta = np.arccos(c)
-        perp = y - c[..., None] * x
+        d = y - x
+        dr = _dot(d, x) / R  # R cos(theta) - R
+        perp = d - (dr / R)[..., None] * x
         pn = np.linalg.norm(perp, axis=-1)
-        deg = pn < 1e-14
+        theta = np.arctan2(pn, R + dr)
+        deg = (pn < 1e-14) & (R + dr < 0.0)
         if np.any(deg):
             perp = np.array(perp, copy=True)
-            pn = np.array(pn, copy=True)
             fb = self._fallback_dir(np.broadcast_to(x, perp.shape))
             w = np.broadcast_to(deg[..., None], perp.shape)
             perp[w] = fb[w]
@@ -187,7 +162,32 @@ class Sphere:
         return e - (_dot(e, x) / self.radius**2)[..., None] * x
 
     def h_dexp(self, x, v, u):
-        return _great_circle_dexp(x, v, u, self.radius)
+        """Differential of the great-circle exponential map.
+
+        Returns d/ds Exp_x(v + s u) at s = 0 for Exp_x(v) = cos(|v|/R) x +
+        R sin(|v|/R) v/|v|, with v, u tangent at x. Splitting u into the
+        radial part a = <u, v/|v|> and the normal rest gives
+
+            dExp(u) = a (cos(t) v/|v| - sin(t) x / R) + sinc(t) u_perp,
+
+        t = |v|/R — the radial part rides the geodesic, the normal part is
+        a Jacobi field. Exact (no finite differences), which matters: the
+        ODE integrator differentiates through this twice.
+        """
+        x = np.asarray(x, dtype=float)
+        v = np.asarray(v, dtype=float)
+        u = np.asarray(u, dtype=float)
+        R = self.radius
+        r = np.linalg.norm(v, axis=-1)
+        theta = r / R
+        small = r < 1e-300
+        vhat = v / np.where(small, 1.0, r)[..., None]
+        a = _dot(u, vhat)
+        uperp = u - a[..., None] * vhat
+        out = (a * np.cos(theta))[..., None] * vhat \
+            - (a * np.sin(theta) / R)[..., None] * x \
+            + np.sinc(theta / np.pi)[..., None] * uperp
+        return np.where(small[..., None], u, out)
 
     def h_distance(self, x, y):
         # 2 arcsin(chord/2R) rather than arccos of the dot product: exact
@@ -213,6 +213,9 @@ class Sphere:
 
     def to_config(self) -> dict:
         return {"kind": "sphere", "dim": self.dim, "radius": self.radius}
+
+
+_UNIT_S3 = Sphere(3, 1.0)
 
 
 @dataclass(frozen=True)
@@ -251,67 +254,31 @@ class CompactGroup:
     def h_inner(self, x, u, v):
         return self.scale**2 * _dot(u, v)
 
+    # geometry of the unit quaternion sphere; only lengths carry the scale
+
     def h_exp(self, x, v, t=1.0):
-        # geodesics are great circles of the unit quaternion sphere
-        x = np.asarray(x, dtype=float)
-        v = np.asarray(v, dtype=float)
-        speed = np.linalg.norm(v, axis=-1)
-        theta = np.asarray(t) * speed
-        safe = np.where(speed < 1e-300, 1.0, speed)
-        u = v / safe[..., None]
-        return self.retract(np.cos(theta)[..., None] * x + np.sin(theta)[..., None] * u)
+        return _UNIT_S3.h_exp(x, v, t)
 
     def h_log(self, x, y):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        c = np.clip(_dot(x, y), -1.0, 1.0)
-        theta = np.arccos(c)
-        perp = y - c[..., None] * x
-        pn = np.linalg.norm(perp, axis=-1)
-        deg = pn < 1e-14
-        if np.any(deg):
-            perp = np.array(perp, copy=True)
-            i = np.argmin(np.abs(x), axis=-1)
-            e = np.zeros_like(x)
-            np.put_along_axis(e, i[..., None], 1.0, axis=-1)
-            fb = e - _dot(e, x)[..., None] * x
-            w = np.broadcast_to(deg[..., None], perp.shape)
-            perp[w] = fb[w]
-            pn = np.where(deg, np.linalg.norm(perp, axis=-1), pn)
-        return (theta / np.where(pn < 1e-300, 1.0, pn))[..., None] * perp
+        return _UNIT_S3.h_log(x, y)
 
     def h_distance(self, x, y):
-        chord = np.linalg.norm(np.asarray(x, dtype=float) - np.asarray(y, dtype=float), axis=-1)
-        return 2.0 * self.scale * np.arcsin(np.clip(0.5 * chord, 0.0, 1.0))
+        return self.scale * _UNIT_S3.h_distance(x, y)
 
     def h_dexp(self, x, v, u):
-        # geodesics trace the unit quaternion sphere regardless of scale
-        return _great_circle_dexp(x, v, u, 1.0)
+        return _UNIT_S3.h_dexp(x, v, u)
 
     def tangent_project(self, x, w):
-        x = np.asarray(x, dtype=float)
-        w = np.asarray(w, dtype=float)
-        return w - _dot(w, x)[..., None] * x
+        return _UNIT_S3.tangent_project(x, w)
 
     def retract(self, p):
-        p = np.asarray(p, dtype=float)
-        return p / np.linalg.norm(p, axis=-1, keepdims=True)
+        return _UNIT_S3.retract(p)
 
     def sample(self, rng, m):
-        g = rng.normal(size=(m, 4))
-        return g / np.linalg.norm(g, axis=-1, keepdims=True)
+        return _UNIT_S3.sample(rng, m)
 
     def embed(self, pts):
         return self.scale * np.asarray(pts, dtype=float)
-
-    # -- algebra translation helpers (tangents <-> su(2) elements) --
-
-    def algebra_from_tangent(self, x, u):
-        """Right-translate a tangent at x to the identity: a = u * x^{-1}."""
-        return quat.qmul(u, quat.qconj(x))
-
-    def tangent_from_algebra(self, x, a):
-        return quat.qmul(a, x)
 
     def to_config(self) -> dict:
         return {"kind": "group", "name": self.name, "scale": self.scale}

@@ -149,3 +149,40 @@ def test_selftest_subset(capsys):
     lines = capsys.readouterr().out.strip().splitlines()
     assert any(line.startswith("CRITERION 1: PASS") for line in lines)
     assert any(line.startswith("CRITERION 2: PASS") for line in lines)
+
+
+def test_library_error_exits_two_with_one_line(capsys):
+    strong = '{"type": "euclidean-const", "v": [1.2, 0.0]}'
+    rc = main(["distance", "--space", E2, "--wind", strong, "--x", "[0,0]", "--y", "[1,0]"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def _config_of(capsys, argv):
+    main(argv)
+    out = json.loads(capsys.readouterr().out)
+    return out["config_hash"], out["config"]
+
+
+def test_config_hash_covers_verb_arguments(capsys):
+    base = ["cw-check", "--space", S3, "--wind", HOPF, "--seed", "3"]
+    h10, cfg10 = _config_of(capsys, base + ["--samples", "10"])
+    h40, _ = _config_of(capsys, base + ["--samples", "40"])
+    assert h10 != h40
+    assert cfg10["params"]["samples"] == 10
+
+
+def test_config_hash_ignores_out(tmp_path, capsys):
+    argv = ["distance", "--space", E2, "--wind", WIND, "--x", "[0,0]", "--y", "[1,0]"]
+    h_a, cfg = _config_of(capsys, argv + ["--out", str(tmp_path / "a")])
+    h_b, _ = _config_of(capsys, argv + ["--out", str(tmp_path / "b")])
+    assert h_a == h_b
+    assert "out" not in cfg
+
+
+def test_oracle_build_reports_arguments_used(tmp_path, capsys):
+    _, cfg = _config_of(capsys, ["oracle", "build", "--space", E2, "--wind", WIND,
+                                 "--nodes", "2000", "--k", "10", "--cache", str(tmp_path)])
+    assert cfg["params"]["nodes"] == 2000
+    assert cfg["params"]["k"] == 10

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from randers_lab.cw import (
     SearchFailed,
@@ -20,7 +22,7 @@ from randers_lab.killing import (
     zero_field,
 )
 from randers_lab.randers import NavigationData
-from randers_lab.spaces import Euclidean, Product, Sphere
+from randers_lab.spaces import Euclidean, Product, Sphere, random_tangent
 
 
 def _rot(a1, a2):
@@ -204,3 +206,35 @@ def test_search_failed_reports_best(su2_nav):
     with pytest.raises(SearchFailed) as err:
         cw_connect(su2_nav, x0, x1, tol=1e-30)
     assert err.value.best_residual >= 0
+
+
+def _hard_pair(nav, kind, gap, rng):
+    """A pair (x0, x1) that stresses the closed form of cw_connect."""
+    space = nav.space
+    x0 = space.sample(rng, 1)[0]
+    u = random_tangent(space, rng, x0)
+    if isinstance(space, Product):  # aim at the sphere factor's cut locus
+        u[space.slices[1]] = 0.0
+        u /= np.linalg.norm(u)
+    if kind == "tiny":
+        return x0, space.h_exp(x0, 1e-9 * u)
+    reach = space.injectivity_radius if np.isfinite(space.injectivity_radius) else 5.0
+    z = space.h_exp(x0, (reach - gap) * u)
+    if kind == "cut":
+        return x0, z
+    # wind-pulled: d_F(x0, x1) = t and pulling x1 back along the wind for
+    # t lands on z, at (or next to) the antipode of x0
+    return x0, nav.wind.flow(z, float(space.h_distance(x0, z)))
+
+
+@given(fixture=st.sampled_from(["euclidean", "sphere-hopf", "su2-left", "product"]),
+       kind=st.sampled_from(["cut", "wind-pulled", "tiny"]),
+       gap=st.sampled_from([0.0, 1e-7, 1e-3]),
+       seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=120, deadline=None)
+def test_connect_closed_form_on_hard_pairs(navs, fixture, kind, gap, seed):
+    nav = navs[fixture]
+    x0, x1 = _hard_pair(nav, kind, gap, np.random.default_rng(seed))
+    res = cw_connect(nav, x0, x1)
+    assert res.method == "closed-form"
+    assert res.residual < 1e-6

@@ -5,6 +5,7 @@ import pytest
 
 from randers_lab.geodesics import (
     NoMatchingField,
+    RootNotBracketed,
     f_distance,
     f_distance_batch,
     f_geodesic_flowcurve,
@@ -89,6 +90,13 @@ def test_ode_matches_flowcurve_on_hopf(hopf_nav):
 def test_distance_identical_points(hopf_nav, rng):
     x = hopf_nav.space.sample(rng, 1)[0]
     assert f_distance(hopf_nav, x, x) <= 1e-12
+
+
+def test_distance_refuses_wind_of_length_one_or_more(e2):
+    # g(t) = d_h(x, phi_{W;-t}(y)) - t has no root once |W| >= 1
+    nav = NavigationData(e2, EuclideanKilling(e2, np.array([1.2, 0.0])))
+    with pytest.raises(RootNotBracketed):
+        f_distance(nav, np.zeros(2), np.array([1.0, 0.0]))
 
 
 def test_distance_euclidean_fixture(e2_nav):

@@ -166,6 +166,19 @@ def test_sphere_antipodal_log_has_length_pi():
     assert np.sqrt(s.h_inner(x, v, v)) == pytest.approx(np.pi)
 
 
+GREAT_SPHERES = [Sphere(3, 1.0), Sphere(3, 2.0), CompactGroup("SU2", 1.0)]
+
+
+@pytest.mark.parametrize("length", [1e-4, 1e-6, 1e-8])
+@pytest.mark.parametrize("space", GREAT_SPHERES, ids=_ids(GREAT_SPHERES))
+def test_log_inverts_exp_at_short_range(space, length, rng):
+    # the angle of nearly coincident points must not come from arccos
+    x = space.sample(rng, 200)
+    v = length * random_tangent(space, rng, x)
+    err = np.linalg.norm(space.h_log(x, space.h_exp(x, v)) - v, axis=-1)
+    assert np.max(err) / length < 1e-6
+
+
 def test_even_sphere_rejected():
     with pytest.raises(SpaceError):
         Sphere(2, 1.0)
