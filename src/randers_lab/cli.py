@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -38,14 +39,15 @@ from .spaces import SpaceError, space_from_config
 
 
 def _json_arg(s):
-    """Inline JSON, or @path / bare path to a JSON file (an argparse type)."""
+    """Inline JSON, or @path / bare path to a JSON file (an argparse type);
+    a bare value is read as a file only when that file exists."""
     s = s.strip()
-    if s.startswith("@"):
-        return json.loads(Path(s[1:]).read_text())
+    if s.startswith("@") or os.path.isfile(s):
+        s = Path(s.removeprefix("@")).read_text()
     try:
         return json.loads(s)
-    except json.JSONDecodeError:
-        return json.loads(Path(s).read_text())
+    except json.JSONDecodeError as e:
+        raise argparse.ArgumentTypeError(f"invalid JSON: {e}") from None
 
 
 # arguments that are not verb parameters: the dispatch, the fields
@@ -67,6 +69,12 @@ def _nav_from_args(args) -> tuple[NavigationData, ExperimentConfig]:
     return NavigationData(space, wind), _config(args)
 
 
+def _point(nav: NavigationData, value) -> np.ndarray:
+    x = np.asarray(value, dtype=float)
+    nav.space.check_point(x)
+    return x
+
+
 def _emit(args, name: str, result: dict, cfg: ExperimentConfig) -> None:
     text = render_json(result, cfg)
     sys.stdout.write(text)
@@ -78,7 +86,7 @@ def _emit(args, name: str, result: dict, cfg: ExperimentConfig) -> None:
 
 def cmd_convert(args) -> int:
     nav, cfg = _nav_from_args(args)
-    x = np.asarray(args.point, dtype=float)
+    x = _point(nav, args.point)
     df = from_navigation(nav, x)
     h, wc, wamb = to_navigation(df)
     result = {
@@ -95,7 +103,7 @@ def cmd_convert(args) -> int:
 
 def cmd_norm(args) -> int:
     nav, cfg = _nav_from_args(args)
-    x = np.asarray(args.point, dtype=float)
+    x = _point(nav, args.point)
     y = np.asarray(args.vector, dtype=float)
     df = from_navigation(nav, x)
     result = {
@@ -109,8 +117,8 @@ def cmd_norm(args) -> int:
 
 def cmd_distance(args) -> int:
     nav, cfg = _nav_from_args(args)
-    x = np.asarray(args.x, dtype=float)
-    y = np.asarray(args.y, dtype=float)
+    x = _point(nav, args.x)
+    y = _point(nav, args.y)
     result = {"d_xy": f_distance(nav, x, y), "d_yx": f_distance(nav, y, x)}
     _emit(args, "distance", result, cfg)
     return 0
@@ -118,7 +126,7 @@ def cmd_distance(args) -> int:
 
 def cmd_geodesic(args) -> int:
     nav, cfg = _nav_from_args(args)
-    x = np.asarray(args.x, dtype=float)
+    x = _point(nav, args.x)
     y = np.asarray(args.direction, dtype=float)
     y = y / nav.finsler_norm(x, y)  # normalize to unit F-speed
     if args.method == "flow":
@@ -147,7 +155,7 @@ def cmd_geodesic(args) -> int:
 def cmd_flow(args) -> int:
     nav, cfg = _nav_from_args(args)
     X = killing_from_config(nav.space, args.field) if args.field is not None else nav.wind
-    x = np.asarray(args.point, dtype=float)
+    x = _point(nav, args.point)
     result = {"point": X.flow(x, args.t).tolist(), "t": args.t}
     _emit(args, "flow", result, cfg)
     return 0
@@ -173,7 +181,7 @@ def cmd_cw_check(args) -> int:
 def cmd_exhaust(args) -> int:
     nav, cfg = _nav_from_args(args)
     if args.point is not None:
-        x = np.asarray(args.point, dtype=float)
+        x = _point(nav, args.point)
     else:
         x = nav.space.sample(np.random.default_rng(args.seed), 1)[0]
     rep = direction_exhaustion_check(nav, x, n_directions=args.directions,
@@ -184,8 +192,8 @@ def cmd_exhaust(args) -> int:
 
 def cmd_connect(args) -> int:
     nav, cfg = _nav_from_args(args)
-    x0 = np.asarray(args.x0, dtype=float)
-    x1 = np.asarray(args.x1, dtype=float)
+    x0 = _point(nav, args.x0)
+    x1 = _point(nav, args.x1)
     try:
         res = cw_connect(nav, x0, x1, tol=args.tol)
     except SearchFailed as e:
@@ -203,14 +211,14 @@ def cmd_connect(args) -> int:
 
 def cmd_oracle(args) -> int:
     nav, cfg = _nav_from_args(args)
+    if args.oracle_cmd == "query":  # check the points before paying for a build
+        x, y = _point(nav, args.x), _point(nav, args.y)
     g = build_graph(nav, args.nodes, args.k, seed=args.seed, cache_dir=args.cache)
     if args.oracle_cmd == "build":
         result = {"graph_hash": g.graph_hash, "eps": g.eps,
                   "n_nodes": g.n_nodes, "k": g.k, "n_edges": int(len(g.weights))}
         _emit(args, "oracle-build", result, cfg)
         return 0
-    x = np.asarray(args.x, dtype=float)
-    y = np.asarray(args.y, dtype=float)
     est, hint = oracle_distance(g, nav, x, y)
     _emit(args, "oracle-query", {"estimate": est, "error_hint": hint}, cfg)
     return 0

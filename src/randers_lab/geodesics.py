@@ -12,7 +12,8 @@ Two independent geodesic routes are kept deliberately separate:
 smallest root of g(t) = d_h(x, phi_{W;-t}(y)) - t. Since d_h is
 1-Lipschitz and the target moves with h-speed ||W|| < 1, g is strictly
 decreasing, so the root is unique and [0, d_h(x, y)/(1 - ||W||)] brackets
-it; bisection starts on that interval directly.
+it, with ||W|| the exact maximum from `wind.length_range()`; bisection
+starts on that interval directly.
 """
 from __future__ import annotations
 
@@ -195,7 +196,7 @@ def f_distance_batch(nav: NavigationData, xs, ys, tol: float = 1e-10) -> np.ndar
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     ys = np.atleast_2d(np.asarray(ys, dtype=float))
     m = len(xs)
-    wmax = nav.wind_bound()
+    wmax = nav.wind.length_range()[1]
     g0 = np.asarray(space.h_distance(xs, ys), dtype=float)
     out = np.zeros(m)
     active = g0 > tol
@@ -209,11 +210,13 @@ def f_distance_batch(nav: NavigationData, xs, ys, tol: float = 1e-10) -> np.ndar
     def g_of(t):
         return space.h_distance(xa, nav.wind.flow(ya, -t)) - t
 
-    # g is strictly decreasing, so g(hi) <= 0 brackets the root; a wind
-    # with |W| >= 1 breaks that (a NaN fails the check too)
+    # g is strictly decreasing, so g(hi) <= 0 brackets the root; a
+    # length_range that under-reports the wind breaks that (a NaN fails
+    # the check too)
     chk = g_of(hi)
     if not np.all(chk <= 1e-9):
-        raise RootNotBracketed(f"g(hi) = {np.max(chk):.3e} > 0; is |W| < 1?")
+        raise RootNotBracketed(f"g(hi) = {np.max(chk):.3e} > 0; does length_range "
+                               "under-report the wind?")
     for _ in range(200):
         if np.max(hi - lo) < tol:
             break

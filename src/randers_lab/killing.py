@@ -5,6 +5,8 @@ Generators are stored exactly (skew matrix / algebra pair / constant
 vector / tuple) and flows are evaluated by matrix or quaternion
 exponentials. `flow(x, t)` broadcasts over a batch of points with a
 per-point time array, which the distance code relies on.
+`length_range()` reads the (min, max) of the field's h-length off the
+generator; it is the only place the length of a wind is known.
 
 Sphere conventions: ambient coordinates are paired as (x1+ix2, x3+ix4,
 ...) and J is the block-diagonal rotation [[0,-1],[1,0]] repeated; a
@@ -44,14 +46,6 @@ def to_complex(x: np.ndarray) -> np.ndarray:
     return x[..., 0::2] + 1j * x[..., 1::2]
 
 
-def to_real(z: np.ndarray) -> np.ndarray:
-    z = np.asarray(z, dtype=complex)
-    out = np.empty(z.shape[:-1] + (2 * z.shape[-1],))
-    out[..., 0::2] = z.real
-    out[..., 1::2] = z.imag
-    return out
-
-
 def to_real_matrix(C: np.ndarray) -> np.ndarray:
     """Real 2k x 2k matrix acting as the complex k x k matrix C."""
     C = np.asarray(C, dtype=complex)
@@ -80,6 +74,10 @@ class KillingField:
         raise NotImplementedError
 
     def flow(self, x, t):
+        raise NotImplementedError
+
+    def length_range(self) -> tuple[float, float]:
+        """Exact (min, max) of the field's h-length over the space."""
         raise NotImplementedError
 
     def __add__(self, other):
@@ -123,6 +121,10 @@ class EuclideanKilling(KillingField):
         t = _as_times(t, x)
         return np.asarray(x, dtype=float) + t[..., None] * self.v
 
+    def length_range(self):
+        n = float(np.linalg.norm(self.v))
+        return n, n
+
     def __add__(self, other):
         return EuclideanKilling(self.space, self.v + other.v)
 
@@ -163,6 +165,11 @@ class SphereKilling(KillingField):
         e = np.exp(np.multiply.outer(t, lam)) if np.ndim(t) else np.exp(t * lam)
         return np.real((c * e) @ Z.T)
 
+    def length_range(self):
+        # R times the extreme singular values of A, |eigenvalues| as A is normal
+        s = self.space.radius * np.abs(self._eig[0])
+        return float(s.min()), float(s.max())
+
     def __add__(self, other):
         return SphereKilling(self.space, self.A + other.A)
 
@@ -201,6 +208,12 @@ class GroupKilling(KillingField):
         er = quat.qexp_pure(np.multiply.outer(t, -self.r[1:]))
         return quat.qmul(quat.qmul(el, x), er)
 
+    def length_range(self):
+        # |l x - x r| = |l - x r x̄|, and x r x̄ runs over every pure
+        # quaternion of length |r|
+        a, b = self.space.scale * np.linalg.norm([self.l, self.r], axis=1)
+        return float(abs(a - b)), float(a + b)
+
     def __add__(self, other):
         return GroupKilling(self.space, self.l + other.l, self.r + other.r)
 
@@ -228,6 +241,10 @@ class ProductKilling(KillingField):
     def flow(self, x, t):
         xs = self.space.split(x)
         return _concat_parts([p.flow(xf, t) for p, xf in zip(self.parts, xs)])
+
+    def length_range(self):
+        lo, hi = np.array([p.length_range() for p in self.parts]).T
+        return float(np.linalg.norm(lo)), float(np.linalg.norm(hi))
 
     def __add__(self, other):
         return ProductKilling(self.space, tuple(a + b for a, b in zip(self.parts, other.parts)))
@@ -311,19 +328,10 @@ def killing_residual(space, X, n_samples: int = 20, seed: int = 0,
     return worst
 
 
-def length_stats(space_or_nav, X, n_samples: int = 1000, seed: int = 0):
-    """(min, max) of the field length over quasi-uniform samples.
-
-    Plain spaces measure sqrt(h(X,X)); NavigationData measures F(X).
-    """
-    space = getattr(space_or_nav, "space", space_or_nav)
-    rng = np.random.default_rng(seed)
-    xs = space.sample(rng, n_samples)
-    vals_field = X.evaluate(xs) if isinstance(X, KillingField) else np.array([X(x) for x in xs])
-    if hasattr(space_or_nav, "finsler_norm"):
-        vals = space_or_nav.finsler_norm(xs, vals_field)
-    else:
-        vals = np.sqrt(space.h_inner(xs, vals_field, vals_field))
+def length_stats(nav, X: KillingField, n_samples: int = 1000, seed: int = 0):
+    """(min, max) of the F-length F(X) over quasi-uniform samples."""
+    xs = nav.space.sample(np.random.default_rng(seed), n_samples)
+    vals = nav.finsler_norm(xs, X.evaluate(xs))
     return float(np.min(vals)), float(np.max(vals))
 
 
@@ -383,8 +391,8 @@ def _involution_swapping(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SphereFamily:
-    """Fields c' * to_real(i S), S a Hermitian involution: the rotations of
-    constant length commuting with J (and hence with the wind c*J)."""
+    """Fields c' * to_real_matrix(i S), S a Hermitian involution: rotations
+    of constant length commuting with J (and hence with the wind c*J)."""
 
     space: Sphere
 
@@ -468,20 +476,15 @@ class ProductFamily:
                                                 for p, wi in zip(self.parts, w)))
 
 
-def constant_length_family(nav, factor: int | None = None):
-    """Family of constant-length Killing fields commuting with nav's wind.
+def constant_length_family(nav):
+    """Family of constant-length Killing fields commuting with nav's wind;
+    componentwise on products."""
+    return _family(nav.space, nav.wind)
 
-    For products, factor=None returns the componentwise family; an
-    integer selects one factor's family.
-    """
-    space = nav.space
-    W = nav.wind
+
+def _family(space, W):
     if isinstance(space, Product):
-        fams = tuple(constant_length_family(_FactorView(f, p), None)
-                     for f, p in zip(space.factors, W.parts))
-        if factor is None:
-            return ProductFamily(space, fams)
-        return fams[factor]
+        return ProductFamily(space, tuple(_family(f, p) for f, p in zip(space.factors, W.parts)))
     if isinstance(space, Euclidean):
         return EuclideanFamily(space)
     if isinstance(space, Sphere):
@@ -499,14 +502,6 @@ def constant_length_family(nav, factor: int | None = None):
         # members live on the side opposite the wind (both sides work for W=0)
         return GroupFamily(space, "left" if right else "right")
     raise TypeError(f"unknown space {space!r}")
-
-
-class _FactorView:
-    """Minimal nav-like view (space, wind) for one product factor."""
-
-    def __init__(self, space, wind):
-        self.space = space
-        self.wind = wind
 
 
 # ---------------------------------------------------------------------------

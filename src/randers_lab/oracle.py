@@ -8,6 +8,8 @@ integrand F(gamma, gamma') is constant along h-geodesics, so that length
 is F(x, log_x(y)) in closed form. Consequently every graph path is the
 F-length of an actual piecewise-smooth curve and the oracle can never
 undercut the true infimum (it only overshoots, by the net dilation).
+That needs the wind's length to be constant, so `build_graph` refuses
+any other wind with `UnsupportedWind`.
 
 Queries additionally relax the graph estimate through single
 intermediate nodes (a "2-arc" pass, recursing once); those candidates
@@ -32,6 +34,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components, dijkstra
 from scipy.spatial import cKDTree
 
+from .killing import UnsupportedWind
 from .randers import NavigationData
 
 C_HINT = 4.0
@@ -117,6 +120,10 @@ def build_graph(nav: NavigationData, n_nodes: int, k: int, seed: int,
     retries once with 2k and then raises GraphDisconnected."""
     if n_nodes < 100:
         raise ValueError("need at least 100 nodes for a meaningful net")
+    lo, hi = nav.wind.length_range()
+    if hi - lo > 1e-12:
+        raise UnsupportedWind("the oracle needs a wind of constant length; "
+                              f"its h-length runs over [{lo:.6g}, {hi:.6g}]")
     cfg = nav.to_config()
     if cache_dir is None:
         cache_dir = os.environ.get("RANDERS_LAB_CACHE")
@@ -159,10 +166,17 @@ def build_graph(nav: NavigationData, n_nodes: int, k: int, seed: int,
     g = NetGraph(nav_config=cfg, n_nodes=n_nodes, k=k, seed=seed,
                  nodes=nodes, rows=rows, cols=cols, weights=weights, eps=eps)
     if cache_path is not None:
+        # write beside the cache file and rename it into place, so a failed
+        # write leaves nothing at cache_path (numpy appends .npz if missing)
         cache_path.parent.mkdir(parents=True, exist_ok=True)
-        np.savez_compressed(
-            cache_path, nodes=nodes, rows=rows, cols=cols, weights=weights,
-            eps=eps, meta=json.dumps({"cfg": cfg, "n": n_nodes, "k": k, "seed": seed}))
+        tmp = cache_path.with_name(f"{cache_path.stem}.{os.getpid()}.tmp.npz")
+        try:
+            np.savez_compressed(
+                tmp, nodes=nodes, rows=rows, cols=cols, weights=weights,
+                eps=eps, meta=json.dumps({"cfg": cfg, "n": n_nodes, "k": k, "seed": seed}))
+            os.replace(tmp, cache_path)
+        finally:
+            tmp.unlink(missing_ok=True)
     return g
 
 
@@ -192,21 +206,18 @@ def _best_two_arc(nav, nodes, x, y, depth: int) -> float:
     return best
 
 
-def oracle_distance(g: NetGraph, nav: NavigationData, x, y,
-                    refine: bool = True):
+def oracle_distance(g: NetGraph, nav: NavigationData, x, y):
     """(estimate, upper_error_hint) for d_F(x, y).
 
     estimate = the shortest known actual curve: snap hops + graph path,
-    the direct arc, and (with refine) 2-arc relaxations through net
-    nodes. error_hint = C_HINT * eps.
+    the direct arc, and 2-arc relaxations through net nodes.
+    error_hint = C_HINT * eps.
     """
-    est = oracle_distance_pairs(g, nav, np.asarray(x)[None, :], np.asarray(y)[None, :],
-                                refine=refine)[0]
+    est = oracle_distance_pairs(g, nav, np.asarray(x)[None, :], np.asarray(y)[None, :])[0]
     return float(est), C_HINT * g.eps
 
 
-def oracle_distance_pairs(g: NetGraph, nav: NavigationData, xs, ys,
-                          refine: bool = True) -> np.ndarray:
+def oracle_distance_pairs(g: NetGraph, nav: NavigationData, xs, ys) -> np.ndarray:
     """Vectorized oracle estimates for row-aligned point arrays; shares
     Dijkstra runs between pairs with a common snapped source."""
     _check_nav(g, nav)
@@ -230,8 +241,5 @@ def oracle_distance_pairs(g: NetGraph, nav: NavigationData, xs, ys,
         graph_part = D[smap[int(si[i])], ti[i]]
         cand = hop_out[i] + graph_part + hop_in[i]
         direct = float(_arc_weights(nav, xs[i][None, :], ys[i][None, :])[0])
-        cand = min(cand, direct)
-        if refine:
-            cand = min(cand, _best_two_arc(nav, g.nodes, xs[i], ys[i], depth=1))
-        est[i] = cand
+        est[i] = min(cand, direct, _best_two_arc(nav, g.nodes, xs[i], ys[i], depth=1))
     return est

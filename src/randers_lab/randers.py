@@ -9,6 +9,9 @@ by +W, so the F-unit Killing fields assembled elsewhere are X + W with
 X of h-unit length. Matrix-level conversions are frame-agnostic; the
 manifold-level wrappers express tensors in the deterministic orthonormal
 frame of `spaces.frame`.
+
+`NavigationData` checks `h(W,W) < 1` when it is built, from the wind's
+exact `length_range()`, and raises `WindTooStrong` otherwise.
 """
 from __future__ import annotations
 
@@ -72,6 +75,11 @@ class NavigationData:
     space: object
     wind: KillingField
 
+    def __post_init__(self):
+        top = self.wind.length_range()[1]
+        if top >= 1.0:
+            raise WindTooStrong(f"wind h-length reaches {top:.6g} >= 1")
+
     def lam(self, x):
         W = self.wind.evaluate(x)
         return 1.0 - self.space.h_inner(x, W, W)
@@ -84,32 +92,6 @@ class NavigationData:
         hyy = self.space.h_inner(x, y, y)
         lam = 1.0 - self.space.h_inner(x, W, W)
         return (np.sqrt(hyW**2 + lam * hyy) - hyW) / lam
-
-    def wind_bound(self, n_samples: int = 256, seed: int = 0) -> float:
-        """Upper bound on ||W||_h from samples (exact for the constant-length
-        winds in scope, up to roundoff margin)."""
-        rng = np.random.default_rng(seed)
-        xs = self.space.sample(rng, n_samples)
-        W = self.wind.evaluate(xs)
-        val = float(np.sqrt(np.max(self.space.h_inner(xs, W, W))))
-        return min(val + 1e-12, 1.0 - 1e-12)
-
-    def validate(self, n_samples: int = 1000, seed: int = 0) -> dict:
-        """Diagnostics: wind strength, lambda margin, length constancy."""
-        rng = np.random.default_rng(seed)
-        xs = self.space.sample(rng, n_samples)
-        W = self.wind.evaluate(xs)
-        hWW = self.space.h_inner(xs, W, W)
-        lengths = np.sqrt(hWW)
-        report = {
-            "max_hWW": float(np.max(hWW)),
-            "lambda_margin": float(np.min(1.0 - hWW)),
-            "length_deviation": float(np.max(lengths) - np.min(lengths)),
-            "not_randers": bool(np.max(hWW) >= 1.0),
-            "near_unit_warning": bool(np.max(lengths) >= 0.98),
-        }
-        report["ok"] = not report["not_randers"] and not report["near_unit_warning"]
-        return report
 
     def to_config(self) -> dict:
         return {"space": self.space.to_config(), "wind": self.wind.to_config()}

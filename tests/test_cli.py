@@ -186,3 +186,51 @@ def test_oracle_build_reports_arguments_used(tmp_path, capsys):
                                  "--nodes", "2000", "--k", "10", "--cache", str(tmp_path)])
     assert cfg["params"]["nodes"] == 2000
     assert cfg["params"]["k"] == 10
+
+
+BLOCKS = json.dumps({"type": "sphere-skew", "matrix":
+                     [[0, -0.6, 0, 0], [0.6, 0, 0, 0], [0, 0, 0, -0.05], [0, 0, 0.05, 0]]})
+
+
+@pytest.mark.parametrize("verb, point_args", [
+    ("convert", ["--point", "[2,0,0,0]"]),
+    ("distance", ["--x", "[2,0,0,0]", "--y", "[1,0,0,0]"]),
+    ("connect", ["--x0", "[1,0,0,0]", "--x1", "[0,2,0,0]"]),
+])
+def test_off_manifold_point_exits_two(capsys, verb, point_args):
+    rc = main([verb, "--space", S3, "--wind", HOPF] + point_args)
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: point off the sphere") and err.count("\n") == 1
+
+
+def test_oracle_query_checks_points_before_building(tmp_path, capsys):
+    rc = main(["oracle", "query", "--space", S3, "--wind", HOPF, "--nodes", "2000",
+               "--k", "10", "--cache", str(tmp_path), "--x", "[2,0,0,0]", "--y", "[1,0,0,0]"])
+    assert rc == 2
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_malformed_json_is_a_json_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["distance", "--space", E2, "--wind", WIND, "--x", "[1,0,0,", "--y", "[1,0]"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "invalid JSON" in err and "No such file" not in err
+
+
+def test_json_argument_from_file(tmp_path, capsys):
+    path = tmp_path / "space.json"
+    path.write_text(E2)
+    for spec in ("@" + str(path), str(path)):
+        rc = main(["distance", "--space", spec, "--wind", WIND, "--x", "[0,0]", "--y", "[1,0]"])
+        assert rc == 0
+        assert json.loads(capsys.readouterr().out)["result"]["d_xy"] == pytest.approx(2 / 3, abs=1e-9)
+
+
+def test_oracle_build_refuses_nonconstant_wind(tmp_path, capsys):
+    rc = main(["oracle", "build", "--space", S3, "--wind", BLOCKS, "--nodes", "2000",
+               "--k", "10", "--cache", str(tmp_path)])
+    assert rc == 2
+    assert "constant length" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []

@@ -11,8 +11,8 @@ from randers_lab.geodesics import (
     f_geodesic_flowcurve,
     f_geodesic_ode,
 )
-from randers_lab.killing import EuclideanKilling, hopf_field, zero_field
-from randers_lab.randers import NavigationData
+from randers_lab.killing import EuclideanKilling, SphereKilling, hopf_field, zero_field
+from randers_lab.randers import NavigationData, WindTooStrong
 from randers_lab.spaces import Euclidean, Sphere, random_tangent
 
 
@@ -93,10 +93,28 @@ def test_distance_identical_points(hopf_nav, rng):
 
 
 def test_distance_refuses_wind_of_length_one_or_more(e2):
-    # g(t) = d_h(x, phi_{W;-t}(y)) - t has no root once |W| >= 1
-    nav = NavigationData(e2, EuclideanKilling(e2, np.array([1.2, 0.0])))
+    # g(t) = d_h(x, phi_{W;-t}(y)) - t has no root once |W| >= 1, so the
+    # wind is refused where the navigation data is built
+    with pytest.raises(WindTooStrong):
+        NavigationData(e2, EuclideanKilling(e2, np.array([1.2, 0.0])))
+
+
+def test_distance_raises_when_length_range_under_reports(e2_nav, monkeypatch):
+    # against the wind d_F = 2 > d_h = 1; a bound of 0 ends the bracket at 1
+    monkeypatch.setattr(EuclideanKilling, "length_range", lambda self: (0.0, 0.0))
     with pytest.raises(RootNotBracketed):
-        f_distance(nav, np.zeros(2), np.array([1.0, 0.0]))
+        f_distance(e2_nav, np.array([1.0, 0.0]), np.zeros(2))
+
+
+def test_distance_brackets_with_the_exact_wind_maximum(s3):
+    # rotation blocks (0.6, 0.05): against the 0.6 block the net angular
+    # speed is 0.4, so the angle 0.1 takes 0.25, and the root sits at the
+    # end of the bracket [0, d_h / (1 - 0.6)]
+    A = np.zeros((4, 4))
+    A[1, 0], A[0, 1], A[3, 2], A[2, 3] = 0.6, -0.6, 0.05, -0.05
+    nav = NavigationData(s3, SphereKilling(s3, A))
+    y = np.array([np.cos(0.1), -np.sin(0.1), 0.0, 0.0])
+    assert f_distance(nav, np.array([1.0, 0.0, 0.0, 0.0]), y) == pytest.approx(0.25, abs=1e-9)
 
 
 def test_distance_euclidean_fixture(e2_nav):

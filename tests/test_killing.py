@@ -100,24 +100,54 @@ def test_killing_residual_group_sides(su2):
     assert killing_residual(su2, R) < 1e-7
 
 
-# --- length stats -----------------------------------------------------------
+# --- length range and stats -------------------------------------------------
 
-def test_length_stats_hopf_constant(s3):
-    lo, hi = length_stats(s3, hopf_field(s3, 0.3))
-    assert hi - lo < 1e-12
+def test_length_range_hopf_constant(s3):
+    lo, hi = hopf_field(s3, 0.3).length_range()
     assert lo == pytest.approx(0.3, abs=1e-12)
+    assert hi == pytest.approx(0.3, abs=1e-12)
 
 
-def test_length_stats_unequal_rotation(s3):
-    lo, hi = length_stats(s3, SphereKilling(s3, _rot_blocks([1.0, 2.0])), n_samples=4000)
-    assert lo == pytest.approx(1.0, abs=1e-2)
-    assert hi == pytest.approx(2.0, abs=1e-2)
+def test_length_range_unequal_rotation(s3):
+    lo, hi = SphereKilling(s3, _rot_blocks([1.0, 2.0])).length_range()
+    assert lo == pytest.approx(1.0, abs=1e-12)
+    assert hi == pytest.approx(2.0, abs=1e-12)
 
 
-def test_length_stats_euclidean():
+def test_length_range_euclidean():
     e = Euclidean(2)
-    lo, hi = length_stats(e, EuclideanKilling(e, np.array([3.0, 4.0])))
-    assert lo == hi == pytest.approx(5.0)
+    assert EuclideanKilling(e, np.array([3.0, 4.0])).length_range() == (5.0, 5.0)
+
+
+def _random_field(space, rng):
+    if isinstance(space, Product):
+        return ProductKilling(space, tuple(_random_field(f, rng) for f in space.factors))
+    if isinstance(space, Sphere):
+        G = rng.normal(size=(space.ambient_dim, space.ambient_dim))
+        return SphereKilling(space, G - G.T)
+    if isinstance(space, CompactGroup):
+        return GroupKilling(space, rng.normal(size=4) * [0, 1, 1, 1],
+                            rng.normal(size=4) * [0, 1, 1, 1])
+    return EuclideanKilling(space, rng.normal(size=space.n))
+
+
+@pytest.mark.parametrize("space", [
+    Sphere(5, 1.3),
+    CompactGroup("SU2", 0.8),
+    Product((Sphere(3, 1.0), CompactGroup("SU2", 0.8), Euclidean(2))),
+], ids=["S5", "SU2", "product"])
+def test_length_range_bounds_sampled_lengths(space):
+    rng = np.random.default_rng(17)
+    for _ in range(5):
+        X = _random_field(space, rng)
+        lo, hi = X.length_range()
+        xs = space.sample(rng, 10_000)
+        V = X.evaluate(xs)
+        lengths = np.sqrt(space.h_inner(xs, V, V))
+        assert lengths.min() >= lo - 1e-12 * hi
+        assert lengths.max() <= hi + 1e-12 * hi
+        # and the range is not loose: samples come within 10% of both ends
+        assert lengths.min() - lo < 0.1 * hi and hi - lengths.max() < 0.1 * hi
 
 
 def test_length_stats_finsler_length(e2_nav):

@@ -1,10 +1,18 @@
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from randers_lab.geodesics import f_distance, f_distance_batch
-from randers_lab.killing import zero_field
+from randers_lab.killing import (
+    EuclideanKilling,
+    GroupKilling,
+    SphereKilling,
+    UnsupportedWind,
+    zero_field,
+)
 from randers_lab.oracle import (
     GraphMismatch,
     build_graph,
@@ -12,14 +20,11 @@ from randers_lab.oracle import (
     oracle_distance_pairs,
 )
 from randers_lab.randers import NavigationData
-from randers_lab.spaces import Sphere
+from randers_lab.spaces import CompactGroup, Euclidean, Sphere
 
 
 @pytest.fixture(scope="module")
 def e2_graph(tmp_path_factory):
-    from randers_lab.killing import EuclideanKilling
-    from randers_lab.spaces import Euclidean
-
     e = Euclidean(2)
     nav = NavigationData(e, EuclideanKilling(e, np.array([0.5, 0.0])))
     cache = tmp_path_factory.mktemp("cache")
@@ -147,3 +152,41 @@ def test_hopf_pairs_certified(hopf_nav):
     d = f_distance_batch(hopf_nav, xs, ys)
     assert (d <= est + 1e-9).all()
     np.testing.assert_allclose(d, est, rtol=0.05)
+
+
+@pytest.mark.parametrize("cached", [False, True], ids=["no-cache", "cache"])
+def test_build_refuses_wind_of_nonconstant_length(cached, tmp_path, monkeypatch):
+    # F is constant along h-geodesics only for a wind of constant length;
+    # for these the h-length runs over [0.05, 0.6] and [0.1, 0.7]
+    monkeypatch.delenv("RANDERS_LAB_CACHE", raising=False)
+    s3 = Sphere(3, 1.0)
+    su2 = CompactGroup("SU2", 1.0)
+    A = np.zeros((4, 4))
+    A[1, 0], A[0, 1], A[3, 2], A[2, 3] = 0.6, -0.6, 0.05, -0.05
+    winds = [SphereKilling(s3, A),
+             GroupKilling(su2, np.array([0.0, 0.4, 0.0, 0.0]), np.array([0.0, 0.0, 0.3, 0.0]))]
+    for W in winds:
+        with pytest.raises(UnsupportedWind):
+            build_graph(NavigationData(W.space, W), 1000, 8, seed=0,
+                        cache_dir=tmp_path if cached else None)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_interrupted_cache_write_leaves_no_file(tmp_path, monkeypatch):
+    e = Euclidean(2)
+    nav = NavigationData(e, EuclideanKilling(e, np.array([0.5, 0.0])))
+    savez = np.savez_compressed
+
+    def interrupted(path, **arrays):
+        Path(path).write_bytes(b"PK\x03\x04partial")
+        raise OSError("disk full")
+
+    monkeypatch.setattr(np, "savez_compressed", interrupted)
+    with pytest.raises(OSError, match="disk full"):
+        build_graph(nav, 1000, 8, seed=0, cache_dir=tmp_path)
+    assert list(tmp_path.iterdir()) == []
+
+    monkeypatch.setattr(np, "savez_compressed", savez)
+    g = build_graph(nav, 1000, 8, seed=0, cache_dir=tmp_path)
+    assert [p.suffix for p in tmp_path.iterdir()] == [".npz"]
+    assert build_graph(nav, 1000, 8, seed=0, cache_dir=tmp_path).graph_hash == g.graph_hash

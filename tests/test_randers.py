@@ -173,34 +173,28 @@ def test_fundamental_tensor_rejects_zero_direction(e2_nav):
         fundamental_tensor(e2_nav, np.zeros(2), np.zeros(2))
 
 
+# NavigationData validates the wind when it is built, from length_range
+
 def test_validate_zero_wind():
     s = Sphere(3, 1.0)
-    rep = NavigationData(s, zero_field(s)).validate()
-    assert rep["ok"]
-    assert rep["max_hWW"] == pytest.approx(0.0, abs=1e-15)
-    assert rep["lambda_margin"] == pytest.approx(1.0, abs=1e-15)
-    assert rep["length_deviation"] == pytest.approx(0.0, abs=1e-15)
+    nav = NavigationData(s, zero_field(s))
+    assert nav.wind.length_range() == (0.0, 0.0)
 
 
 def test_validate_hopf(hopf_nav):
-    rep = hopf_nav.validate()
-    assert rep["ok"]
-    assert rep["max_hWW"] == pytest.approx(0.09, abs=1e-12)
-    assert rep["length_deviation"] < 1e-12
+    lo, hi = hopf_nav.wind.length_range()
+    assert lo == pytest.approx(0.3, abs=1e-12)
+    assert hi == pytest.approx(0.3, abs=1e-12)
 
 
 def test_validate_flags_overspeed_wind():
     e = Euclidean(2)
-    nav = NavigationData(e, EuclideanKilling(e, np.array([1.2, 0.0])))
-    rep = nav.validate()
-    assert rep["not_randers"]
-    assert not rep["ok"]
-    assert rep["max_hWW"] == pytest.approx(1.44, abs=1e-12)
+    for v in ([1.2, 0.0], [1.0, 0.0]):
+        with pytest.raises(WindTooStrong):
+            NavigationData(e, EuclideanKilling(e, np.array(v)))
 
 
-def test_validate_warns_near_unit_wind():
+def test_validate_accepts_near_unit_wind():
     e = Euclidean(2)
     nav = NavigationData(e, EuclideanKilling(e, np.array([0.985, 0.0])))
-    rep = nav.validate()
-    assert rep["near_unit_warning"]
-    assert not rep["not_randers"]
+    assert nav.wind.length_range() == (0.985, 0.985)
