@@ -13,7 +13,7 @@ smallest root of g(t) = d_h(x, phi_{W;-t}(y)) - t. Since d_h is
 1-Lipschitz and the target moves with h-speed ||W|| < 1, g is strictly
 decreasing, so the root is unique and [0, d_h(x, y)/(1 - ||W||)] brackets
 it, with ||W|| the exact maximum from `wind.length_range()`; bisection
-starts on that interval directly.
+starts on that interval directly, its end padded by 1e-5 relative.
 """
 from __future__ import annotations
 
@@ -205,7 +205,12 @@ def f_distance_batch(nav: NavigationData, xs, ys, tol: float = 1e-10) -> np.ndar
     rows = np.flatnonzero(active)
     xa, ya = xs[rows], ys[rows]
     lo = np.zeros(rows.size)
-    hi = g0[rows] / (1.0 - wmax) + 1e-12
+    # g falls by at least (1 - |W|) per unit t, so the relative pad puts
+    # g(hi) at least 1e-5 * g0 below 0. Without it, hi is the root itself
+    # when the wind pulls y straight along the geodesic, and h_distance's
+    # rounding near the cut locus (about sqrt(eps) * R) can lift g(hi)
+    # above the check's 1e-9.
+    hi = g0[rows] * (1.0 + 1e-5) / (1.0 - wmax) + 1e-12
 
     def g_of(t):
         return space.h_distance(xa, nav.wind.flow(ya, -t)) - t

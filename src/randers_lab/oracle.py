@@ -11,6 +11,15 @@ undercut the true infimum (it only overshoots, by the net dilation).
 That needs the wind's length to be constant, so `build_graph` refuses
 any other wind with `UnsupportedWind`.
 
+The net's edges join each node to its k nearest neighbours in h, in
+both directions. A kd-tree over `space.embed` finds them: on spaces whose
+h-distance grows with the chord (`chord_ordered`: R^n, spheres, SU(2))
+the chord kNN is the h-kNN as it stands; on products of two or more
+factors it is over-fetched and re-ranked by h-distance, the one place
+the re-rank runs. eps, the largest h-distance from a node to its nearest
+neighbour, comes from that same query. The cache is an uncompressed
+`.npz`; older compressed ones still load.
+
 Queries additionally relax the graph estimate through single
 intermediate nodes (a "2-arc" pass, recursing once); those candidates
 are again lengths of actual curves, so the no-undercut guarantee
@@ -38,7 +47,7 @@ from .killing import UnsupportedWind
 from .randers import NavigationData
 
 C_HINT = 4.0
-_CACHE_VERSION = 2
+_CACHE_VERSION = 3
 
 
 class GraphDisconnected(RuntimeError):
@@ -92,34 +101,65 @@ class NetGraph:
 
 
 def _knn_edges(space, nodes, k):
-    """Directed kNN pairs under h-distance (chord kNN with over-fetch,
-    re-ranked by the true metric), both orientations, deduplicated."""
+    """Directed kNN pairs under h-distance, both orientations, deduplicated,
+    and each node's h-distance to its nearest neighbour.
+
+    Where h-distance is a nondecreasing function of the chord
+    (`space.chord_ordered`), the chord kNN of the embedding is the h-kNN.
+    Elsewhere (products of two or more factors) the chord kNN is
+    over-fetched 1.5x and re-ranked by the true metric, and a row whose
+    k-th h-distance lies past its farthest fetched chord is re-ranked
+    over the chord ball of that radius; the nearest-neighbour distance is
+    the least of the re-ranked ones. Either way the result is the exact
+    h-kNN.
+    """
     n = len(nodes)
     emb = space.embed(nodes)
     tree = cKDTree(emb)
-    fetch = min(n - 1, int(np.ceil(1.5 * k)))
-    _, jj = tree.query(emb, k=fetch + 1, workers=-1)
+    fetch = k if space.chord_ordered else min(n - 1, int(np.ceil(1.5 * k)))
+    chord, jj = tree.query(emb, k=fetch + 1, workers=-1)
     jj = jj[:, 1:]
     if fetch > k:
         base = np.repeat(np.arange(n), fetch).reshape(n, fetch)
         d_true = space.h_distance(nodes[base.ravel()], nodes[jj.ravel()]).reshape(n, fetch)
         order = np.argsort(d_true, axis=1, kind="stable")[:, :k]
         jj = np.take_along_axis(jj, order, axis=1)
-    rows = np.repeat(np.arange(n), k)
-    cols = jj.ravel()
-    # both orientations, then dedupe (duplicate entries would be summed by CSR)
-    r = np.concatenate([rows, cols])
-    c = np.concatenate([cols, rows])
-    enc = np.unique(r.astype(np.int64) * n + c.astype(np.int64))
-    return (enc // n).astype(np.int32), (enc % n).astype(np.int32)
+        d_nn = d_true.min(axis=1)
+        # embed is isometric, so h-distance is at least the chord: a row
+        # whose k-th h-distance passes its farthest fetched chord may miss
+        # nodes beyond the fetch, and is re-ranked over that chord ball
+        d_k = np.take_along_axis(d_true, order[:, -1:], axis=1)[:, 0]
+        for i in np.flatnonzero(chord[:, -1] < d_k):
+            ball = np.sort(tree.query_ball_point(emb[i], d_k[i]))
+            ball = ball[ball != i]
+            d = space.h_distance(nodes[i], nodes[ball])
+            near = np.argsort(d, kind="stable")[:k]
+            jj[i] = ball[near]
+            d_nn[i] = d[near[0]]
+    else:
+        d_nn = space.h_distance(nodes, nodes[jj[:, 0]])
+    rows = np.repeat(np.arange(n, dtype=np.int64), k)
+    cols = jj.ravel().astype(np.int64, copy=False)
+    # both orientations, then dedupe (duplicate entries would be summed by
+    # CSR); sorting the codes gives np.unique's result without its hashing
+    enc = np.concatenate([rows * n + cols, cols * n + rows])
+    enc.sort()
+    keep = np.empty(len(enc), dtype=bool)
+    keep[0] = True
+    np.not_equal(enc[1:], enc[:-1], out=keep[1:])
+    r, c = np.divmod(enc[keep], n)
+    return r.astype(np.int32), c.astype(np.int32), d_nn
 
 
 def build_graph(nav: NavigationData, n_nodes: int, k: int, seed: int,
                 cache_dir: str | os.PathLike | None = None) -> NetGraph:
     """Deterministic epsilon-net graph for nav; strongly connected or it
-    retries once with 2k and then raises GraphDisconnected."""
+    retries once with 2k (at most n_nodes - 1) and then raises
+    GraphDisconnected."""
     if n_nodes < 100:
         raise ValueError("need at least 100 nodes for a meaningful net")
+    if not 1 <= k < n_nodes:
+        raise ValueError(f"k must lie in [1, {n_nodes - 1}] for {n_nodes} nodes, got {k}")
     lo, hi = nav.wind.length_range()
     if hi - lo > 1e-12:
         raise UnsupportedWind("the oracle needs a wind of constant length; "
@@ -142,36 +182,33 @@ def build_graph(nav: NavigationData, n_nodes: int, k: int, seed: int,
 
     k_try = k
     for attempt in range(2):
-        rows, cols = _knn_edges(space, nodes, k_try)
+        rows, cols, d_nn = _knn_edges(space, nodes, k_try)
         # chunked to bound peak memory at acceptance-scale edge counts
         weights = np.empty(len(rows))
-        d_edge = np.empty(len(rows))
         for lo in range(0, len(rows), 1_000_000):
             sl = slice(lo, lo + 1_000_000)
-            a, b = nodes[rows[sl]], nodes[cols[sl]]
-            weights[sl] = _arc_weights(nav, a, b)
-            d_edge[sl] = space.h_distance(a, b)
+            weights[sl] = _arc_weights(nav, nodes[rows[sl]], nodes[cols[sl]])
         csr = csr_matrix((weights, (rows, cols)), shape=(n_nodes, n_nodes))
         n_comp, _ = connected_components(csr, directed=True, connection="strong")
         if n_comp == 1:
             break
         if attempt == 1:
             raise GraphDisconnected(f"{n_comp} strong components at k={k_try}")
-        k_try *= 2
+        k_try = min(2 * k_try, n_nodes - 1)
 
     # eps = max over nodes of the h-distance to the nearest neighbor
-    first = np.searchsorted(rows, np.arange(n_nodes), side="left")
-    eps = float(np.max(np.minimum.reduceat(d_edge, first)))
+    eps = float(np.max(d_nn))
 
     g = NetGraph(nav_config=cfg, n_nodes=n_nodes, k=k, seed=seed,
                  nodes=nodes, rows=rows, cols=cols, weights=weights, eps=eps)
     if cache_path is not None:
         # write beside the cache file and rename it into place, so a failed
-        # write leaves nothing at cache_path (numpy appends .npz if missing)
+        # write leaves nothing at cache_path (numpy appends .npz if missing);
+        # uncompressed, as deflate took 70x the write time to save 40% of the bytes
         cache_path.parent.mkdir(parents=True, exist_ok=True)
         tmp = cache_path.with_name(f"{cache_path.stem}.{os.getpid()}.tmp.npz")
         try:
-            np.savez_compressed(
+            np.savez(
                 tmp, nodes=nodes, rows=rows, cols=cols, weights=weights,
                 eps=eps, meta=json.dumps({"cfg": cfg, "n": n_nodes, "k": k, "seed": seed}))
             os.replace(tmp, cache_path)

@@ -12,10 +12,19 @@ Conventions
 * CompactGroup("SU2", scale=s): points are unit quaternions [w,x,y,z];
   the bi-invariant metric is s^2 * dot, so d(1,-1) = s*pi.
 * Product: the l2 combination of factor distances.
+
+`embed` is an isometric embedding in Euclidean space, so h-distance is
+never less than the chord between embeddings. `chord_ordered` states
+whether h-distance is moreover a nondecreasing function of that chord,
+so that nearest neighbours in the embedding are nearest neighbours in h:
+the chord itself on R^n, 2R arcsin(chord/2R) on spheres and SU(2). A
+product of two or more factors mixes the factors' chords, and its
+h-order can differ.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -37,6 +46,8 @@ def _dot(u, v):
 class Euclidean:
     n: int
     box: float = 5.0
+
+    chord_ordered: ClassVar[bool] = True
 
     @property
     def ambient_dim(self) -> int:
@@ -93,6 +104,8 @@ class Sphere:
 
     dim: int
     radius: float = 1.0
+
+    chord_ordered: ClassVar[bool] = True
 
     def __post_init__(self):
         if self.dim < 1 or self.dim % 2 == 0:
@@ -225,6 +238,8 @@ class CompactGroup:
     name: str = "SU2"
     scale: float = 1.0
 
+    chord_ordered: ClassVar[bool] = True
+
     def __post_init__(self):
         if self.name != "SU2":
             raise SpaceError(f"unsupported group {self.name!r}; only SU2 is implemented")
@@ -323,6 +338,10 @@ class Product:
         return min(f.injectivity_radius for f in self.factors)
 
     @property
+    def chord_ordered(self) -> bool:
+        return len(self.factors) == 1 and self.factors[0].chord_ordered
+
+    @property
     def slices(self) -> tuple:
         out, off = [], 0
         for f in self.factors:
@@ -335,6 +354,9 @@ class Product:
         return [x[..., s] for s in self.slices]
 
     def check_point(self, x) -> None:
+        n = np.shape(x)[-1]
+        if n != self.ambient_dim:
+            raise SpaceError(f"expected ambient dim {self.ambient_dim}, got {n}")
         for f, xf in zip(self.factors, self.split(x)):
             f.check_point(xf)
 

@@ -204,6 +204,16 @@ def test_off_manifold_point_exits_two(capsys, verb, point_args):
     assert err.startswith("error: point off the sphere") and err.count("\n") == 1
 
 
+def test_product_point_with_extra_components_exits_two(capsys):
+    space = json.dumps({"kind": "product", "factors": [json.loads(S3), json.loads(E2)]})
+    wind = json.dumps([{**json.loads(HOPF), "factor": 0}, {**json.loads(WIND), "factor": 1}])
+    rc = main(["distance", "--space", space, "--wind", wind,
+               "--x", "[1,0,0,0,0,0,9]", "--y", "[1,0,0,0,0,0]"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: expected ambient dim 6, got 7") and err.count("\n") == 1
+
+
 def test_oracle_query_checks_points_before_building(tmp_path, capsys):
     rc = main(["oracle", "query", "--space", S3, "--wind", HOPF, "--nodes", "2000",
                "--k", "10", "--cache", str(tmp_path), "--x", "[2,0,0,0]", "--y", "[1,0,0,0]"])

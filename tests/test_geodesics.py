@@ -117,6 +117,20 @@ def test_distance_brackets_with_the_exact_wind_maximum(s3):
     assert f_distance(nav, np.array([1.0, 0.0, 0.0, 0.0]), y) == pytest.approx(0.25, abs=1e-9)
 
 
+@pytest.mark.parametrize("seed", [496, 1062, 193578])
+def test_distance_along_the_wind_next_to_the_cut_locus(su2_nav, seed):
+    # z lies 1e-7 short of the antipode of x0 and x1 is z carried by the
+    # wind for t = d_h(x0, z), so d_F(x0, x1) = t is the end of the bracket
+    # [0, d_h / (1 - |W|)], where h_distance rounds by about 1e-8
+    space = su2_nav.space
+    rng = np.random.default_rng(seed)
+    x0 = space.sample(rng, 1)[0]
+    z = space.h_exp(x0, (np.pi - 1e-7) * random_tangent(space, rng, x0))
+    t = float(space.h_distance(x0, z))
+    x1 = su2_nav.wind.flow(z, t)
+    assert f_distance(su2_nav, x0, x1) == pytest.approx(t, abs=1e-8)
+
+
 def test_distance_euclidean_fixture(e2_nav):
     o = np.zeros(2)
     p = np.array([1.0, 0.0])

@@ -15,12 +15,13 @@ from randers_lab.killing import (
 )
 from randers_lab.oracle import (
     GraphMismatch,
+    _knn_edges,
     build_graph,
     oracle_distance,
     oracle_distance_pairs,
 )
 from randers_lab.randers import NavigationData
-from randers_lab.spaces import CompactGroup, Euclidean, Sphere
+from randers_lab.spaces import CompactGroup, Euclidean, Product, Sphere
 
 
 @pytest.fixture(scope="module")
@@ -143,6 +144,13 @@ def test_min_nodes_enforced(e2_graph):
         build_graph(nav, 50, 8, seed=0)
 
 
+@pytest.mark.parametrize("k", [0, 100, 150])
+def test_k_below_node_count_enforced(e2_graph, k):
+    nav, _, _ = e2_graph
+    with pytest.raises(ValueError, match="k must lie in"):
+        build_graph(nav, 100, k, seed=0)
+
+
 def test_hopf_pairs_certified(hopf_nav):
     g = build_graph(hopf_nav, 20_000, 64, seed=0)
     rng = np.random.default_rng(6)
@@ -175,18 +183,57 @@ def test_build_refuses_wind_of_nonconstant_length(cached, tmp_path, monkeypatch)
 def test_interrupted_cache_write_leaves_no_file(tmp_path, monkeypatch):
     e = Euclidean(2)
     nav = NavigationData(e, EuclideanKilling(e, np.array([0.5, 0.0])))
-    savez = np.savez_compressed
+    savez = np.savez
 
     def interrupted(path, **arrays):
         Path(path).write_bytes(b"PK\x03\x04partial")
         raise OSError("disk full")
 
-    monkeypatch.setattr(np, "savez_compressed", interrupted)
+    monkeypatch.setattr(np, "savez", interrupted)
     with pytest.raises(OSError, match="disk full"):
         build_graph(nav, 1000, 8, seed=0, cache_dir=tmp_path)
     assert list(tmp_path.iterdir()) == []
 
-    monkeypatch.setattr(np, "savez_compressed", savez)
+    monkeypatch.setattr(np, "savez", savez)
     g = build_graph(nav, 1000, 8, seed=0, cache_dir=tmp_path)
     assert [p.suffix for p in tmp_path.iterdir()] == [".npz"]
     assert build_graph(nav, 1000, 8, seed=0, cache_dir=tmp_path).graph_hash == g.graph_hash
+
+
+def test_compressed_cache_still_loads(tmp_path):
+    # caches written with np.savez_compressed under the same keys load as before
+    e = Euclidean(2)
+    nav = NavigationData(e, EuclideanKilling(e, np.array([0.5, 0.0])))
+    g = build_graph(nav, 1000, 8, seed=0, cache_dir=tmp_path)
+    (path,) = tmp_path.iterdir()
+    with np.load(path) as z:
+        arrays = {key: z[key] for key in z.files}
+    np.savez_compressed(path, **arrays)
+    with np.load(path) as z:
+        assert z.zip.getinfo("rows.npy").compress_type != 0
+    assert build_graph(nav, 1000, 8, seed=0, cache_dir=tmp_path).graph_hash == g.graph_hash
+
+
+@pytest.mark.parametrize("space, k", [
+    (Euclidean(2), 6),
+    (Sphere(3, 1.0), 8),
+    (CompactGroup("SU2", 0.8), 8),
+    (Product((Sphere(3, 1.0), Euclidean(2))), 8),
+], ids=["E2", "S3", "SU2-0.8", "S3xR2"])
+def test_knn_edges_match_brute_force(space, k):
+    # the chord kNN (re-ranked where the space needs it) is the h-kNN, and
+    # eps is the largest h-distance from a node to its nearest neighbour
+    n = 500
+    nodes = space.sample(np.random.default_rng(8), n)
+    i, j = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
+    d = space.h_distance(nodes[i.ravel()], nodes[j.ravel()]).reshape(n, n)
+    np.fill_diagonal(d, np.inf)
+    nn = np.argsort(d, axis=1, kind="stable")[:, :k]
+    src = np.repeat(np.arange(n), k)
+    brute = set(zip(src, nn.ravel())) | set(zip(nn.ravel(), src))
+
+    rows, cols, d_nn = _knn_edges(space, nodes, k)
+    edges = list(zip(rows.tolist(), cols.tolist()))
+    assert len(edges) == len(set(edges))
+    assert set(edges) == {(int(a), int(b)) for a, b in brute}
+    assert np.max(d_nn) == np.max(d.min(axis=1))

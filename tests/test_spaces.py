@@ -179,6 +179,14 @@ def test_log_inverts_exp_at_short_range(space, length, rng):
     assert np.max(err) / length < 1e-6
 
 
+def test_product_point_needs_its_ambient_dim():
+    p = Product((Sphere(3, 1.0), Euclidean(2)))
+    p.check_point([1, 0, 0, 0, 0.5, 0.5])
+    for bad in ([1, 0, 0, 0, 0.5, 0.5, 9], [1, 0, 0, 0, 0.5]):
+        with pytest.raises(SpaceError, match="ambient dim 6"):
+            p.check_point(bad)
+
+
 def test_even_sphere_rejected():
     with pytest.raises(SpaceError):
         Sphere(2, 1.0)
