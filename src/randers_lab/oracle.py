@@ -20,14 +20,19 @@ the re-rank runs. eps, the largest h-distance from a node to its nearest
 neighbour, comes from that same query. The cache is an uncompressed
 `.npz`; older compressed ones still load.
 
-Queries additionally relax the graph estimate through single
-intermediate nodes (a "2-arc" pass, recursing once); those candidates
-are again lengths of actual curves, so the no-undercut guarantee
-survives while the dilation error drops by roughly an order of
-magnitude. Error hints are C_HINT * eps with eps the largest
-nearest-neighbor gap; convergence runs on S^3 at n = 2e4, k = 256 showed
-worst-case relative errors well below eps/typical-distance, so the
-default C_HINT = 4 is a loose but honest upper coefficient.
+Queries first take the best of the direct arc and of curves through
+net nodes: the 2-arc x -> z -> y with z the best single intermediate
+node, and the path that refines both of its legs through a further node
+each. Those candidates are again lengths of actual curves, so the
+no-undercut guarantee survives while the dilation error drops by roughly
+an order of magnitude. The graph search then stops at the best curve
+already known: each source's Dijkstra runs only as far as a graph path
+could still beat one of its pairs' estimates, which leaves every
+estimate exactly what an unbounded search gives. Error hints are
+C_HINT * eps with eps the largest nearest-neighbor gap; convergence runs
+on S^3 at n = 2e4, k = 256 showed worst-case relative errors well below
+eps/typical-distance, so the default C_HINT = 4 is a loose but honest
+upper coefficient.
 """
 from __future__ import annotations
 
@@ -201,6 +206,8 @@ def build_graph(nav: NavigationData, n_nodes: int, k: int, seed: int,
 
     g = NetGraph(nav_config=cfg, n_nodes=n_nodes, k=k, seed=seed,
                  nodes=nodes, rows=rows, cols=cols, weights=weights, eps=eps)
+    # the component check's matrix is the one the queries need
+    g.__dict__["csr"] = csr
     if cache_path is not None:
         # write beside the cache file and rename it into place, so a failed
         # write leaves nothing at cache_path (numpy appends .npz if missing);
@@ -230,17 +237,19 @@ def _check_nav(g: NetGraph, nav: NavigationData) -> None:
         raise GraphMismatch("graph was built for different navigation data")
 
 
-def _best_two_arc(nav, nodes, x, y, depth: int) -> float:
+def _best_two_arc(nav, nodes, x, y) -> float:
+    """F-length of the best curve from x to y through net nodes: the 2-arc
+    x -> z -> y through the best node z, or x -> u -> z -> v -> y, which
+    refines each of its legs through its own best node, when that is
+    shorter. Each set of arcs between a point and all nodes is computed once."""
     wx = _arc_weights(nav, np.broadcast_to(x, nodes.shape), nodes)
     wy = _arc_weights(nav, nodes, np.broadcast_to(y, nodes.shape))
     tot = wx + wy
     zi = int(np.argmin(tot))
-    best = float(tot[zi])
-    if depth > 0:
-        z = nodes[zi]
-        best = min(best, _best_two_arc(nav, nodes, x, z, depth - 1)
-                   + _best_two_arc(nav, nodes, z, y, depth - 1))
-    return best
+    z = np.broadcast_to(nodes[zi], nodes.shape)
+    via_x = float(np.min(wx + _arc_weights(nav, nodes, z)))
+    via_y = float(np.min(_arc_weights(nav, z, nodes) + wy))
+    return min(float(tot[zi]), via_x + via_y)
 
 
 def oracle_distance(g: NetGraph, nav: NavigationData, x, y):
@@ -255,12 +264,22 @@ def oracle_distance(g: NetGraph, nav: NavigationData, x, y):
 
 
 def oracle_distance_pairs(g: NetGraph, nav: NavigationData, xs, ys) -> np.ndarray:
-    """Vectorized oracle estimates for row-aligned point arrays; shares
-    Dijkstra runs between pairs with a common snapped source."""
+    """Vectorized oracle estimates for row-aligned point arrays.
+
+    Each estimate is the shortest of the direct arc, the curves through
+    net nodes (`_best_two_arc`) and the snap hops plus the graph path.
+    A graph path can only win when it is no longer than the best of the
+    others less the hops, so each snapped source runs one Dijkstra
+    limited to the largest such budget among its pairs, and none when
+    every budget is negative; the estimates equal those of unbounded
+    searches bit for bit.
+    """
     _check_nav(g, nav)
     space = nav.space
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     ys = np.atleast_2d(np.asarray(ys, dtype=float))
+    if len(xs) != len(ys):
+        raise ValueError(f"xs has {len(xs)} rows but ys has {len(ys)}; pairs are row-aligned")
     _, si = g.tree.query(space.embed(xs), k=1)
     _, ti = g.tree.query(space.embed(ys), k=1)
 
@@ -270,13 +289,18 @@ def oracle_distance_pairs(g: NetGraph, nav: NavigationData, xs, ys) -> np.ndarra
     hop_out = np.where(space.h_distance(xs, g.nodes[si]) < 1e-14, 0.0, hop_out)
     hop_in = np.where(space.h_distance(g.nodes[ti], ys) < 1e-14, 0.0, hop_in)
 
-    srcs = np.unique(si)
-    D = dijkstra(g.csr, directed=True, indices=srcs)
-    smap = {int(s): r for r, s in enumerate(srcs)}
-    est = np.empty(len(xs))
-    for i in range(len(xs)):
-        graph_part = D[smap[int(si[i])], ti[i]]
-        cand = hop_out[i] + graph_part + hop_in[i]
-        direct = float(_arc_weights(nav, xs[i][None, :], ys[i][None, :])[0])
-        est[i] = min(cand, direct, _best_two_arc(nav, g.nodes, xs[i], ys[i], depth=1))
+    direct = _arc_weights(nav, xs, ys)
+    best = np.array([min(d, _best_two_arc(nav, g.nodes, x, y))
+                     for d, x, y in zip(direct, xs, ys)])
+    # a graph path longer than best - hops cannot win; the relative margin
+    # covers the rounding of hop_out + path + hop_in
+    budget = best - hop_out - hop_in + 1e-9 * best
+    est = best.copy()
+    for src in np.unique(si):
+        mine = np.flatnonzero(si == src)
+        limit = budget[mine].max()
+        if limit < 0:
+            continue
+        D = dijkstra(g.csr, directed=True, indices=src, limit=limit)
+        est[mine] = np.minimum(hop_out[mine] + D[ti[mine]] + hop_in[mine], best[mine])
     return est

@@ -4,17 +4,21 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.sparse.csgraph import dijkstra
 
 from randers_lab.geodesics import f_distance, f_distance_batch
 from randers_lab.killing import (
     EuclideanKilling,
     GroupKilling,
+    ProductKilling,
     SphereKilling,
     UnsupportedWind,
+    hopf_field,
     zero_field,
 )
 from randers_lab.oracle import (
     GraphMismatch,
+    _arc_weights,
     _knn_edges,
     build_graph,
     oracle_distance,
@@ -237,3 +241,92 @@ def test_knn_edges_match_brute_force(space, k):
     assert len(edges) == len(set(edges))
     assert set(edges) == {(int(a), int(b)) for a, b in brute}
     assert np.max(d_nn) == np.max(d.min(axis=1))
+
+
+def test_build_keeps_its_csr(monkeypatch):
+    # the strong-component check's matrix is reused by the queries
+    monkeypatch.delenv("RANDERS_LAB_CACHE", raising=False)
+    e = Euclidean(2)
+    nav = NavigationData(e, EuclideanKilling(e, np.array([0.5, 0.0])))
+    g = build_graph(nav, 1000, 8, seed=0)
+    assert "csr" in vars(g)
+    assert g.csr.shape == (1000, 1000) and g.csr.nnz == len(g.rows)
+
+
+def test_batches_must_align(hopf_nav):
+    g = build_graph(hopf_nav, 500, 16, seed=0)
+    xs = hopf_nav.space.sample(np.random.default_rng(1), 3)
+    with pytest.raises(ValueError, match="3 rows but ys has 1"):
+        oracle_distance_pairs(g, hopf_nav, xs, xs[:1])
+    est = oracle_distance_pairs(g, hopf_nav, np.empty((0, 4)), np.empty((0, 4)))
+    assert est.shape == (0,)
+
+
+def _reference_pairs(g, nav, xs, ys):
+    """The unbounded query: a full Dijkstra from every snapped source and
+    the two-arc pass recursing once, each leg recomputed. Returns the
+    estimates, the graph candidates and the best of the other curves."""
+    def two_arc(x, y, depth):
+        wx = _arc_weights(nav, np.broadcast_to(x, g.nodes.shape), g.nodes)
+        wy = _arc_weights(nav, g.nodes, np.broadcast_to(y, g.nodes.shape))
+        tot = wx + wy
+        zi = int(np.argmin(tot))
+        best = float(tot[zi])
+        if depth > 0:
+            z = g.nodes[zi]
+            best = min(best, two_arc(x, z, depth - 1) + two_arc(z, y, depth - 1))
+        return best
+
+    space = nav.space
+    _, si = g.tree.query(space.embed(xs), k=1)
+    _, ti = g.tree.query(space.embed(ys), k=1)
+    hop_out = _arc_weights(nav, xs, g.nodes[si])
+    hop_in = _arc_weights(nav, g.nodes[ti], ys)
+    hop_out = np.where(space.h_distance(xs, g.nodes[si]) < 1e-14, 0.0, hop_out)
+    hop_in = np.where(space.h_distance(g.nodes[ti], ys) < 1e-14, 0.0, hop_in)
+    srcs = np.unique(si)
+    D = dijkstra(g.csr, directed=True, indices=srcs)
+    row = {int(s): r for r, s in enumerate(srcs)}
+    est = np.empty(len(xs))
+    graph = np.empty(len(xs))
+    curves = np.empty(len(xs))
+    for i in range(len(xs)):
+        graph[i] = hop_out[i] + D[row[int(si[i])], ti[i]] + hop_in[i]
+        direct = float(_arc_weights(nav, xs[i][None, :], ys[i][None, :])[0])
+        curves[i] = min(direct, two_arc(xs[i], ys[i], depth=1))
+        est[i] = min(graph[i], curves[i])
+    return est, graph, curves
+
+
+def _strong_product_nav():
+    prod = Product((Sphere(3, 1.0), Euclidean(2)))
+    return NavigationData(prod, ProductKilling(prod, (
+        hopf_field(prod.factors[0], 0.6),
+        EuclideanKilling(prod.factors[1], np.array([0.6, 0.0])))))
+
+
+def _s3_hopf_nav():
+    s3 = Sphere(3, 1.0)
+    return NavigationData(s3, hopf_field(s3, 0.3))
+
+
+@pytest.mark.parametrize("make_nav, graph_wins", [
+    (_strong_product_nav, True),
+    (_s3_hopf_nav, False),
+], ids=["S3xR2-strong", "S3-hopf-0.3"])
+def test_bounded_query_matches_unbounded(make_nav, graph_wins):
+    # limiting each Dijkstra to what can still beat the best curve known
+    # leaves every estimate unchanged, bit for bit
+    nav = make_nav()
+    g = build_graph(nav, 2000, 32, seed=5)
+    rng = np.random.default_rng(3)
+    xs = nav.space.sample(rng, 100)
+    ys = nav.space.sample(rng, 100)
+    # a second pair from the same source, x == y, and x on a net node
+    xs = np.vstack([xs, xs[:1], xs[1:2], g.nodes[7:8]])
+    ys = np.vstack([ys, ys[2:3], xs[1:2], ys[3:4]])
+    want, graph, curves = _reference_pairs(g, nav, xs, ys)
+    got = oracle_distance_pairs(g, nav, xs, ys)
+    assert np.array_equal(got, want)
+    # the graph path wins somewhere only under the strong wind
+    assert np.any(graph < curves) == graph_wins
