@@ -36,11 +36,9 @@ class RootNotBracketed(RuntimeError):
 
 @dataclass(frozen=True)
 class GeodesicCurve:
-    nav: NavigationData
     ts: np.ndarray
     points: np.ndarray  # (len(ts), ambient_dim)
     kind: str  # "flow" | "ode"
-    field: object = None  # the F-unit Killing field for kind == "flow"
     diverged: bool = False
 
     def __len__(self):
@@ -68,7 +66,7 @@ def f_geodesic_flowcurve(nav: NavigationData, x, y, T: float = 1.0,
     Y = X + nav.wind
     ts = np.linspace(0.0, T, n_steps + 1)
     pts = Y.flow(np.broadcast_to(x, (len(ts), x.shape[-1])), ts)
-    return GeodesicCurve(nav=nav, ts=ts, points=pts, kind="flow", field=Y)
+    return GeodesicCurve(ts=ts, points=pts, kind="flow")
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +180,7 @@ def f_geodesic_ode(nav: NavigationData, x, y, T: float = 1.0,
         speed_drift = max(speed_drift, abs(float(nav.finsler_norm(p, v)) - speed0))
 
     diverged = speed_drift > 1e-6 * max(speed0, 1.0)
-    return GeodesicCurve(nav=nav, ts=ts, points=np.array(pts), kind="ode", diverged=diverged)
+    return GeodesicCurve(ts=ts, points=np.array(pts), kind="ode", diverged=diverged)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,9 @@ vector / tuple) and flows are evaluated by matrix or quaternion
 exponentials. `flow(x, t)` broadcasts over a batch of points with a
 per-point time array, which the distance code relies on.
 `length_range()` reads the (min, max) of the field's h-length off the
-generator; it is the only place the length of a wind is known.
+generator; it is the only place the length of a wind is known, and
+`constant_length_family` is the only place that decides, from it alone,
+whether a wind is supported: the oracle and the verifiers all ask it.
 
 Sphere conventions: ambient coordinates are paired as (x1+ix2, x3+ix4,
 ...) and J is the block-diagonal rotation [[0,-1],[1,0]] repeated; a
@@ -391,15 +393,19 @@ def _involution_swapping(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SphereFamily:
-    """Fields c' * to_real_matrix(i S), S a Hermitian involution: rotations
-    of constant length commuting with J (and hence with the wind c*J)."""
+    """Fields c' * Q to_real_matrix(i S) Q^T, S a Hermitian involution:
+    rotations of constant length commuting with Q J Q^T, and hence with
+    the wind c * Q J Q^T (Q orthogonal; Q = I for the Hopf wind c*J)."""
 
     space: Sphere
+    Q: np.ndarray
 
     def match(self, x, v) -> SphereKilling:
         """The member X with X(x) = v exactly; h-length |v| everywhere."""
-        x = np.asarray(x, dtype=float)
-        v = np.asarray(v, dtype=float)
+        Q = self.Q
+        # match the standard family at Q^T x, then conjugate back
+        x = np.asarray(x, dtype=float) @ Q
+        v = np.asarray(v, dtype=float) @ Q
         R = self.space.radius
         speed = float(np.linalg.norm(v))
         if speed < 1e-300:
@@ -408,7 +414,7 @@ class SphereFamily:
         b = -1j * to_complex(v) / speed
         S = _involution_swapping(a, b)
         M = to_real_matrix(1j * S)
-        return SphereKilling(self.space, (speed / R) * M)
+        return SphereKilling(self.space, (speed / R) * (Q @ M @ Q.T))
 
     def random_member(self, rng, length: float = 1.0) -> SphereKilling:
         k = self.space.ambient_dim // 2
@@ -417,7 +423,8 @@ class SphereFamily:
         rank = int(rng.integers(0, k + 1))
         P = U[:, :rank] @ U[:, :rank].conj().T
         S = 2.0 * P - np.eye(k, dtype=complex)
-        return SphereKilling(self.space, (length / self.space.radius) * to_real_matrix(1j * S))
+        M = self.Q @ to_real_matrix(1j * S) @ self.Q.T
+        return SphereKilling(self.space, (length / self.space.radius) * M)
 
 
 @dataclass(frozen=True)
@@ -434,7 +441,7 @@ class EuclideanFamily:
 
 @dataclass(frozen=True)
 class GroupFamily:
-    """One-sided translation fields on the side opposite the wind, so that
+    """Translation fields on one side only, the side opposite the wind, so that
     every member commutes with the wind generator."""
 
     space: CompactGroup
@@ -478,7 +485,18 @@ class ProductFamily:
 
 def constant_length_family(nav):
     """Family of constant-length Killing fields commuting with nav's wind;
-    componentwise on products."""
+    componentwise on products.
+
+    The one test of a supported wind: its h-length must be constant, read
+    off `length_range()`. Everything else follows from that -- a two-sided
+    group wind has min < max, and on spheres constant length means
+    A = c * Q J Q^T (Berestovskii-Nikonorov), whose family `_family`
+    builds by conjugation.
+    """
+    lo, hi = nav.wind.length_range()
+    if hi - lo > 1e-12:
+        raise UnsupportedWind("a supported wind has constant length; "
+                              f"its h-length runs over [{lo:.6g}, {hi:.6g}]")
     return _family(nav.space, nav.wind)
 
 
@@ -488,19 +506,15 @@ def _family(space, W):
     if isinstance(space, Euclidean):
         return EuclideanFamily(space)
     if isinstance(space, Sphere):
-        J = standard_J(space.ambient_dim // 2)
-        A = W.A
-        c = float(np.tensordot(J, A) / np.tensordot(J, J))
-        if np.max(np.abs(A - c * J)) > 1e-9:
-            raise UnsupportedWind("sphere wind must be a multiple of the standard J")
-        return SphereFamily(space)
+        # real Schur form A = Q T Q^T, T's 2x2 blocks each +-c * [[0, -1], [1, 0]];
+        # negating column 2i+1 of Q flips block i's sign, so that A = +-c * Q J Q^T
+        T, Q = scipy.linalg.schur(W.A, output="real")
+        signs = np.sign(np.diag(T[0::2, 1::2]))
+        Q[:, 1::2] *= np.where(signs == signs[0], 1.0, -1.0)
+        return SphereFamily(space, Q)
     if isinstance(space, CompactGroup):
-        left = bool(W.l.any())
-        right = bool(W.r.any())
-        if left and right:
-            raise UnsupportedWind("group wind must be one-sided")
         # members live on the side opposite the wind (both sides work for W=0)
-        return GroupFamily(space, "left" if right else "right")
+        return GroupFamily(space, "left" if W.r.any() else "right")
     raise TypeError(f"unknown space {space!r}")
 
 

@@ -8,8 +8,9 @@ integrand F(gamma, gamma') is constant along h-geodesics, so that length
 is F(x, log_x(y)) in closed form. Consequently every graph path is the
 F-length of an actual piecewise-smooth curve and the oracle can never
 undercut the true infimum (it only overshoots, by the net dilation).
-That needs the wind's length to be constant, so `build_graph` refuses
-any other wind with `UnsupportedWind`.
+That needs the wind's length to be constant: `build_graph` asks
+`killing.constant_length_family`, the one test of a supported wind, and
+so refuses exactly the winds the verifiers refuse, with `UnsupportedWind`.
 
 The net's edges join each node to its k nearest neighbours in h, in
 both directions. A kd-tree over `space.embed` finds them: on spaces whose
@@ -48,11 +49,11 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components, dijkstra
 from scipy.spatial import cKDTree
 
-from .killing import UnsupportedWind
+from .killing import constant_length_family
 from .randers import NavigationData
 
 C_HINT = 4.0
-_CACHE_VERSION = 3
+_CACHE_VERSION = 4
 
 
 class GraphDisconnected(RuntimeError):
@@ -158,17 +159,13 @@ def _knn_edges(space, nodes, k):
 
 def build_graph(nav: NavigationData, n_nodes: int, k: int, seed: int,
                 cache_dir: str | os.PathLike | None = None) -> NetGraph:
-    """Deterministic epsilon-net graph for nav; strongly connected or it
-    retries once with 2k (at most n_nodes - 1) and then raises
-    GraphDisconnected."""
+    """Deterministic epsilon-net graph for nav; raises GraphDisconnected
+    when the kNN graph is not strongly connected."""
     if n_nodes < 100:
         raise ValueError("need at least 100 nodes for a meaningful net")
     if not 1 <= k < n_nodes:
         raise ValueError(f"k must lie in [1, {n_nodes - 1}] for {n_nodes} nodes, got {k}")
-    lo, hi = nav.wind.length_range()
-    if hi - lo > 1e-12:
-        raise UnsupportedWind("the oracle needs a wind of constant length; "
-                              f"its h-length runs over [{lo:.6g}, {hi:.6g}]")
+    constant_length_family(nav)  # refuses an unsupported wind
     cfg = nav.to_config()
     if cache_dir is None:
         cache_dir = os.environ.get("RANDERS_LAB_CACHE")
@@ -185,21 +182,16 @@ def build_graph(nav: NavigationData, n_nodes: int, k: int, seed: int,
     rng = np.random.default_rng(seed)
     nodes = space.sample(rng, n_nodes)
 
-    k_try = k
-    for attempt in range(2):
-        rows, cols, d_nn = _knn_edges(space, nodes, k_try)
-        # chunked to bound peak memory at acceptance-scale edge counts
-        weights = np.empty(len(rows))
-        for lo in range(0, len(rows), 1_000_000):
-            sl = slice(lo, lo + 1_000_000)
-            weights[sl] = _arc_weights(nav, nodes[rows[sl]], nodes[cols[sl]])
-        csr = csr_matrix((weights, (rows, cols)), shape=(n_nodes, n_nodes))
-        n_comp, _ = connected_components(csr, directed=True, connection="strong")
-        if n_comp == 1:
-            break
-        if attempt == 1:
-            raise GraphDisconnected(f"{n_comp} strong components at k={k_try}")
-        k_try = min(2 * k_try, n_nodes - 1)
+    rows, cols, d_nn = _knn_edges(space, nodes, k)
+    # chunked to bound peak memory at acceptance-scale edge counts
+    weights = np.empty(len(rows))
+    for lo in range(0, len(rows), 1_000_000):
+        sl = slice(lo, lo + 1_000_000)
+        weights[sl] = _arc_weights(nav, nodes[rows[sl]], nodes[cols[sl]])
+    csr = csr_matrix((weights, (rows, cols)), shape=(n_nodes, n_nodes))
+    n_comp, _ = connected_components(csr, directed=True, connection="strong")
+    if n_comp > 1:
+        raise GraphDisconnected(f"{n_comp} strong components at k={k}; use a larger k")
 
     # eps = max over nodes of the h-distance to the nearest neighbor
     eps = float(np.max(d_nn))

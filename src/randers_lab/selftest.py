@@ -220,9 +220,9 @@ def criterion_6(n_nodes: int = 20000, cache_dir=None) -> dict:
             worst = max(worst,
                         abs(fest[0] - 2.0 / 3.0) / (2.0 / 3.0),
                         abs(fest[1] - 2.0) / 2.0)
-    elapsed = time.perf_counter() - t0
-    details["elapsed_s"] = elapsed
-    passed = worst < 0.03 and elapsed < 300.0
+    # the time bound is part of the verdict; the time itself is not
+    # reported, so the result stays deterministic
+    passed = worst < 0.03 and time.perf_counter() - t0 < 300.0
     return {"criterion": 6, "name": "distance oracle agreement", "passed": bool(passed),
             "details": details}
 
@@ -302,36 +302,19 @@ def criterion_9() -> dict:
             "details": details}
 
 
-def _timed(fn):
-    def run(**kwargs):
-        t0 = time.perf_counter()
-        result = fn(**kwargs)
-        result["elapsed_s"] = time.perf_counter() - t0
-        return result
-
-    return run
-
-
 CRITERIA = {
-    1: _timed(criterion_1),
-    2: _timed(criterion_2),
-    3: _timed(criterion_3),
-    4: _timed(criterion_4),
-    5: _timed(criterion_5),
-    6: _timed(criterion_6),
-    7: _timed(criterion_7),
-    8: _timed(criterion_8),
-    9: _timed(criterion_9),
+    1: criterion_1,
+    2: criterion_2,
+    3: criterion_3,
+    4: criterion_4,
+    5: criterion_5,
+    6: criterion_6,
+    7: criterion_7,
+    8: criterion_8,
+    9: criterion_9,
 }
 
 
-def run_selftest(criteria=None, cache_dir=None) -> list[dict]:
-    chosen = sorted(criteria) if criteria else sorted(CRITERIA)
-    results = []
-    for i in chosen:
-        fn = CRITERIA[i]
-        if i == 6:
-            results.append(fn(cache_dir=cache_dir))
-        else:
-            results.append(fn())
-    return results
+def run_criterion(i: int, cache_dir=None) -> dict:
+    """Criterion i's verdict; only the oracle criterion uses cache_dir."""
+    return CRITERIA[i](cache_dir=cache_dir) if i == 6 else CRITERIA[i]()

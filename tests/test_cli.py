@@ -7,6 +7,8 @@ import pytest
 
 from randers_lab.cli import main
 
+from conftest import ANTI_HOPF
+
 E2 = '{"kind": "euclidean", "n": 2}'
 WIND = '{"type": "euclidean-const", "v": [0.5, 0.0]}'
 S3 = '{"kind": "sphere", "dim": 3, "radius": 1.0}'
@@ -244,3 +246,44 @@ def test_oracle_build_refuses_nonconstant_wind(tmp_path, capsys):
     assert rc == 2
     assert "constant length" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_selftest_out_is_byte_identical(tmp_path, capsys):
+    # wall times go to stderr, never into selftest.json
+    for run in ("a", "b"):
+        assert main(["selftest", "--criteria", "1", "--out", str(tmp_path / run)]) == 0
+        assert "criterion 1:" in capsys.readouterr().err
+    first = (tmp_path / "a" / "selftest.json").read_bytes()
+    assert first == (tmp_path / "b" / "selftest.json").read_bytes()
+    assert b"elapsed" not in first
+
+
+def test_disconnected_oracle_net_exits_two_with_one_line(tmp_path, capsys):
+    rc = main(["oracle", "build", "--space", E2, "--wind",
+               '{"type": "euclidean-const", "v": [0.2, 0.0]}',
+               "--nodes", "100", "--k", "2", "--cache", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "use a larger k" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+ANTI_HOPF_JSON = json.dumps({"type": "sphere-skew", "matrix": ANTI_HOPF.tolist()})
+
+
+@pytest.mark.parametrize("verb, args", [
+    ("cw-check", ["--samples", "20"]),
+    ("exhaust", ["--directions", "16"]),
+    ("connect", ["--x0", "[1,0,0,0]", "--x1", "[0,0.6,0.8,0]"]),
+    ("geodesic", ["--method", "flow", "--x", "[1,0,0,0]", "--direction", "[0,0.3,0.4,0.5]"]),
+])
+def test_anti_hopf_wind_passes_every_verb(capsys, verb, args):
+    # constant length but not a multiple of J: a supported wind all the same
+    rc = main([verb, "--space", S3, "--wind", ANTI_HOPF_JSON] + args)
+    assert rc == 0
+    result = json.loads(capsys.readouterr().out)["result"]
+    if verb == "exhaust":
+        assert result["worst_residual"] < 1e-6
+    if verb == "connect":
+        assert result["residual"] < 1e-9

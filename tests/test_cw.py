@@ -24,6 +24,8 @@ from randers_lab.killing import (
 from randers_lab.randers import NavigationData
 from randers_lab.spaces import Euclidean, Product, Sphere, random_tangent
 
+from conftest import ANTI_HOPF, conjugated_hopf
+
 
 def _rot(a1, a2):
     A = np.zeros((4, 4))
@@ -164,6 +166,25 @@ def test_connect_flow_hits_target(su2_nav):
     res = cw_connect(su2_nav, x0, x1)
     Y = res.member + su2_nav.wind
     np.testing.assert_allclose(Y.flow(x0, res.t), x1, atol=1e-6)
+
+
+@pytest.mark.parametrize("dim, radius, A", [
+    (3, 1.0, ANTI_HOPF),
+    (5, 1.3, conjugated_hopf(3, 0.3, seed=1)),
+    (7, 1.0, conjugated_hopf(4, -0.4, seed=2)),
+], ids=["anti-hopf-S3", "qjq-S5", "qjq-S7"])
+def test_conjugated_hopf_winds_pass_every_check(dim, radius, A):
+    # every constant-length rotation wind c * Q J Q^T gets its family: the
+    # paper's claims hold for it as they do for the Hopf wind
+    s = Sphere(dim, radius)
+    nav = NavigationData(s, SphereKilling(s, A))
+    rng = np.random.default_rng(dim)
+    Y = constant_length_family(nav).random_member(rng, 1.0) + nav.wind
+    assert cw_displacement_check(nav, (Y, 0.4), n_samples=50, seed=1).rel_spread < 1e-8
+    rep = direction_exhaustion_check(nav, s.sample(rng, 1)[0], n_directions=32, seed=3)
+    assert rep.worst_residual < 1e-6
+    for x0, x1 in zip(s.sample(rng, 10), s.sample(rng, 10)):
+        assert cw_connect(nav, x0, x1).residual < 1e-9
 
 
 def test_cw_composition_euclidean(e2_nav):

@@ -21,6 +21,8 @@ from randers_lab.killing import (
 from randers_lab.randers import NavigationData
 from randers_lab.spaces import CompactGroup, Euclidean, Product, Sphere, random_tangent
 
+from conftest import ANTI_HOPF, conjugated_hopf
+
 
 def _rot_blocks(angles):
     """Block-diagonal skew matrix rot(a1) + rot(a2) + ..."""
@@ -313,6 +315,35 @@ def test_unsupported_wind_rejected(s3):
     nav = NavigationData(s3, SphereKilling(s3, 0.3 * _rot_blocks([1.0, 2.0])))
     with pytest.raises(UnsupportedWind):
         constant_length_family(nav)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+@pytest.mark.parametrize("c", [0.3, -0.3, 0.7, 1e-3])
+def test_hopf_family_frame_is_exactly_identity(k, c):
+    # the real Schur form of c*J is c*J itself, so the Hopf wind's family
+    # is the standard one bit for bit
+    s = Sphere(2 * k - 1, 1.0)
+    fam = constant_length_family(NavigationData(s, hopf_field(s, c)))
+    assert np.array_equal(fam.Q, np.eye(2 * k))
+
+
+@pytest.mark.parametrize("dim, A", [
+    (3, ANTI_HOPF),
+    (5, conjugated_hopf(3, 0.3, seed=1)),
+    (7, conjugated_hopf(4, -0.4, seed=2)),
+], ids=["anti-hopf-S3", "qjq-S5", "qjq-S7"])
+def test_conjugated_family_commutes_with_wind(dim, A):
+    s = Sphere(dim, 1.0)
+    fam = constant_length_family(NavigationData(s, SphereKilling(s, A)))
+    np.testing.assert_allclose(fam.Q @ fam.Q.T, np.eye(dim + 1), atol=1e-12)
+    rng = np.random.default_rng(dim)
+    x = s.sample(rng, 1)[0]
+    for _ in range(20):
+        M = fam.random_member(rng, 1.0).A
+        np.testing.assert_allclose(M @ M, -np.eye(dim + 1), atol=1e-12)
+        np.testing.assert_allclose(M @ A - A @ M, 0.0, atol=1e-12)
+        v = random_tangent(s, rng, x)
+        np.testing.assert_allclose(fam.match(x, v).evaluate(x), v, atol=1e-12)
 
 
 def test_zero_field_flow_is_identity(rng):

@@ -13,10 +13,12 @@ from randers_lab.killing import (
     ProductKilling,
     SphereKilling,
     UnsupportedWind,
+    constant_length_family,
     hopf_field,
     zero_field,
 )
 from randers_lab.oracle import (
+    GraphDisconnected,
     GraphMismatch,
     _arc_weights,
     _knn_edges,
@@ -26,6 +28,8 @@ from randers_lab.oracle import (
 )
 from randers_lab.randers import NavigationData
 from randers_lab.spaces import CompactGroup, Euclidean, Product, Sphere
+
+from conftest import ANTI_HOPF, conjugated_hopf
 
 
 @pytest.fixture(scope="module")
@@ -181,6 +185,64 @@ def test_build_refuses_wind_of_nonconstant_length(cached, tmp_path, monkeypatch)
         with pytest.raises(UnsupportedWind):
             build_graph(NavigationData(W.space, W), 1000, 8, seed=0,
                         cache_dir=tmp_path if cached else None)
+    assert list(tmp_path.iterdir()) == []
+
+
+def _winds():
+    s3, su2, e2 = Sphere(3, 1.0), CompactGroup("SU2", 1.0), Euclidean(2)
+    s5, s7 = Sphere(5, 1.3), Sphere(7, 1.0)
+    prod = Product((s3, e2))
+    blocks = np.zeros((4, 4))
+    blocks[1, 0], blocks[0, 1], blocks[3, 2], blocks[2, 3] = 0.6, -0.6, 0.05, -0.05
+    l, r = np.array([0.0, 0.4, 0.0, 0.0]), np.array([0.0, 0.0, 0.3, 0.0])
+    return {
+        "hopf+0.3": hopf_field(s3, 0.3),
+        "hopf-0.3": hopf_field(s3, -0.3),
+        "anti-hopf": SphereKilling(s3, ANTI_HOPF),
+        "s3-blocks": SphereKilling(s3, blocks),
+        "qjq-S5": SphereKilling(s5, conjugated_hopf(3, 0.3, seed=1)),
+        "qjq-S7": SphereKilling(s7, conjugated_hopf(4, -0.4, seed=2)),
+        "group-left": GroupKilling(su2, l, np.zeros(4)),
+        "group-right": GroupKilling(su2, np.zeros(4), r),
+        "group-pair": GroupKilling(su2, l, r),
+        "euclidean-const": EuclideanKilling(e2, np.array([0.2, 0.1])),
+        "zero": zero_field(prod),
+        "product-nonconstant": ProductKilling(
+            prod, (SphereKilling(s3, blocks), EuclideanKilling(e2, np.array([0.2, 0.0])))),
+    }
+
+
+WINDS = _winds()
+REFUSED = {"s3-blocks", "group-pair", "product-nonconstant"}
+
+
+@pytest.mark.parametrize("name", WINDS)
+def test_family_and_oracle_share_one_acceptance_rule(name, tmp_path, monkeypatch):
+    # a wind gets a family exactly when the oracle builds for it, and a
+    # refused wind leaves nothing in the cache
+    monkeypatch.delenv("RANDERS_LAB_CACHE", raising=False)
+    nav = NavigationData(WINDS[name].space, WINDS[name])
+    try:
+        constant_length_family(nav)
+        refused = False
+    except UnsupportedWind:
+        refused = True
+    assert refused == (name in REFUSED)
+    if refused:
+        with pytest.raises(UnsupportedWind, match="constant length"):
+            build_graph(nav, 200, 16, seed=0, cache_dir=tmp_path)
+        assert list(tmp_path.iterdir()) == []
+    else:
+        build_graph(nav, 200, 16, seed=0, cache_dir=tmp_path)
+        assert len(list(tmp_path.iterdir())) == 1
+
+
+def test_disconnected_net_raises_at_the_requested_k(tmp_path):
+    # no silent retry at a larger k: the graph would not be the one asked for
+    e = Euclidean(2)
+    nav = NavigationData(e, EuclideanKilling(e, np.array([0.2, 0.0])))
+    with pytest.raises(GraphDisconnected, match="at k=2; use a larger k"):
+        build_graph(nav, 100, 2, seed=0, cache_dir=tmp_path)
     assert list(tmp_path.iterdir()) == []
 
 
