@@ -217,7 +217,7 @@ def cmd_oracle(args) -> int:
     g = build_graph(nav, args.nodes, args.k, seed=args.seed, cache_dir=args.cache)
     if args.oracle_cmd == "build":
         result = {"graph_hash": g.graph_hash, "eps": g.eps,
-                  "n_nodes": g.n_nodes, "k": g.k, "n_edges": int(len(g.weights))}
+                  "n_nodes": g.n_nodes, "k": g.k, "n_edges": 2 * len(g.rows)}
         _emit(args, "oracle-build", result, cfg)
         return 0
     est, hint = oracle_distance(g, nav, x, y)
@@ -225,8 +225,20 @@ def cmd_oracle(args) -> int:
     return 0
 
 
+def _criteria(text: str) -> list[int]:
+    """Criterion numbers from a comma-separated list such as "1,2,5"."""
+    try:
+        chosen = [int(c) for c in text.split(",")]
+    except ValueError:
+        chosen = None
+    if chosen is None or not set(chosen) <= CRITERIA.keys():
+        raise ValueError(f"--criteria takes criteria {min(CRITERIA)}-{max(CRITERIA)}, "
+                         f"comma-separated; got {text!r}")
+    return chosen
+
+
 def cmd_selftest(args) -> int:
-    chosen = [int(c) for c in args.criteria.split(",")] if args.criteria else CRITERIA
+    chosen = _criteria(args.criteria) if args.criteria else CRITERIA
     results = []
     for i in sorted(chosen):
         t0 = time.perf_counter()

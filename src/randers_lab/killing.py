@@ -488,21 +488,23 @@ def constant_length_family(nav):
     componentwise on products.
 
     The one test of a supported wind: its h-length must be constant, read
-    off `length_range()`. Everything else follows from that -- a two-sided
-    group wind has min < max, and on spheres constant length means
-    A = c * Q J Q^T (Berestovskii-Nikonorov), whose family `_family`
-    builds by conjugation.
+    off `length_range()`, and on a product on every factor, since the
+    product's l2 length shrinks a factor's spread. Everything else follows
+    from that -- a two-sided group wind has min < max, and on spheres
+    constant length means A = c * Q J Q^T (Berestovskii-Nikonorov), whose
+    family `_family` builds by conjugation.
     """
-    lo, hi = nav.wind.length_range()
-    if hi - lo > 1e-12:
-        raise UnsupportedWind("a supported wind has constant length; "
-                              f"its h-length runs over [{lo:.6g}, {hi:.6g}]")
     return _family(nav.space, nav.wind)
 
 
-def _family(space, W):
+def _family(space, W, where=""):
     if isinstance(space, Product):
-        return ProductFamily(space, tuple(_family(f, p) for f, p in zip(space.factors, W.parts)))
+        return ProductFamily(space, tuple(_family(f, p, f" on factor {i}")
+                                          for i, (f, p) in enumerate(zip(space.factors, W.parts))))
+    lo, hi = W.length_range()
+    if hi - lo > 1e-12:
+        raise UnsupportedWind("a supported wind has constant length; "
+                              f"its h-length{where} runs over [{lo:.6g}, {hi:.6g}]")
     if isinstance(space, Euclidean):
         return EuclideanFamily(space)
     if isinstance(space, Sphere):

@@ -3,17 +3,28 @@
 Independent of `geodesics.f_distance` by construction: the only
 ingredients are h-geodesic arcs between sampled nodes and the navigation
 norm. Every edge weight is the exact F-length of the h-geodesic arc
-between its endpoints -- for a constant-length Killing wind the
-integrand F(gamma, gamma') is constant along h-geodesics, so that length
-is F(x, log_x(y)) in closed form. Consequently every graph path is the
-F-length of an actual piecewise-smooth curve and the oracle can never
-undercut the true infimum (it only overshoots, by the net dilation).
-That needs the wind's length to be constant: `build_graph` asks
+between its endpoints. Along an h-geodesic gamma the first integral
+h(gamma', W) of a Killing wind W is constant (Noether), and so are
+h(gamma', gamma') and, for a wind of constant length, lam = 1 - h(W, W);
+so the integrand F(gamma, gamma') is constant and the arc's length is
+F(x, log_x(y)) in closed form. The arc run backwards starts at
+-gamma'(1) with the same constants, so one log v = log_x(y) gives both
+directions: with s = h(v, W(x)) and q = h(v, v),
+
+    F(x -> y) = (sqrt(s^2 + lam q) - s) / lam,
+    F(y -> x) = (sqrt(s^2 + lam q) + s) / lam = F(x, -v).
+
+Consequently every graph path is the F-length of an actual
+piecewise-smooth curve and the oracle can never undercut the true
+infimum (it only overshoots, by the net dilation). That needs the wind's
+length to be constant, on every factor of a product: `build_graph` asks
 `killing.constant_length_family`, the one test of a supported wind, and
 so refuses exactly the winds the verifiers refuse, with `UnsupportedWind`.
 
-The net's edges join each node to its k nearest neighbours in h, in
-both directions. A kd-tree over `space.embed` finds them: on spaces whose
+The net's edges join each node to its k nearest neighbours in h. They
+are stored undirected, one row (r, c) with r < c per edge, with the two
+weights F(r -> c) and F(c -> r); the search graph holds both
+orientations. A kd-tree over `space.embed` finds them: on spaces whose
 h-distance grows with the chord (`chord_ordered`: R^n, spheres, SU(2))
 the chord kNN is the h-kNN as it stands; on products of two or more
 factors it is over-fetched and re-ranked by h-distance, the one place
@@ -53,7 +64,7 @@ from .killing import constant_length_family
 from .randers import NavigationData
 
 C_HINT = 4.0
-_CACHE_VERSION = 4
+_CACHE_VERSION = 5
 
 
 class GraphDisconnected(RuntimeError):
@@ -65,9 +76,11 @@ class GraphMismatch(ValueError):
 
 
 def _arc_weights(nav, a, b):
-    """Exact F-length of the h-geodesic arcs a[i] -> b[i]."""
+    """Exact F-lengths (a[i] -> b[i], b[i] -> a[i]) of the h-geodesic arcs
+    between a[i] and b[i], both from the one log v = log_a(b): the arc
+    back is the same arc run backwards, of F-length F(a, -v)."""
     v = nav.space.h_log(a, b)
-    return nav.finsler_norm(a, v)
+    return nav.finsler_norm(a, v, both=True)
 
 
 @dataclass(frozen=True)
@@ -77,15 +90,19 @@ class NetGraph:
     k: int
     seed: int
     nodes: np.ndarray
-    rows: np.ndarray
+    rows: np.ndarray  # undirected edges rows[i] < cols[i]
     cols: np.ndarray
-    weights: np.ndarray
+    weights_fwd: np.ndarray  # F-length rows[i] -> cols[i]
+    weights_rev: np.ndarray  # F-length cols[i] -> rows[i]
     eps: float
 
     @cached_property
     def csr(self) -> csr_matrix:
+        """The directed search graph: every edge in both orientations."""
         n = self.n_nodes
-        return csr_matrix((self.weights, (self.rows, self.cols)), shape=(n, n))
+        return csr_matrix((np.concatenate([self.weights_fwd, self.weights_rev]),
+                           (np.concatenate([self.rows, self.cols]),
+                            np.concatenate([self.cols, self.rows]))), shape=(n, n))
 
     @cached_property
     def tree(self) -> cKDTree:
@@ -102,13 +119,14 @@ class NetGraph:
         h.update(self.nodes.tobytes())
         h.update(self.rows.tobytes())
         h.update(self.cols.tobytes())
-        h.update(self.weights.tobytes())
+        h.update(self.weights_fwd.tobytes())
+        h.update(self.weights_rev.tobytes())
         return h.hexdigest()
 
 
 def _knn_edges(space, nodes, k):
-    """Directed kNN pairs under h-distance, both orientations, deduplicated,
-    and each node's h-distance to its nearest neighbour.
+    """Undirected kNN edges under h-distance, one row (r, c) with r < c
+    per edge, and each node's h-distance to its nearest neighbour.
 
     Where h-distance is a nondecreasing function of the chord
     (`space.chord_ordered`), the chord kNN of the embedding is the h-kNN.
@@ -146,9 +164,12 @@ def _knn_edges(space, nodes, k):
         d_nn = space.h_distance(nodes, nodes[jj[:, 0]])
     rows = np.repeat(np.arange(n, dtype=np.int64), k)
     cols = jj.ravel().astype(np.int64, copy=False)
-    # both orientations, then dedupe (duplicate entries would be summed by
-    # CSR); sorting the codes gives np.unique's result without its hashing
-    enc = np.concatenate([rows * n + cols, cols * n + rows])
+    # code each edge as min * n + max, then dedupe (duplicate entries would
+    # be summed by CSR); sorting the codes gives np.unique's result without
+    # its hashing
+    enc = np.minimum(rows, cols)
+    enc *= n
+    enc += np.maximum(rows, cols)
     enc.sort()
     keep = np.empty(len(enc), dtype=bool)
     keep[0] = True
@@ -184,22 +205,20 @@ def build_graph(nav: NavigationData, n_nodes: int, k: int, seed: int,
 
     rows, cols, d_nn = _knn_edges(space, nodes, k)
     # chunked to bound peak memory at acceptance-scale edge counts
-    weights = np.empty(len(rows))
+    fwd = np.empty(len(rows))
+    rev = np.empty(len(rows))
     for lo in range(0, len(rows), 1_000_000):
         sl = slice(lo, lo + 1_000_000)
-        weights[sl] = _arc_weights(nav, nodes[rows[sl]], nodes[cols[sl]])
-    csr = csr_matrix((weights, (rows, cols)), shape=(n_nodes, n_nodes))
-    n_comp, _ = connected_components(csr, directed=True, connection="strong")
-    if n_comp > 1:
-        raise GraphDisconnected(f"{n_comp} strong components at k={k}; use a larger k")
-
+        fwd[sl], rev[sl] = _arc_weights(nav, nodes[rows[sl]], nodes[cols[sl]])
     # eps = max over nodes of the h-distance to the nearest neighbor
     eps = float(np.max(d_nn))
 
-    g = NetGraph(nav_config=cfg, n_nodes=n_nodes, k=k, seed=seed,
-                 nodes=nodes, rows=rows, cols=cols, weights=weights, eps=eps)
-    # the component check's matrix is the one the queries need
-    g.__dict__["csr"] = csr
+    g = NetGraph(nav_config=cfg, n_nodes=n_nodes, k=k, seed=seed, nodes=nodes,
+                 rows=rows, cols=cols, weights_fwd=fwd, weights_rev=rev, eps=eps)
+    # the component check builds the matrix the queries then reuse
+    n_comp, _ = connected_components(g.csr, directed=True, connection="strong")
+    if n_comp > 1:
+        raise GraphDisconnected(f"{n_comp} strong components at k={k}; use a larger k")
     if cache_path is not None:
         # write beside the cache file and rename it into place, so a failed
         # write leaves nothing at cache_path (numpy appends .npz if missing);
@@ -208,7 +227,7 @@ def build_graph(nav: NavigationData, n_nodes: int, k: int, seed: int,
         tmp = cache_path.with_name(f"{cache_path.stem}.{os.getpid()}.tmp.npz")
         try:
             np.savez(
-                tmp, nodes=nodes, rows=rows, cols=cols, weights=weights,
+                tmp, nodes=nodes, rows=rows, cols=cols, weights_fwd=fwd, weights_rev=rev,
                 eps=eps, meta=json.dumps({"cfg": cfg, "n": n_nodes, "k": k, "seed": seed}))
             os.replace(tmp, cache_path)
         finally:
@@ -221,7 +240,8 @@ def _load(path: Path) -> NetGraph:
     meta = json.loads(str(z["meta"]))
     return NetGraph(nav_config=meta["cfg"], n_nodes=meta["n"], k=meta["k"],
                     seed=meta["seed"], nodes=z["nodes"], rows=z["rows"],
-                    cols=z["cols"], weights=z["weights"], eps=float(z["eps"]))
+                    cols=z["cols"], weights_fwd=z["weights_fwd"],
+                    weights_rev=z["weights_rev"], eps=float(z["eps"]))
 
 
 def _check_nav(g: NetGraph, nav: NavigationData) -> None:
@@ -233,14 +253,18 @@ def _best_two_arc(nav, nodes, x, y) -> float:
     """F-length of the best curve from x to y through net nodes: the 2-arc
     x -> z -> y through the best node z, or x -> u -> z -> v -> y, which
     refines each of its legs through its own best node, when that is
-    shorter. Each set of arcs between a point and all nodes is computed once."""
-    wx = _arc_weights(nav, np.broadcast_to(x, nodes.shape), nodes)
-    wy = _arc_weights(nav, nodes, np.broadcast_to(y, nodes.shape))
+    shorter. The arcs between a point and all nodes, both ways, take one
+    h-log per node, so the legs from x, y and z take three."""
+    def legs(p):  # (p -> nodes, nodes -> p)
+        return _arc_weights(nav, np.broadcast_to(p, nodes.shape), nodes)
+
+    wx, _ = legs(x)
+    _, wy = legs(y)
     tot = wx + wy
     zi = int(np.argmin(tot))
-    z = np.broadcast_to(nodes[zi], nodes.shape)
-    via_x = float(np.min(wx + _arc_weights(nav, nodes, z)))
-    via_y = float(np.min(_arc_weights(nav, z, nodes) + wy))
+    from_z, to_z = legs(nodes[zi])
+    via_x = float(np.min(wx + to_z))
+    via_y = float(np.min(from_z + wy))
     return min(float(tot[zi]), via_x + via_y)
 
 
@@ -275,13 +299,13 @@ def oracle_distance_pairs(g: NetGraph, nav: NavigationData, xs, ys) -> np.ndarra
     _, si = g.tree.query(space.embed(xs), k=1)
     _, ti = g.tree.query(space.embed(ys), k=1)
 
-    hop_out = _arc_weights(nav, xs, g.nodes[si])
-    hop_in = _arc_weights(nav, g.nodes[ti], ys)
+    hop_out = _arc_weights(nav, xs, g.nodes[si])[0]
+    hop_in = _arc_weights(nav, g.nodes[ti], ys)[0]
     # zero-length hops when the endpoint coincides with its node
     hop_out = np.where(space.h_distance(xs, g.nodes[si]) < 1e-14, 0.0, hop_out)
     hop_in = np.where(space.h_distance(g.nodes[ti], ys) < 1e-14, 0.0, hop_in)
 
-    direct = _arc_weights(nav, xs, ys)
+    direct = _arc_weights(nav, xs, ys)[0]
     best = np.array([min(d, _best_two_arc(nav, g.nodes, x, y))
                      for d, x, y in zip(direct, xs, ys)])
     # a graph path longer than best - hops cannot win; the relative margin

@@ -84,14 +84,18 @@ class NavigationData:
         W = self.wind.evaluate(x)
         return 1.0 - self.space.h_inner(x, W, W)
 
-    def finsler_norm(self, x, y):
-        """F(x, y); broadcasts over leading axes of x, y."""
+    def finsler_norm(self, x, y, both=False):
+        """F(x, y); broadcasts over leading axes of x, y. With both=True,
+        the pair (F(x, y), F(x, -y)) from one evaluation of the wind."""
         y = np.asarray(y, dtype=float)
         W = self.wind.evaluate(x)
         hyW = self.space.h_inner(x, y, W)
         hyy = self.space.h_inner(x, y, y)
         lam = 1.0 - self.space.h_inner(x, W, W)
-        return (np.sqrt(hyW**2 + lam * hyy) - hyW) / lam
+        root = np.sqrt(hyW**2 + lam * hyy)
+        if both:
+            return (root - hyW) / lam, (root + hyW) / lam
+        return (root - hyW) / lam
 
     def to_config(self) -> dict:
         return {"space": self.space.to_config(), "wind": self.wind.to_config()}

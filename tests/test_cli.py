@@ -119,6 +119,8 @@ def test_oracle_build_and_query(tmp_path, capsys):
     assert rc == 0
     built = json.loads(capsys.readouterr().out)
     assert built["result"]["n_nodes"] == 2000
+    # directed arcs, the count from when each orientation was its own row
+    assert built["result"]["n_edges"] == 22946
 
     rc = main(["oracle", "query"] + args + ["--x", "[0,0]", "--y", "[1,0]"])
     assert rc == 0
@@ -246,6 +248,33 @@ def test_oracle_build_refuses_nonconstant_wind(tmp_path, capsys):
     assert rc == 2
     assert "constant length" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("verb", ["oracle build", "cw-check"])
+def test_product_wind_with_nonconstant_factor_exits_two(verb, tmp_path, capsys):
+    # the product's length spread is 4e-13, but the sphere factor's is 5e-7
+    space = json.dumps({"kind": "product", "factors": [json.loads(S3), json.loads(E2)]})
+    A = np.zeros((4, 4))
+    A[1, 0], A[0, 1], A[3, 2], A[2, 3] = 5e-7, -5e-7, 1e-6, -1e-6
+    wind = json.dumps([{"type": "sphere-skew", "matrix": A.tolist(), "factor": 0},
+                       {"type": "euclidean-const", "v": [0.9, 0.0], "factor": 1}])
+    extra = []
+    if verb == "oracle build":
+        extra = ["--nodes", "2000", "--k", "10", "--cache", str(tmp_path)]
+    rc = main(verb.split() + ["--space", space, "--wind", wind] + extra)
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: a supported wind has constant length") and err.count("\n") == 1
+    assert "on factor 0" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("criteria", ["12", "0", "1,x", "two", "1,,2"])
+def test_selftest_unknown_criteria_exit_two(criteria, capsys):
+    rc = main(["selftest", "--criteria", criteria])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: --criteria takes criteria 1-9") and err.count("\n") == 1
 
 
 def test_selftest_out_is_byte_identical(tmp_path, capsys):

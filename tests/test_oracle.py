@@ -27,7 +27,7 @@ from randers_lab.oracle import (
     oracle_distance_pairs,
 )
 from randers_lab.randers import NavigationData
-from randers_lab.spaces import CompactGroup, Euclidean, Product, Sphere
+from randers_lab.spaces import CompactGroup, Euclidean, Product, Sphere, random_tangent
 
 from conftest import ANTI_HOPF, conjugated_hopf
 
@@ -51,9 +51,11 @@ def test_build_reports_connectivity_and_eps(e2_graph):
     nav, g, _ = e2_graph
     assert g.n_nodes == 10_000
     assert g.eps > 0
-    # row/col arrays describe a directed edge list over all nodes
-    assert g.rows.min() >= 0 and g.rows.max() < g.n_nodes
-    assert (g.weights > 0).all()
+    # row/col arrays describe an undirected edge list over all nodes,
+    # weighted in both directions
+    assert g.rows.min() >= 0 and g.cols.max() < g.n_nodes
+    assert (g.rows < g.cols).all()
+    assert (g.weights_fwd > 0).all() and (g.weights_rev > 0).all()
 
 
 def test_same_seed_same_hash(e2_graph):
@@ -79,11 +81,13 @@ def test_querying_with_wrong_nav_rejected(e2_graph):
 
 def test_directed_weights_are_asymmetric(e2_graph):
     nav, g, _ = e2_graph
-    # find a reverse edge for some forward edge and compare weights
-    fwd = {(int(r), int(c)): w for r, c, w in
-           zip(g.rows[:2000], g.cols[:2000], g.weights[:2000])}
-    gaps = [abs(w - fwd[(c, r)]) for (r, c), w in fwd.items() if (c, r) in fwd]
-    assert max(gaps) > 1e-3
+    # each stored edge carries both directions, and the search graph holds
+    # them as its two orientations
+    r, c = g.rows[:2000], g.cols[:2000]
+    fwd, rev = g.weights_fwd[:2000], g.weights_rev[:2000]
+    assert np.max(np.abs(fwd - rev)) > 1e-3
+    assert np.array_equal(np.asarray(g.csr[r, c]).ravel(), fwd)
+    assert np.array_equal(np.asarray(g.csr[c, r]).ravel(), rev)
 
 
 def test_oracle_euclidean_fixture(e2_graph):
@@ -195,6 +199,8 @@ def _winds():
     blocks = np.zeros((4, 4))
     blocks[1, 0], blocks[0, 1], blocks[3, 2], blocks[2, 3] = 0.6, -0.6, 0.05, -0.05
     l, r = np.array([0.0, 0.4, 0.0, 0.0]), np.array([0.0, 0.0, 0.3, 0.0])
+    tiny = np.zeros((4, 4))
+    tiny[1, 0], tiny[0, 1], tiny[3, 2], tiny[2, 3] = 5e-7, -5e-7, 1e-6, -1e-6
     return {
         "hopf+0.3": hopf_field(s3, 0.3),
         "hopf-0.3": hopf_field(s3, -0.3),
@@ -209,11 +215,23 @@ def _winds():
         "zero": zero_field(prod),
         "product-nonconstant": ProductKilling(
             prod, (SphereKilling(s3, blocks), EuclideanKilling(e2, np.array([0.2, 0.0])))),
+        "product-factor-nonconstant": ProductKilling(
+            prod, (SphereKilling(s3, tiny), EuclideanKilling(e2, np.array([0.9, 0.0])))),
     }
 
 
 WINDS = _winds()
-REFUSED = {"s3-blocks", "group-pair", "product-nonconstant"}
+REFUSED = {"s3-blocks", "group-pair", "product-nonconstant", "product-factor-nonconstant"}
+
+
+def test_product_length_hides_a_factor_spread():
+    # the l2 combination shrinks the sphere factor's spread [5e-7, 1e-6] to
+    # about 4e-13, below the tolerance, so only a per-factor test refuses it
+    W = WINDS["product-factor-nonconstant"]
+    lo, hi = W.length_range()
+    assert hi - lo < 1e-12
+    with pytest.raises(UnsupportedWind, match="on factor 0 runs over"):
+        constant_length_family(NavigationData(W.space, W))
 
 
 @pytest.mark.parametrize("name", WINDS)
@@ -274,10 +292,14 @@ def test_compressed_cache_still_loads(tmp_path):
     (path,) = tmp_path.iterdir()
     with np.load(path) as z:
         arrays = {key: z[key] for key in z.files}
+    assert {"rows", "cols", "weights_fwd", "weights_rev"} <= arrays.keys()
     np.savez_compressed(path, **arrays)
     with np.load(path) as z:
         assert z.zip.getinfo("rows.npy").compress_type != 0
-    assert build_graph(nav, 1000, 8, seed=0, cache_dir=tmp_path).graph_hash == g.graph_hash
+        assert z.zip.getinfo("weights_rev.npy").compress_type != 0
+    loaded = build_graph(nav, 1000, 8, seed=0, cache_dir=tmp_path)
+    assert loaded.graph_hash == g.graph_hash
+    assert (loaded.csr != g.csr).nnz == 0
 
 
 @pytest.mark.parametrize("space, k", [
@@ -299,9 +321,13 @@ def test_knn_edges_match_brute_force(space, k):
     brute = set(zip(src, nn.ravel())) | set(zip(nn.ravel(), src))
 
     rows, cols, d_nn = _knn_edges(space, nodes, k)
+    assert (rows < cols).all()
     edges = list(zip(rows.tolist(), cols.tolist()))
     assert len(edges) == len(set(edges))
-    assert set(edges) == {(int(a), int(b)) for a, b in brute}
+    # each undirected edge stands for both of its orientations
+    both = set(edges) | {(b, a) for a, b in edges}
+    assert both == {(int(a), int(b)) for a, b in brute}
+    assert len(both) == 2 * len(edges)
     assert np.max(d_nn) == np.max(d.min(axis=1))
 
 
@@ -312,7 +338,7 @@ def test_build_keeps_its_csr(monkeypatch):
     nav = NavigationData(e, EuclideanKilling(e, np.array([0.5, 0.0])))
     g = build_graph(nav, 1000, 8, seed=0)
     assert "csr" in vars(g)
-    assert g.csr.shape == (1000, 1000) and g.csr.nnz == len(g.rows)
+    assert g.csr.shape == (1000, 1000) and g.csr.nnz == 2 * len(g.rows)
 
 
 def test_batches_must_align(hopf_nav):
@@ -329,8 +355,8 @@ def _reference_pairs(g, nav, xs, ys):
     the two-arc pass recursing once, each leg recomputed. Returns the
     estimates, the graph candidates and the best of the other curves."""
     def two_arc(x, y, depth):
-        wx = _arc_weights(nav, np.broadcast_to(x, g.nodes.shape), g.nodes)
-        wy = _arc_weights(nav, g.nodes, np.broadcast_to(y, g.nodes.shape))
+        wx = _arc_weights(nav, np.broadcast_to(x, g.nodes.shape), g.nodes)[0]
+        wy = _arc_weights(nav, np.broadcast_to(y, g.nodes.shape), g.nodes)[1]
         tot = wx + wy
         zi = int(np.argmin(tot))
         best = float(tot[zi])
@@ -342,8 +368,8 @@ def _reference_pairs(g, nav, xs, ys):
     space = nav.space
     _, si = g.tree.query(space.embed(xs), k=1)
     _, ti = g.tree.query(space.embed(ys), k=1)
-    hop_out = _arc_weights(nav, xs, g.nodes[si])
-    hop_in = _arc_weights(nav, g.nodes[ti], ys)
+    hop_out = _arc_weights(nav, xs, g.nodes[si])[0]
+    hop_in = _arc_weights(nav, g.nodes[ti], ys)[0]
     hop_out = np.where(space.h_distance(xs, g.nodes[si]) < 1e-14, 0.0, hop_out)
     hop_in = np.where(space.h_distance(g.nodes[ti], ys) < 1e-14, 0.0, hop_in)
     srcs = np.unique(si)
@@ -354,7 +380,7 @@ def _reference_pairs(g, nav, xs, ys):
     curves = np.empty(len(xs))
     for i in range(len(xs)):
         graph[i] = hop_out[i] + D[row[int(si[i])], ti[i]] + hop_in[i]
-        direct = float(_arc_weights(nav, xs[i][None, :], ys[i][None, :])[0])
+        direct = float(_arc_weights(nav, xs[i][None, :], ys[i][None, :])[0][0])
         curves[i] = min(direct, two_arc(xs[i], ys[i], depth=1))
         est[i] = min(graph[i], curves[i])
     return est, graph, curves
@@ -392,3 +418,70 @@ def test_bounded_query_matches_unbounded(make_nav, graph_wins):
     assert np.array_equal(got, want)
     # the graph path wins somewhere only under the strong wind
     assert np.any(graph < curves) == graph_wins
+
+
+def _noether_winds():
+    s3, su2, e2, s5 = Sphere(3, 1.0), CompactGroup("SU2", 0.8), Euclidean(2), Sphere(5, 1.3)
+    prod = Product((s3, e2))
+    return {
+        "E2": EuclideanKilling(e2, np.array([0.5, 0.0])),
+        "S3-hopf": hopf_field(s3, 0.3),
+        "S3-anti-hopf": SphereKilling(s3, ANTI_HOPF),
+        "SU2-left": GroupKilling(su2, np.array([0.0, 0.4, 0.0, 0.0]), np.zeros(4)),
+        "S3xR2": ProductKilling(prod, (hopf_field(s3, 0.6),
+                                       EuclideanKilling(e2, np.array([0.6, 0.0])))),
+        "qjq-S5": SphereKilling(s5, conjugated_hopf(3, 0.3, seed=1)),
+    }
+
+
+NOETHER_WINDS = _noether_winds()
+
+
+def _near_cut_locus(space, rng, a):
+    """Points 1e-3 short of a's cut locus on every compact factor (a unit
+    step on Euclidean ones, which have none)."""
+    if isinstance(space, Product):
+        return np.concatenate([_near_cut_locus(f, rng, af)
+                               for f, af in zip(space.factors, space.split(a))], axis=-1)
+    r = space.injectivity_radius
+    return space.h_exp(a, (r - 1e-3 if np.isfinite(r) else 1.0) * random_tangent(space, rng, a))
+
+
+@pytest.mark.parametrize("name", NOETHER_WINDS)
+def test_reverse_weight_matches_the_direct_route(name):
+    # the reverse weight from the forward log (the first integral h(v, W)
+    # is constant along the arc) equals F(b, log_b(a)), the log taken at b
+    W = NOETHER_WINDS[name]
+    space, nav = W.space, NavigationData(W.space, W)
+    rng = np.random.default_rng(17)
+    a = space.sample(rng, 600)
+    b = np.concatenate([
+        space.sample(rng, 200),
+        space.h_exp(a[200:400], 1e-8 * random_tangent(space, rng, a[200:400])),
+        _near_cut_locus(space, rng, a[400:]),
+    ])
+    fwd, rev = _arc_weights(nav, a, b)
+    assert np.array_equal(fwd, nav.finsler_norm(a, space.h_log(a, b)))
+    direct = nav.finsler_norm(b, space.h_log(b, a))
+    if name == "E2":
+        assert np.array_equal(rev, direct)
+    else:
+        np.testing.assert_allclose(rev, direct, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("make_nav, n_edges, eps", [
+    (lambda: NavigationData(Euclidean(2), EuclideanKilling(Euclidean(2), np.array([0.5, 0.0]))),
+     22946, 0.38800879236779207),
+    (_s3_hopf_nav, 22914, 0.2655881317850648),
+], ids=["E2", "S3-hopf-0.3"])
+def test_undirected_storage_keeps_the_directed_graph(make_nav, n_edges, eps):
+    # the directed arc count and eps are the values the graph had when every
+    # orientation was stored as its own row, and each forward weight is the
+    # direct route's F(r, log_r(c)) bit for bit
+    nav = make_nav()
+    g = build_graph(nav, 2000, 10, seed=0)
+    assert 2 * len(g.rows) == g.csr.nnz == n_edges
+    assert g.eps == eps
+    a, b = g.nodes[g.rows], g.nodes[g.cols]
+    assert np.array_equal(g.weights_fwd, nav.finsler_norm(a, nav.space.h_log(a, b)))
+
