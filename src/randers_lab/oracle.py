@@ -29,8 +29,12 @@ h-distance grows with the chord (`chord_ordered`: R^n, spheres, SU(2))
 the chord kNN is the h-kNN as it stands; on products of two or more
 factors it is over-fetched and re-ranked by h-distance, the one place
 the re-rank runs. eps, the largest h-distance from a node to its nearest
-neighbour, comes from that same query. The cache is an uncompressed
-`.npz`; older compressed ones still load.
+neighbour, comes from that same query. Once the graph is known to be
+strongly connected, the build picks 8 landmark nodes by farthest-point
+sampling over the embedding and stores the graph distances from each to
+every node, d_land. The cache is an uncompressed `.npz`; older compressed
+ones still load, and a file that cannot be read is a miss: the graph is
+rebuilt and the file replaced.
 
 Queries first take the best of the direct arc and of curves through
 net nodes: the 2-arc x -> z -> y with z the best single intermediate
@@ -40,7 +44,11 @@ no-undercut guarantee survives while the dilation error drops by roughly
 an order of magnitude. The graph search then stops at the best curve
 already known: each source's Dijkstra runs only as far as a graph path
 could still beat one of its pairs' estimates, which leaves every
-estimate exactly what an unbounded search gives. Error hints are
+estimate exactly what an unbounded search gives. A pair needs no search
+at all when the landmarks certify that none of its graph paths can win:
+by the directed triangle inequality, d_G(s, t) >= d_G(l, t) - d_G(l, s)
+for every landmark l (the ALT bound of Goldberg & Harrelson, SODA 2005),
+and a source none of whose pairs is left runs no Dijkstra. Error hints are
 C_HINT * eps with eps the largest nearest-neighbor gap; convergence runs
 on S^3 at n = 2e4, k = 256 showed worst-case relative errors well below
 eps/typical-distance, so the default C_HINT = 4 is a loose but honest
@@ -51,6 +59,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import zipfile
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -64,7 +73,11 @@ from .killing import constant_length_family
 from .randers import NavigationData
 
 C_HINT = 4.0
-_CACHE_VERSION = 5
+_CACHE_VERSION = 6
+_N_LANDMARKS = 8
+# pairs per block of the build's pairwise geometry (re-rank, edge weights),
+# to bound peak memory at acceptance-scale edge counts
+_CHUNK = 1_000_000
 
 
 class GraphDisconnected(RuntimeError):
@@ -78,7 +91,8 @@ class GraphMismatch(ValueError):
 def _arc_weights(nav, a, b):
     """Exact F-lengths (a[i] -> b[i], b[i] -> a[i]) of the h-geodesic arcs
     between a[i] and b[i], both from the one log v = log_a(b): the arc
-    back is the same arc run backwards, of F-length F(a, -v)."""
+    back is the same arc run backwards, of F-length F(a, -v). A single
+    point a broadcasts against b, and the wind is then evaluated once."""
     v = nav.space.h_log(a, b)
     return nav.finsler_norm(a, v, both=True)
 
@@ -95,14 +109,13 @@ class NetGraph:
     weights_fwd: np.ndarray  # F-length rows[i] -> cols[i]
     weights_rev: np.ndarray  # F-length cols[i] -> rows[i]
     eps: float
+    d_land: np.ndarray  # (_N_LANDMARKS, n) graph distances from the landmarks
 
     @cached_property
     def csr(self) -> csr_matrix:
         """The directed search graph: every edge in both orientations."""
-        n = self.n_nodes
-        return csr_matrix((np.concatenate([self.weights_fwd, self.weights_rev]),
-                           (np.concatenate([self.rows, self.cols]),
-                            np.concatenate([self.cols, self.rows]))), shape=(n, n))
+        return _search_graph(self.n_nodes, self.rows, self.cols,
+                             self.weights_fwd, self.weights_rev)
 
     @cached_property
     def tree(self) -> cKDTree:
@@ -122,6 +135,29 @@ class NetGraph:
         h.update(self.weights_fwd.tobytes())
         h.update(self.weights_rev.tobytes())
         return h.hexdigest()
+
+    def lower_bound(self, s, t):
+        """Landmark (ALT) lower bounds on the graph distances d_G(s, t):
+        d_G(l, t) <= d_G(l, s) + d_G(s, t) for every landmark l."""
+        return np.max(self.d_land[:, t] - self.d_land[:, s], axis=0)
+
+
+def _search_graph(n, rows, cols, fwd, rev) -> csr_matrix:
+    return csr_matrix((np.concatenate([fwd, rev]),
+                       (np.concatenate([rows, cols]), np.concatenate([cols, rows]))),
+                      shape=(n, n))
+
+
+def _landmarks(emb, m):
+    """m node indices by farthest-point sampling over the embedding,
+    starting at node 0: each next landmark is the node farthest in chord
+    from those already picked."""
+    picks = [0]
+    gap = np.linalg.norm(emb - emb[0], axis=1)
+    for _ in range(m - 1):
+        picks.append(int(np.argmax(gap)))
+        np.minimum(gap, np.linalg.norm(emb - emb[picks[-1]], axis=1), out=gap)
+    return np.array(picks)
 
 
 def _knn_edges(space, nodes, k):
@@ -144,8 +180,12 @@ def _knn_edges(space, nodes, k):
     chord, jj = tree.query(emb, k=fetch + 1, workers=-1)
     jj = jj[:, 1:]
     if fetch > k:
-        base = np.repeat(np.arange(n), fetch).reshape(n, fetch)
-        d_true = space.h_distance(nodes[base.ravel()], nodes[jj.ravel()]).reshape(n, fetch)
+        d_true = np.empty((n, fetch))
+        step = max(1, _CHUNK // fetch)
+        for lo in range(0, n, step):
+            sl = slice(lo, lo + step)
+            near = nodes[jj[sl]]
+            d_true[sl] = space.h_distance(np.broadcast_to(nodes[sl, None], near.shape), near)
         order = np.argsort(d_true, axis=1, kind="stable")[:, :k]
         jj = np.take_along_axis(jj, order, axis=1)
         d_nn = d_true.min(axis=1)
@@ -197,28 +237,33 @@ def build_graph(nav: NavigationData, n_nodes: int, k: int, seed: int,
             sort_keys=True).encode()).hexdigest()[:20]
         cache_path = Path(cache_dir).expanduser() / f"netgraph-{key}.npz"
         if cache_path.exists():
-            return _load(cache_path)
+            try:
+                return _load(cache_path)
+            except (zipfile.BadZipFile, KeyError, ValueError, OSError, EOFError):
+                pass  # an unreadable file is a miss: rebuilt and replaced below
 
     space = nav.space
     rng = np.random.default_rng(seed)
     nodes = space.sample(rng, n_nodes)
 
     rows, cols, d_nn = _knn_edges(space, nodes, k)
-    # chunked to bound peak memory at acceptance-scale edge counts
     fwd = np.empty(len(rows))
     rev = np.empty(len(rows))
-    for lo in range(0, len(rows), 1_000_000):
-        sl = slice(lo, lo + 1_000_000)
+    for lo in range(0, len(rows), _CHUNK):
+        sl = slice(lo, lo + _CHUNK)
         fwd[sl], rev[sl] = _arc_weights(nav, nodes[rows[sl]], nodes[cols[sl]])
     # eps = max over nodes of the h-distance to the nearest neighbor
     eps = float(np.max(d_nn))
 
-    g = NetGraph(nav_config=cfg, n_nodes=n_nodes, k=k, seed=seed, nodes=nodes,
-                 rows=rows, cols=cols, weights_fwd=fwd, weights_rev=rev, eps=eps)
-    # the component check builds the matrix the queries then reuse
-    n_comp, _ = connected_components(g.csr, directed=True, connection="strong")
+    csr = _search_graph(n_nodes, rows, cols, fwd, rev)
+    n_comp, _ = connected_components(csr, directed=True, connection="strong")
     if n_comp > 1:
         raise GraphDisconnected(f"{n_comp} strong components at k={k}; use a larger k")
+    # strongly connected, so every landmark distance is finite
+    d_land = dijkstra(csr, directed=True, indices=_landmarks(space.embed(nodes), _N_LANDMARKS))
+    g = NetGraph(nav_config=cfg, n_nodes=n_nodes, k=k, seed=seed, nodes=nodes, rows=rows,
+                 cols=cols, weights_fwd=fwd, weights_rev=rev, eps=eps, d_land=d_land)
+    vars(g)["csr"] = csr  # the queries reuse the matrix the checks built
     if cache_path is not None:
         # write beside the cache file and rename it into place, so a failed
         # write leaves nothing at cache_path (numpy appends .npz if missing);
@@ -228,7 +273,8 @@ def build_graph(nav: NavigationData, n_nodes: int, k: int, seed: int,
         try:
             np.savez(
                 tmp, nodes=nodes, rows=rows, cols=cols, weights_fwd=fwd, weights_rev=rev,
-                eps=eps, meta=json.dumps({"cfg": cfg, "n": n_nodes, "k": k, "seed": seed}))
+                eps=eps, d_land=d_land,
+                meta=json.dumps({"cfg": cfg, "n": n_nodes, "k": k, "seed": seed}))
             os.replace(tmp, cache_path)
         finally:
             tmp.unlink(missing_ok=True)
@@ -236,12 +282,14 @@ def build_graph(nav: NavigationData, n_nodes: int, k: int, seed: int,
 
 
 def _load(path: Path) -> NetGraph:
-    z = np.load(path, allow_pickle=False)
-    meta = json.loads(str(z["meta"]))
-    return NetGraph(nav_config=meta["cfg"], n_nodes=meta["n"], k=meta["k"],
-                    seed=meta["seed"], nodes=z["nodes"], rows=z["rows"],
-                    cols=z["cols"], weights_fwd=z["weights_fwd"],
-                    weights_rev=z["weights_rev"], eps=float(z["eps"]))
+    # np.load leaves a file it opened itself open when the zip is unreadable
+    with open(path, "rb") as f, np.load(f, allow_pickle=False) as z:
+        meta = json.loads(str(z["meta"]))
+        return NetGraph(nav_config=meta["cfg"], n_nodes=meta["n"], k=meta["k"],
+                        seed=meta["seed"], nodes=z["nodes"], rows=z["rows"],
+                        cols=z["cols"], weights_fwd=z["weights_fwd"],
+                        weights_rev=z["weights_rev"], eps=float(z["eps"]),
+                        d_land=z["d_land"])
 
 
 def _check_nav(g: NetGraph, nav: NavigationData) -> None:
@@ -256,7 +304,7 @@ def _best_two_arc(nav, nodes, x, y) -> float:
     shorter. The arcs between a point and all nodes, both ways, take one
     h-log per node, so the legs from x, y and z take three."""
     def legs(p):  # (p -> nodes, nodes -> p)
-        return _arc_weights(nav, np.broadcast_to(p, nodes.shape), nodes)
+        return _arc_weights(nav, p, nodes)
 
     wx, _ = legs(x)
     _, wy = legs(y)
@@ -285,9 +333,10 @@ def oracle_distance_pairs(g: NetGraph, nav: NavigationData, xs, ys) -> np.ndarra
     Each estimate is the shortest of the direct arc, the curves through
     net nodes (`_best_two_arc`) and the snap hops plus the graph path.
     A graph path can only win when it is no longer than the best of the
-    others less the hops, so each snapped source runs one Dijkstra
-    limited to the largest such budget among its pairs, and none when
-    every budget is negative; the estimates equal those of unbounded
+    others less the hops. A pair whose budget is negative, or below the
+    landmark bound on its graph distance, is left out of the search; each
+    snapped source with pairs left runs one Dijkstra limited to the
+    largest budget among them. The estimates equal those of unbounded
     searches bit for bit.
     """
     _check_nav(g, nav)
@@ -309,14 +358,14 @@ def oracle_distance_pairs(g: NetGraph, nav: NavigationData, xs, ys) -> np.ndarra
     best = np.array([min(d, _best_two_arc(nav, g.nodes, x, y))
                      for d, x, y in zip(direct, xs, ys)])
     # a graph path longer than best - hops cannot win; the relative margin
-    # covers the rounding of hop_out + path + hop_in
+    # covers the rounding of hop_out + path + hop_in, and that of the
+    # landmark bound (a few 1e-16 relative), so a pair whose bound exceeds
+    # its budget needs no search
     budget = best - hop_out - hop_in + 1e-9 * best
+    live = (budget >= 0) & (g.lower_bound(si, ti) <= budget)
     est = best.copy()
-    for src in np.unique(si):
-        mine = np.flatnonzero(si == src)
-        limit = budget[mine].max()
-        if limit < 0:
-            continue
-        D = dijkstra(g.csr, directed=True, indices=src, limit=limit)
+    for src in np.unique(si[live]):
+        mine = np.flatnonzero(live & (si == src))
+        D = dijkstra(g.csr, directed=True, indices=src, limit=budget[mine].max())
         est[mine] = np.minimum(hop_out[mine] + D[ti[mine]] + hop_in[mine], best[mine])
     return est

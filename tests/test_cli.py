@@ -128,6 +128,24 @@ def test_oracle_build_and_query(tmp_path, capsys):
     assert out["result"]["estimate"] == pytest.approx(2 / 3, rel=0.10)
 
 
+def test_truncated_oracle_cache_is_rebuilt(tmp_path, capsys):
+    # an unreadable cache file is a miss, not a traceback
+    args = ["--space", E2, "--wind", WIND, "--nodes", "2000", "--k", "10",
+            "--cache", str(tmp_path)]
+    query = ["oracle", "query"] + args + ["--x", "[0,0]", "--y", "[1,0]"]
+    assert main(["oracle", "build"] + args) == 0
+    fresh = json.loads(capsys.readouterr().out)["result"]
+    assert main(query) == 0
+    want = json.loads(capsys.readouterr().out)["result"]
+    (path,) = tmp_path.iterdir()
+    data = path.read_bytes()
+    for argv, result in ((query, want), (["oracle", "build"] + args, fresh)):
+        path.write_bytes(data[:len(data) // 2])
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["result"] == result
+        assert path.read_bytes() == data
+
+
 def test_reports_are_byte_identical(tmp_path, capsys):
     argv = ["distance", "--space", E2, "--wind", WIND, "--x", "[0,0]", "--y", "[1,0]"]
     main(argv)

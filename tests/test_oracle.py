@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.sparse.csgraph import dijkstra
 
+from randers_lab import oracle
 from randers_lab.geodesics import f_distance, f_distance_batch
 from randers_lab.killing import (
     EuclideanKilling,
@@ -22,6 +23,7 @@ from randers_lab.oracle import (
     GraphMismatch,
     _arc_weights,
     _knn_edges,
+    _load,
     build_graph,
     oracle_distance,
     oracle_distance_pairs,
@@ -62,6 +64,8 @@ def test_same_seed_same_hash(e2_graph):
     nav, g, cache = e2_graph
     g2 = build_graph(nav, 10_000, 12, seed=0, cache_dir=cache)
     assert g2.graph_hash == g.graph_hash
+    # the landmark table is not hashed, so it must survive the cache itself
+    assert np.array_equal(g2.d_land, g.d_land)
 
 
 def test_different_seed_different_hash(e2_graph):
@@ -292,25 +296,62 @@ def test_compressed_cache_still_loads(tmp_path):
     (path,) = tmp_path.iterdir()
     with np.load(path) as z:
         arrays = {key: z[key] for key in z.files}
-    assert {"rows", "cols", "weights_fwd", "weights_rev"} <= arrays.keys()
+    assert {"rows", "cols", "weights_fwd", "weights_rev", "d_land"} <= arrays.keys()
     np.savez_compressed(path, **arrays)
     with np.load(path) as z:
         assert z.zip.getinfo("rows.npy").compress_type != 0
         assert z.zip.getinfo("weights_rev.npy").compress_type != 0
+        assert z.zip.getinfo("d_land.npy").compress_type != 0
     loaded = build_graph(nav, 1000, 8, seed=0, cache_dir=tmp_path)
     assert loaded.graph_hash == g.graph_hash
     assert (loaded.csr != g.csr).nnz == 0
+    assert np.array_equal(loaded.d_land, g.d_land)
 
 
-@pytest.mark.parametrize("space, k", [
-    (Euclidean(2), 6),
-    (Sphere(3, 1.0), 8),
-    (CompactGroup("SU2", 0.8), 8),
-    (Product((Sphere(3, 1.0), Euclidean(2))), 8),
-], ids=["E2", "S3", "SU2-0.8", "S3xR2"])
-def test_knn_edges_match_brute_force(space, k):
+def _without_d_land(data, path):
+    # a file in an older layout, under this version's name
+    path.write_bytes(data)
+    with np.load(path) as z:
+        arrays = {key: z[key] for key in z.files if key != "d_land"}
+    np.savez(path, **arrays)
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("spoil", [
+    lambda data, path: data[:len(data) // 2],
+    lambda data, path: b"",
+    lambda data, path: b"not a cache file",
+    _without_d_land,
+], ids=["truncated", "empty", "garbage", "missing-key"])
+def test_unreadable_cache_is_a_miss(spoil, tmp_path):
+    # the graph is rebuilt and the file atomically replaced by a readable one
+    e = Euclidean(2)
+    nav = NavigationData(e, EuclideanKilling(e, np.array([0.5, 0.0])))
+    g = build_graph(nav, 1000, 8, seed=0, cache_dir=tmp_path)
+    (path,) = tmp_path.iterdir()
+    data = path.read_bytes()
+    path.write_bytes(spoil(data, path))
+    rebuilt = build_graph(nav, 1000, 8, seed=0, cache_dir=tmp_path)
+    assert rebuilt.graph_hash == g.graph_hash
+    assert list(tmp_path.iterdir()) == [path]
+    assert path.read_bytes() == data
+    assert _load(path).graph_hash == g.graph_hash
+
+
+@pytest.mark.parametrize("space, k, chunk", [
+    (Euclidean(2), 6, None),
+    (Sphere(3, 1.0), 8, None),
+    (CompactGroup("SU2", 0.8), 8, None),
+    (Product((Sphere(3, 1.0), Euclidean(2))), 8, None),
+    (Product((Sphere(3, 1.0), Euclidean(2))), 8, 1000),
+], ids=["E2", "S3", "SU2-0.8", "S3xR2", "S3xR2-chunked"])
+def test_knn_edges_match_brute_force(space, k, chunk, monkeypatch):
     # the chord kNN (re-ranked where the space needs it) is the h-kNN, and
-    # eps is the largest h-distance from a node to its nearest neighbour
+    # eps is the largest h-distance from a node to its nearest neighbour;
+    # with a small chunk the re-rank runs over 6 blocks of 83 rows and a
+    # last one of 2
+    if chunk is not None:
+        monkeypatch.setattr(oracle, "_CHUNK", chunk)
     n = 500
     nodes = space.sample(np.random.default_rng(8), n)
     i, j = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
@@ -383,7 +424,9 @@ def _reference_pairs(g, nav, xs, ys):
         direct = float(_arc_weights(nav, xs[i][None, :], ys[i][None, :])[0][0])
         curves[i] = min(direct, two_arc(xs[i], ys[i], depth=1))
         est[i] = min(graph[i], curves[i])
-    return est, graph, curves
+    # the sources a search bounded by the curves alone would visit
+    bounded = np.unique(si[curves - hop_out - hop_in + 1e-9 * curves >= 0])
+    return est, graph, curves, bounded
 
 
 def _strong_product_nav():
@@ -398,12 +441,37 @@ def _s3_hopf_nav():
     return NavigationData(s3, hopf_field(s3, 0.3))
 
 
+def _e2_nav():
+    e2 = Euclidean(2)
+    return NavigationData(e2, EuclideanKilling(e2, np.array([0.5, 0.0])))
+
+
+@pytest.mark.parametrize("make_nav", [_e2_nav, _s3_hopf_nav, _strong_product_nav],
+                         ids=["E2", "S3-hopf-0.3", "S3xR2-strong"])
+def test_landmark_bound_is_below_the_graph_distance(make_nav):
+    nav = make_nav()
+    g = build_graph(nav, 2000, 32, seed=5)
+    # each row is a full search from its landmark, the one node at distance
+    # 0; farthest-point sampling starts at node 0 and never repeats a node
+    land = np.argmin(g.d_land, axis=1)
+    assert land[0] == 0 and len(set(land.tolist())) == len(land) == 8
+    assert np.array_equal(g.d_land, dijkstra(g.csr, directed=True, indices=land))
+    rng = np.random.default_rng(11)
+    s, t = rng.integers(0, g.n_nodes, size=(2, 200))
+    d = dijkstra(g.csr, directed=True, indices=s)[np.arange(200), t]
+    lb = g.lower_bound(s, t)
+    # up to rounding, far inside the queries' 1e-9 relative margin
+    assert np.all(lb <= d * (1 + 1e-12))
+    assert np.median(lb / d) > 0.5
+
+
 @pytest.mark.parametrize("make_nav, graph_wins", [
     (_strong_product_nav, True),
     (_s3_hopf_nav, False),
 ], ids=["S3xR2-strong", "S3-hopf-0.3"])
-def test_bounded_query_matches_unbounded(make_nav, graph_wins):
-    # limiting each Dijkstra to what can still beat the best curve known
+def test_bounded_query_matches_unbounded(make_nav, graph_wins, monkeypatch):
+    # limiting each Dijkstra to what can still beat the best curve known,
+    # and skipping the pairs whose landmark bound already exceeds that,
     # leaves every estimate unchanged, bit for bit
     nav = make_nav()
     g = build_graph(nav, 2000, 32, seed=5)
@@ -413,11 +481,21 @@ def test_bounded_query_matches_unbounded(make_nav, graph_wins):
     # a second pair from the same source, x == y, and x on a net node
     xs = np.vstack([xs, xs[:1], xs[1:2], g.nodes[7:8]])
     ys = np.vstack([ys, ys[2:3], xs[1:2], ys[3:4]])
-    want, graph, curves = _reference_pairs(g, nav, xs, ys)
+    want, graph, curves, bounded = _reference_pairs(g, nav, xs, ys)
+    searched = []
+
+    def counted(*args, **kwargs):
+        searched.append(kwargs["indices"])
+        return dijkstra(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "dijkstra", counted)
     got = oracle_distance_pairs(g, nav, xs, ys)
     assert np.array_equal(got, want)
     # the graph path wins somewhere only under the strong wind
     assert np.any(graph < curves) == graph_wins
+    # the landmark bound leaves out some sources the budget alone would search
+    assert set(searched) <= set(bounded.tolist())
+    assert len(searched) < len(bounded)
 
 
 def _noether_winds():
@@ -470,8 +548,7 @@ def test_reverse_weight_matches_the_direct_route(name):
 
 
 @pytest.mark.parametrize("make_nav, n_edges, eps", [
-    (lambda: NavigationData(Euclidean(2), EuclideanKilling(Euclidean(2), np.array([0.5, 0.0]))),
-     22946, 0.38800879236779207),
+    (_e2_nav, 22946, 0.38800879236779207),
     (_s3_hopf_nav, 22914, 0.2655881317850648),
 ], ids=["E2", "S3-hopf-0.3"])
 def test_undirected_storage_keeps_the_directed_graph(make_nav, n_edges, eps):
