@@ -42,17 +42,28 @@ node, and the path that refines both of its legs through a further node
 each. Those candidates are again lengths of actual curves, so the
 no-undercut guarantee survives while the dilation error drops by roughly
 an order of magnitude. The graph search then stops at the best curve
-already known: each source's Dijkstra runs only as far as a graph path
-could still beat one of its pairs' estimates, which leaves every
-estimate exactly what an unbounded search gives. A pair needs no search
-at all when the landmarks certify that none of its graph paths can win:
-by the directed triangle inequality, d_G(s, t) >= d_G(l, t) - d_G(l, s)
-for every landmark l (the ALT bound of Goldberg & Harrelson, SODA 2005),
-and a source none of whose pairs is left runs no Dijkstra. Error hints are
-C_HINT * eps with eps the largest nearest-neighbor gap; convergence runs
-on S^3 at n = 2e4, k = 256 showed worst-case relative errors well below
-eps/typical-distance, so the default C_HINT = 4 is a loose but honest
-upper coefficient.
+already known: each pair's Dijkstra runs only as far as a graph path
+could still beat its estimate, which leaves every estimate exactly what
+an unbounded search gives.
+
+Two certified lower bounds confine both phases to the nodes that can
+still matter, and leave every estimate bit for bit what the search over
+all nodes gives:
+* the Zermelo bound. The indicatrix is the h-unit sphere translated by
+  W (Bao-Robles-Shen), so F(v) >= |v|_h / (1 + max|W|), and an arc is at
+  least its chord over 1 + max|W|. The two-arc legs run only on the
+  nodes whose chord sum allows a curve as short as one already known.
+* the landmark (ALT) bound of Goldberg & Harrelson (SODA 2005): by the
+  directed triangle inequality, d_G(s, t) >= d_G(l, t) - d_G(l, s) for
+  every landmark l. A pair whose bound exceeds its budget runs no search;
+  the others search only the rows of the nodes v whose bounds
+  d_G(s, v) + d_G(v, t) fit the budget, as every path within the budget
+  runs through such nodes alone.
+
+Error hints are C_HINT * eps with eps the largest nearest-neighbor gap;
+convergence runs on S^3 at n = 2e4, k = 256 showed worst-case relative
+errors well below eps/typical-distance, so the default C_HINT = 4 is a
+loose but honest upper coefficient.
 """
 from __future__ import annotations
 
@@ -75,6 +86,10 @@ from .randers import NavigationData
 C_HINT = 4.0
 _CACHE_VERSION = 6
 _N_LANDMARKS = 8
+# a pair's search keeps only the rows of the nodes in its landmark ellipse,
+# unless they are more than this share of all nodes: then copying the rows
+# costs more memory than it saves search, and the whole graph is searched
+_ELLIPSE_SHARE = 0.25
 # pairs per block of the build's pairwise geometry (re-rank, edge weights),
 # to bound peak memory at acceptance-scale edge counts
 _CHUNK = 1_000_000
@@ -141,11 +156,31 @@ class NetGraph:
         d_G(l, t) <= d_G(l, s) + d_G(s, t) for every landmark l."""
         return np.max(self.d_land[:, t] - self.d_land[:, s], axis=0)
 
+    def ellipse(self, s, t, budget) -> np.ndarray:
+        """The sorted nodes v that the landmarks leave on some graph path
+        s -> v -> t of length at most budget: those with
+        lower_bound(s, v) + lower_bound(v, t) <= budget."""
+        d = self.d_land
+        far = np.max(d - d[:, s, None], axis=0) + np.max(d[:, t, None] - d, axis=0)
+        return np.flatnonzero(far <= budget)
+
 
 def _search_graph(n, rows, cols, fwd, rev) -> csr_matrix:
     return csr_matrix((np.concatenate([fwd, rev]),
                        (np.concatenate([rows, cols]), np.concatenate([cols, rows]))),
                       shape=(n, n))
+
+
+def _rows_of(csr, keep) -> csr_matrix:
+    """csr with every row outside the sorted node indices keep emptied:
+    the same shape and node numbers, the kept rows' arcs only."""
+    start = csr.indptr[keep]
+    lens = csr.indptr[keep + 1] - start
+    indptr = np.zeros(csr.shape[0] + 1, dtype=csr.indptr.dtype)
+    indptr[keep + 1] = lens
+    np.cumsum(indptr, out=indptr)
+    take = np.repeat(start - indptr[keep], lens) + np.arange(indptr[-1])
+    return csr_matrix((csr.data[take], csr.indices[take], indptr), shape=csr.shape)
 
 
 def _landmarks(emb, m):
@@ -297,23 +332,62 @@ def _check_nav(g: NetGraph, nav: NavigationData) -> None:
         raise GraphMismatch("graph was built for different navigation data")
 
 
-def _best_two_arc(nav, nodes, x, y) -> float:
+def _chords(emb, p):
+    """Chord lengths from the embedded point p to every row of emb."""
+    d = emb - p
+    return np.sqrt(np.einsum("ij,ij->i", d, d))
+
+
+def _best_two_arc(nav, g: NetGraph, x, y) -> float:
     """F-length of the best curve from x to y through net nodes: the 2-arc
     x -> z -> y through the best node z, or x -> u -> z -> v -> y, which
     refines each of its legs through its own best node, when that is
-    shorter. The arcs between a point and all nodes, both ways, take one
-    h-log per node, so the legs from x, y and z take three."""
-    def legs(p):  # (p -> nodes, nodes -> p)
-        return _arc_weights(nav, p, nodes)
+    shorter. The arcs between a point and nodes, both ways, take one h-log
+    per node, so the legs from x, y and z take three.
 
-    wx, _ = legs(x)
-    _, wy = legs(y)
+    Only nodes that a chord bound leaves in play get legs. The indicatrix
+    is the h-unit sphere translated by W, so F(v) >= |v|_h / (1 + w) with
+    w the wind's largest length; `embed` is isometric, so an arc is at
+    least its chord over 1 + w, and a curve x -> z -> y can reach a length
+    L only if chord(x, z) + chord(z, y) <= (1 + w) L. Each minimum is
+    taken over a set that holds every node reaching it, so the result is
+    the all-nodes one, bit for bit.
+    """
+    nodes, emb = g.nodes, g.tree.data
+    space = nav.space
+    ex, ey = space.embed(x), space.embed(y)
+    cx, cy = _chords(emb, ex), _chords(emb, ey)
+    cxy = cx + cy
+    # the relative margin covers the rounding of chords and lengths; the
+    # absolute one the rounding of each coordinate, off the manifold and by
+    # the embedding, which can make the chord between nearly coincident
+    # points exceed their h-distance (by 1e-6 relative at 1e-13 apart)
+    grow = (1.0 + nav.wind.length_range()[1]) * (1.0 + 1e-9)
+    tol = 1e-12 * np.abs(np.concatenate([g.tree.maxes, g.tree.mins, ex, ey])).max()
+
+    def within(c, length):  # the nodes whose chord sum c allows `length`
+        return c <= grow * length + tol
+
+    # the 2-arc through the node of least chord sum bounds the best one
+    z0 = int(np.argmin(cxy))
+    bound = _arc_weights(nav, x, nodes[z0])[0] + _arc_weights(nav, y, nodes[z0])[1]
+    c1 = np.flatnonzero(within(cxy, bound))
+    wx, _ = _arc_weights(nav, x, nodes[c1])
+    _, wy = _arc_weights(nav, y, nodes[c1])
     tot = wx + wy
-    zi = int(np.argmin(tot))
-    from_z, to_z = legs(nodes[zi])
-    via_x = float(np.min(wx + to_z))
-    via_y = float(np.min(from_z + wy))
-    return min(float(tot[zi]), via_x + via_y)
+    j = int(np.argmin(tot))  # c1 is sorted, so ties go to the first node
+    zi = c1[j]
+    # each refined leg through u = z itself has the length of the 2-arc's
+    # leg, and every node that ties or beats it lies in c1
+    cz = _chords(emb[c1], emb[zi])
+    via_x_in = within(cx[c1] + cz, wx[j])
+    via_y_in = within(cz + cy[c1], wy[j])
+    via_x_in[j] = via_y_in[j] = True
+    u = via_x_in | via_y_in
+    from_z, to_z = _arc_weights(nav, nodes[zi], nodes[c1[u]])
+    via_x = float(np.min((wx[u] + to_z)[via_x_in[u]]))
+    via_y = float(np.min((from_z + wy[u])[via_y_in[u]]))
+    return min(float(tot[j]), via_x + via_y)
 
 
 def oracle_distance(g: NetGraph, nav: NavigationData, x, y):
@@ -334,10 +408,13 @@ def oracle_distance_pairs(g: NetGraph, nav: NavigationData, xs, ys) -> np.ndarra
     net nodes (`_best_two_arc`) and the snap hops plus the graph path.
     A graph path can only win when it is no longer than the best of the
     others less the hops. A pair whose budget is negative, or below the
-    landmark bound on its graph distance, is left out of the search; each
-    snapped source with pairs left runs one Dijkstra limited to the
-    largest budget among them. The estimates equal those of unbounded
-    searches bit for bit.
+    landmark bound on its graph distance, is left out of the search. Each
+    pair left runs one Dijkstra limited to its budget, over the rows of
+    the nodes in its landmark ellipse (`NetGraph.ellipse`): every graph
+    path within the budget keeps all its arcs there. When the ellipse
+    holds more than `_ELLIPSE_SHARE` of the nodes, the whole graph is
+    searched instead. The estimates equal those of unbounded searches
+    over all nodes bit for bit.
     """
     _check_nav(g, nav)
     space = nav.space
@@ -355,17 +432,18 @@ def oracle_distance_pairs(g: NetGraph, nav: NavigationData, xs, ys) -> np.ndarra
     hop_in = np.where(space.h_distance(g.nodes[ti], ys) < 1e-14, 0.0, hop_in)
 
     direct = _arc_weights(nav, xs, ys)[0]
-    best = np.array([min(d, _best_two_arc(nav, g.nodes, x, y))
-                     for d, x, y in zip(direct, xs, ys)])
+    best = np.array([min(d, _best_two_arc(nav, g, x, y)) for d, x, y in zip(direct, xs, ys)])
     # a graph path longer than best - hops cannot win; the relative margin
     # covers the rounding of hop_out + path + hop_in, and that of the
-    # landmark bound (a few 1e-16 relative), so a pair whose bound exceeds
-    # its budget needs no search
+    # landmark bounds (a few 1e-16 relative), so a pair whose bound exceeds
+    # its budget needs no search, and a node whose bounds leave no path
+    # through it within the budget is left out of the pair's search
     budget = best - hop_out - hop_in + 1e-9 * best
     live = (budget >= 0) & (g.lower_bound(si, ti) <= budget)
     est = best.copy()
-    for src in np.unique(si[live]):
-        mine = np.flatnonzero(live & (si == src))
-        D = dijkstra(g.csr, directed=True, indices=src, limit=budget[mine].max())
-        est[mine] = np.minimum(hop_out[mine] + D[ti[mine]] + hop_in[mine], best[mine])
+    for i in np.flatnonzero(live):
+        ellipse = g.ellipse(si[i], ti[i], budget[i])
+        csr = g.csr if len(ellipse) > _ELLIPSE_SHARE * g.n_nodes else _rows_of(g.csr, ellipse)
+        D = dijkstra(csr, directed=True, indices=si[i], limit=budget[i])
+        est[i] = min(hop_out[i] + D[ti[i]] + hop_in[i], best[i])
     return est

@@ -562,3 +562,108 @@ def test_undirected_storage_keeps_the_directed_graph(make_nav, n_edges, eps):
     a, b = g.nodes[g.rows], g.nodes[g.cols]
     assert np.array_equal(g.weights_fwd, nav.finsler_norm(a, nav.space.h_log(a, b)))
 
+
+def _all_nodes_two_arc(nav, nodes, x, y):
+    """`_best_two_arc` with every leg over all nodes: the search the chord
+    bound prunes."""
+    wx, _ = _arc_weights(nav, x, nodes)
+    _, wy = _arc_weights(nav, y, nodes)
+    tot = wx + wy
+    zi = int(np.argmin(tot))
+    from_z, to_z = _arc_weights(nav, nodes[zi], nodes)
+    return min(float(tot[zi]), float(np.min(wx + to_z)) + float(np.min(from_z + wy)))
+
+
+@pytest.mark.parametrize("name", NOETHER_WINDS)
+def test_pruned_two_arc_matches_all_nodes(name, monkeypatch):
+    # legs over the nodes inside the chord ellipse alone give the same
+    # length, bit for bit, as legs over all nodes; "S3xR2" is the strong
+    # product wind of `_strong_product_nav`
+    W = NOETHER_WINDS[name]
+    space, nav = W.space, NavigationData(W.space, W)
+    g = build_graph(nav, 2000, 32, seed=5)
+    rng = np.random.default_rng(23)
+    x = space.sample(rng, 40)
+    y = np.concatenate([
+        space.sample(rng, 30),
+        _near_cut_locus(space, rng, x[30:36]),  # 1e-3 short of the cut locus
+        space.h_exp(x[36:38], 1e-8 * random_tangent(space, rng, x[36:38])),
+        x[38:39],  # x == y
+        g.nodes[11:12],  # y on a net node
+    ])
+    # x on a node; both on one node; x and y 1e-13 before and after a node
+    # along the wind's integral curve, a geodesic, where F(v) = |v|_h/(1+w)
+    # makes the chord bound tight and the coordinates' rounding makes the
+    # chords exceed the h-distance by more than the relative margin
+    z = g.nodes[5]
+    wz = W.evaluate(z)
+    step = 1e-13 * wz / np.sqrt(space.h_inner(z, wz, wz))
+    x = np.vstack([x, g.nodes[3:4], g.nodes[4:5], space.h_exp(z, -step)])
+    y = np.vstack([y, y[0:1], g.nodes[4:5], space.h_exp(z, step)])
+    legs = []
+
+    def counted(nav_, a, b):
+        legs.append(len(np.atleast_2d(b)))
+        return _arc_weights(nav_, a, b)
+
+    want = [_all_nodes_two_arc(nav, g.nodes, a, b) for a, b in zip(x, y)]
+    monkeypatch.setattr(oracle, "_arc_weights", counted)
+    got = [oracle._best_two_arc(nav, g, a, b) for a, b in zip(x, y)]
+    assert got == want
+    # the legs visit at most about half of the nodes (a quarter to a third
+    # but for the strong product wind, whose 1 + w is 1.85)
+    assert sum(legs) < 0.6 * 3 * len(x) * g.n_nodes
+
+
+def test_winning_paths_lie_in_their_ellipse():
+    # every node on the full search's path of a pair the graph wins lies in
+    # that pair's landmark ellipse, so the restricted search finds the path
+    nav = _strong_product_nav()
+    g = build_graph(nav, 2000, 32, seed=5)
+    rng = np.random.default_rng(3)
+    xs = nav.space.sample(rng, 100)
+    ys = nav.space.sample(rng, 100)
+    _, graph, curves, _ = _reference_pairs(g, nav, xs, ys)
+    space = nav.space
+    _, si = g.tree.query(space.embed(xs), k=1)
+    _, ti = g.tree.query(space.embed(ys), k=1)
+    hops = _arc_weights(nav, xs, g.nodes[si])[0] + _arc_weights(nav, g.nodes[ti], ys)[0]
+    wins = np.flatnonzero(graph < curves)
+    assert len(wins) > 0
+    for i in wins:
+        budget = curves[i] - hops[i] + 1e-9 * curves[i]
+        inside = set(g.ellipse(si[i], ti[i], budget).tolist())
+        _, pred = dijkstra(g.csr, directed=True, indices=si[i], return_predecessors=True)
+        v, path = ti[i], []
+        while v >= 0:
+            path.append(int(v))
+            v = pred[v]
+        assert path[-1] == si[i]
+        assert set(path) <= inside
+        assert len(inside) < g.n_nodes
+
+
+@pytest.mark.parametrize("share, restricted", [(0.0, False), (oracle._ELLIPSE_SHARE, True)],
+                         ids=["whole-graph", "ellipse"])
+def test_ellipse_cap_keeps_the_estimates(share, restricted, monkeypatch):
+    # at a cap of 0 every search runs on g.csr itself; either way the
+    # estimates are those of the unbounded searches, bit for bit
+    nav = _strong_product_nav()
+    g = build_graph(nav, 2000, 32, seed=5)
+    rng = np.random.default_rng(3)
+    xs = nav.space.sample(rng, 100)
+    ys = nav.space.sample(rng, 100)
+    want = _reference_pairs(g, nav, xs, ys)[0]
+    graphs = []
+
+    def counted(csr, **kwargs):
+        graphs.append(csr)
+        return dijkstra(csr, **kwargs)
+
+    monkeypatch.setattr(oracle, "_ELLIPSE_SHARE", share)
+    monkeypatch.setattr(oracle, "dijkstra", counted)
+    assert np.array_equal(oracle_distance_pairs(g, nav, xs, ys), want)
+    assert graphs
+    assert any(m is not g.csr for m in graphs) == restricted
+    for m in graphs:
+        assert m.shape == g.csr.shape and m.nnz <= g.csr.nnz

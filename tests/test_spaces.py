@@ -9,6 +9,8 @@ from randers_lab.spaces import (
     Product,
     Sphere,
     SpaceError,
+    _dot,
+    _norm,
     frame,
     random_tangent,
     space_from_config,
@@ -177,6 +179,44 @@ def test_log_inverts_exp_at_short_range(space, length, rng):
     v = length * random_tangent(space, rng, x)
     err = np.linalg.norm(space.h_log(x, space.h_exp(x, v)) - v, axis=-1)
     assert np.max(err) / length < 1e-6
+
+
+@pytest.mark.parametrize("d", [2, 4, 6, 8])
+def test_norm_equals_numpy_bitwise(d, rng):
+    # single rows, batches, a stack and a strided view, over many scales
+    for shape in [(d,), (1, d), (3, d), (1000, d), (20, 7, d)]:
+        v = rng.normal(size=shape) * 10.0 ** rng.uniform(-8, 8, size=shape[:-1] + (1,))
+        assert np.array_equal(_norm(v), np.linalg.norm(v, axis=-1))
+    v = rng.normal(size=(500, 2 * d))[:, ::2]
+    assert np.array_equal(_norm(v), np.linalg.norm(v, axis=-1))
+
+
+@pytest.mark.parametrize("s", [Sphere(3, 1.0), Sphere(3, 2.0), Sphere(7, 1.3)],
+                         ids=["S3", "S3-R2", "S7"])
+def test_sphere_maps_match_their_numpy_forms(s, rng):
+    # _norm changes no bit of the sphere's maps: h_log of a point against a
+    # batch and of row-aligned batches, h_exp, h_distance and retract, each
+    # against its np.linalg.norm form
+    x = s.sample(rng, 300)
+    y = np.concatenate([s.sample(rng, 200), s.h_exp(x[200:], 1e-7 * random_tangent(s, rng, x[200:]))])
+    R = s.radius
+    for a, b in [(x[0], y), (x, y), (x[0], y[0])]:
+        d = b - a
+        dr = _dot(d, a) / R
+        perp = d - (dr / R)[..., None] * a
+        pn = np.linalg.norm(perp, axis=-1)
+        theta = np.arctan2(pn, R + dr)
+        want = (R * theta / np.where(pn < 1e-300, 1.0, pn))[..., None] * perp
+        assert np.array_equal(s.h_log(a, b), want)
+    chord = np.linalg.norm(x - y, axis=-1)
+    assert np.array_equal(s.h_distance(x, y), 2.0 * R * np.arcsin(np.clip(chord / (2.0 * R), 0.0, 1.0)))
+    v = random_tangent(s, rng, x, unit=False)
+    speed = np.linalg.norm(v, axis=-1)
+    u = v / np.where(speed < 1e-300, 1.0, speed)[..., None]
+    out = np.cos(speed / R)[..., None] * x + (R * np.sin(speed / R))[..., None] * u
+    assert np.array_equal(s.h_exp(x, v), R * out / np.linalg.norm(out, axis=-1, keepdims=True))
+    assert np.array_equal(Euclidean(3).h_distance(x[:, :3], y[:, :3]),
+                          np.linalg.norm(y[:, :3] - x[:, :3], axis=-1))
 
 
 def test_product_point_needs_its_ambient_dim():
