@@ -24,14 +24,11 @@ from .killing import (  # noqa: F401
     constant_length_family,
     hopf_field,
     killing_from_config,
-    killing_residual,
-    length_stats,
     standard_J,
     zero_field,
 )
 from .randers import (  # noqa: F401
     DefiningForm,
-    FundamentalTensor,
     NavigationData,
     NotRanders,
     WindTooStrong,

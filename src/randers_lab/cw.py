@@ -4,10 +4,11 @@ by flows of constant-length fields.
 
 A Clifford-Wolf translation moves every point the same distance; for the
 spaces here those translations arise as time-t flows of Killing fields
-whose F-length is constant. The checks below sample displacements with
-`f_distance`, so they are honest measurements, not algebraic identities.
-They use no oracle graph: the oracle is cross-checked against
-`f_distance` in its own tests and in the acceptance criteria.
+whose F-length is constant. The displacement checks sample `f_distance`,
+so they are honest measurements; `small_time_threshold` decides constant
+F-length exactly, from the generators. They use no oracle graph: the
+oracle is cross-checked against `f_distance` in its own tests and in the
+acceptance criteria.
 """
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geodesics import f_distance, f_distance_batch
-from .killing import KillingField, constant_length_family, length_stats, zero_field
+from .killing import KillingField, constant_length_family, require_constant_length, zero_field
 from .randers import NavigationData
 from .spaces import random_tangent
 
@@ -114,18 +115,17 @@ def cw_displacement_check(nav: NavigationData, isometry, n_samples: int = 100,
     return CwReport(description=desc, n_samples=n_samples, displacements=disp, tol=tol)
 
 
-def small_time_threshold(nav: NavigationData, X: KillingField) -> float:
+def small_time_threshold(nav: NavigationData, Y: KillingField) -> float:
     """delta / L with delta the h-injectivity radius and L the constant
-    F-length of X; returns inf on Euclidean space (translations are CW
-    at every t)."""
-    lo, hi = length_stats(nav, X, n_samples=512, seed=7)
-    if hi - lo > 1e-6 * max(hi, 1e-12):
-        raise ValueError(f"field has non-constant F-length: [{lo:.6g}, {hi:.6g}]")
-    L = 0.5 * (lo + hi)
-    if L < 1e-300:
-        return np.inf
-    delta = nav.space.injectivity_radius
-    return float(delta / L) if np.isfinite(delta) else np.inf
+    F-length of Y. Exact: L = F(Y) at one point, and as the indicatrix is
+    the h-unit sphere shifted by W, F(x, y) = L iff |y - L*W(x)|_h = L; so
+    Y has constant F-length iff Y - L*W has constant h-length, else
+    ValueError."""
+    x0 = nav.space.sample(np.random.default_rng(7), 1)[0]
+    L = float(nav.finsler_norm(x0, Y.evaluate(x0)))
+    require_constant_length(Y - L * nav.wind, ValueError,
+                            f"a field of constant F-length L = {L:.6g} has Y - L*W of constant length")
+    return np.inf if L < 1e-300 else float(nav.space.injectivity_radius / L)
 
 
 def direction_exhaustion_check(nav: NavigationData, x, n_directions: int = 50,

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .killing import constant_length_family
-from .randers import NavigationData
+from .randers import NavigationData, mixed_second_differences
 from .spaces import frame as h_frame
 
 
@@ -80,56 +80,25 @@ def _chart_rhs(nav, p, B, xi, c, fd: float):
     finite differences evaluated in one batched norm call."""
     dim = len(B)
     space = nav.space
+    # offsets of z = (xi, c): first differences in xi, then the mixed
+    # second differences of the metric block d2L/dc2 and of d2L/dc dxi
+    pos, vel = np.arange(dim), dim + np.arange(dim)
+    mixed, combine = mixed_second_differences(2 * dim, [(vel, vel), (vel, pos)], fd)
+    first = fd * np.eye(dim, 2 * dim)
+    Z = np.concatenate([np.stack([first, -first], axis=1).reshape(-1, 2 * dim), mixed])
+    xis, cs = xi + Z[:, :dim], c + Z[:, dim:]
 
-    # assemble every (position offset, velocity) pair the stencils need
-    pos, vel = [], []
-
-    def push(dxi, dc):
-        pos.append(xi + dxi)
-        vel.append(c + dc)
-
-    eye = np.eye(dim)
-    # dL/dxi
-    for k in range(dim):
-        push(fd * eye[k], 0.0 * c)
-        push(-fd * eye[k], 0.0 * c)
-    # d2L/dc2 (metric block)
-    for i in range(dim):
-        for j in range(dim):
-            for si, sj in ((1, 1), (-1, -1), (1, -1), (-1, 1)):
-                push(0.0 * xi, fd * (si * eye[i] + sj * eye[j]))
-    # d2L/dxi dc
-    for i in range(dim):
-        for k in range(dim):
-            for si, sk in ((1, 1), (-1, -1), (1, -1), (-1, 1)):
-                push(fd * sk * eye[k], fd * si * eye[i])
-
-    pos = np.array(pos)
-    vel = np.array(vel)
-    pb = np.broadcast_to(p, pos.shape[:-1] + p.shape)
-    base = space.h_exp(pb, pos @ B)
+    pb = np.broadcast_to(p, xis.shape[:-1] + p.shape)
+    base = space.h_exp(pb, xis @ B)
     # velocities through the analytic chart differential — finite
     # differences here would feed rounding noise into the second-order
     # stencils below, where /fd^2 blows it up
-    dphi = space.h_dexp(pb, pos @ B, vel @ B)
+    dphi = space.h_dexp(pb, xis @ B, cs @ B)
     L = 0.5 * nav.finsler_norm(base, dphi) ** 2
 
-    idx = 0
-    dL_dxi = np.empty(dim)
-    for k in range(dim):
-        dL_dxi[k] = (L[idx] - L[idx + 1]) / (2 * fd)
-        idx += 2
-    M = np.empty((dim, dim))
-    for i in range(dim):
-        for j in range(dim):
-            M[i, j] = (L[idx] + L[idx + 1] - L[idx + 2] - L[idx + 3]) / (4 * fd * fd)
-            idx += 4
+    dL_dxi = (L[0:2 * dim:2] - L[1:2 * dim:2]) / (2 * fd)
+    M, C = combine(L[2 * dim:])  # C[i, k] = d2L / dc_i dxi_k
     M = 0.5 * (M + M.T)
-    C = np.empty((dim, dim))  # C[i,k] = d2L / dc_i dxi_k
-    for i in range(dim):
-        for k in range(dim):
-            C[i, k] = (L[idx] + L[idx + 1] - L[idx + 2] - L[idx + 3]) / (4 * fd * fd)
-            idx += 4
     return np.linalg.solve(M, dL_dxi - C @ c)
 
 

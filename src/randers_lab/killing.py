@@ -1,14 +1,15 @@
-"""Killing fields on the model spaces: exact flows, brackets, verifiers,
-and the commuting constant-length families used for navigation.
+"""Killing fields on the model spaces: exact flows, brackets, the
+constant-length rule, and the commuting constant-length families.
 
 Generators are stored exactly (skew matrix / algebra pair / constant
 vector / tuple) and flows are evaluated by matrix or quaternion
 exponentials. `flow(x, t)` broadcasts over a batch of points with a
 per-point time array, which the distance code relies on.
 `length_range()` reads the (min, max) of the field's h-length off the
-generator; it is the only place the length of a wind is known, and
-`constant_length_family` is the only place that decides, from it alone,
-whether a wind is supported: the oracle and the verifiers all ask it.
+generator; it is the only place the length of a field is known, and
+`require_constant_length` is the one rule that decides from it whether
+that length is constant: for winds in `constant_length_family`, which
+the oracle and the verifiers ask, and in `cw.small_time_threshold`.
 
 Sphere conventions: ambient coordinates are paired as (x1+ix2, x3+ix4,
 ...) and J is the block-diagonal rotation [[0,-1],[1,0]] repeated; a
@@ -29,8 +30,6 @@ from .spaces import (
     Product,
     Sphere,
     _concat_parts,
-    frame,
-    random_tangent,
 )
 
 
@@ -90,9 +89,6 @@ class KillingField:
 
     def scaled(self, c: float):
         raise NotImplementedError
-
-    def __neg__(self):
-        return self.scaled(-1.0)
 
     def __sub__(self, other):
         return self + other.scaled(-1.0)
@@ -275,66 +271,16 @@ def hopf_field(space: Sphere, c: float) -> SphereKilling:
     return SphereKilling(space, c * standard_J(space.ambient_dim // 2))
 
 
-# ---------------------------------------------------------------------------
-# verifiers
-# ---------------------------------------------------------------------------
-
-
-def _flow_any(space, X, x, t, rk_steps: int = 8):
-    """Flow for a KillingField (exact) or a callable vector field (RK4)."""
-    if isinstance(X, KillingField):
-        return X.flow(x, t)
-    y = np.asarray(x, dtype=float).copy()
-    h = t / rk_steps
-    proj = space.tangent_project
-    for _ in range(rk_steps):
-        k1 = proj(y, X(y))
-        y2 = space.retract(y + 0.5 * h * k1)
-        k2 = proj(y2, X(y2))
-        y3 = space.retract(y + 0.5 * h * k2)
-        k3 = proj(y3, X(y3))
-        y4 = space.retract(y + h * k3)
-        k4 = proj(y4, X(y4))
-        y = space.retract(y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4))
-    return y
-
-
-def killing_residual(space, X, n_samples: int = 20, seed: int = 0,
-                     dt: float = 1e-3, eps: float = 1e-4) -> float:
-    """Max over samples of |d/dt h(dphi_t u, dphi_t v)| at t = 0.
-
-    Pushforwards are taken by central differences through geodesic
-    curves; the flow is exact for KillingField inputs and RK4 for
-    callables, so a nonzero residual isolates failure of the Killing
-    equation rather than integration error.
-    """
-    rng = np.random.default_rng(seed)
-    xs = space.sample(rng, n_samples)
-    worst = 0.0
-    for x in xs:
-        u = random_tangent(space, rng, x)
-        v = random_tangent(space, rng, x)
-
-        def inner_at(t):
-            ends_u = [_flow_any(space, X, space.h_exp(x, u, s), t) for s in (eps, -eps)]
-            ends_v = [_flow_any(space, X, space.h_exp(x, v, s), t) for s in (eps, -eps)]
-            du = (ends_u[0] - ends_u[1]) / (2 * eps)
-            dv = (ends_v[0] - ends_v[1]) / (2 * eps)
-            y = _flow_any(space, X, x, t)
-            du = space.tangent_project(y, du)
-            dv = space.tangent_project(y, dv)
-            return space.h_inner(y, du, dv)
-
-        resid = abs(inner_at(dt) - inner_at(-dt)) / (2 * dt)
-        worst = max(worst, float(resid))
-    return worst
-
-
-def length_stats(nav, X: KillingField, n_samples: int = 1000, seed: int = 0):
-    """(min, max) of the F-length F(X) over quasi-uniform samples."""
-    xs = nav.space.sample(np.random.default_rng(seed), n_samples)
-    vals = nav.finsler_norm(xs, X.evaluate(xs))
-    return float(np.min(vals)), float(np.max(vals))
+def require_constant_length(X: KillingField, error: type, claim: str) -> None:
+    """Raise error unless X's `length_range()` is constant, hi - lo <=
+    1e-12 * max(1, hi), on every factor of a product: the product's l2
+    length would shrink a factor's spread."""
+    parts = X.parts if isinstance(X, ProductKilling) else (X,)
+    for i, part in enumerate(parts):
+        lo, hi = part.length_range()
+        if hi - lo > 1e-12 * max(1.0, hi):
+            where = f" on factor {i}" if isinstance(X, ProductKilling) else ""
+            raise error(f"{claim}; its h-length{where} runs over [{lo:.6g}, {hi:.6g}]")
 
 
 def commutator(X: KillingField, Y: KillingField) -> KillingField:
@@ -355,23 +301,6 @@ def commutator(X: KillingField, Y: KillingField) -> KillingField:
     if isinstance(X, ProductKilling) and isinstance(Y, ProductKilling):
         return ProductKilling(X.space, tuple(commutator(a, b) for a, b in zip(X.parts, Y.parts)))
     raise TypeError("commutator needs two fields of the same kind")
-
-
-def fd_lie_bracket(space, X, Y, x, eps: float = 1e-5):
-    """Finite-difference Lie bracket [X,Y](x); the oracle that pins signs."""
-
-    def ev(F, p):
-        return F.evaluate(p) if isinstance(F, KillingField) else F(p)
-
-    def dYX(p):  # directional derivative of Y along X
-        v = ev(X, p)
-        return (ev(Y, space.retract(p + eps * v)) - ev(Y, space.retract(p - eps * v))) / (2 * eps)
-
-    def dXY(p):
-        v = ev(Y, p)
-        return (ev(X, space.retract(p + eps * v)) - ev(X, space.retract(p - eps * v))) / (2 * eps)
-
-    return space.tangent_project(x, dYX(x) - dXY(x))
 
 
 # ---------------------------------------------------------------------------
@@ -487,24 +416,19 @@ def constant_length_family(nav):
     """Family of constant-length Killing fields commuting with nav's wind;
     componentwise on products.
 
-    The one test of a supported wind: its h-length must be constant, read
-    off `length_range()`, and on a product on every factor, since the
-    product's l2 length shrinks a factor's spread. Everything else follows
-    from that -- a two-sided group wind has min < max, and on spheres
-    constant length means A = c * Q J Q^T (Berestovskii-Nikonorov), whose
-    family `_family` builds by conjugation.
+    The one test of a supported wind is `require_constant_length`.
+    Everything else follows from it -- a two-sided group wind has
+    min < max, and on spheres constant length means A = c * Q J Q^T
+    (Berestovskii-Nikonorov), whose family `_family` builds by
+    conjugation.
     """
+    require_constant_length(nav.wind, UnsupportedWind, "a supported wind has constant length")
     return _family(nav.space, nav.wind)
 
 
-def _family(space, W, where=""):
+def _family(space, W):
     if isinstance(space, Product):
-        return ProductFamily(space, tuple(_family(f, p, f" on factor {i}")
-                                          for i, (f, p) in enumerate(zip(space.factors, W.parts))))
-    lo, hi = W.length_range()
-    if hi - lo > 1e-12:
-        raise UnsupportedWind("a supported wind has constant length; "
-                              f"its h-length{where} runs over [{lo:.6g}, {hi:.6g}]")
+        return ProductFamily(space, tuple(_family(f, p) for f, p in zip(space.factors, W.parts)))
     if isinstance(space, Euclidean):
         return EuclideanFamily(space)
     if isinstance(space, Sphere):

@@ -425,11 +425,9 @@ def oracle_distance_pairs(g: NetGraph, nav: NavigationData, xs, ys) -> np.ndarra
     _, si = g.tree.query(space.embed(xs), k=1)
     _, ti = g.tree.query(space.embed(ys), k=1)
 
+    # h_log(x, x) is exactly 0, so an endpoint on its node hops 0.0
     hop_out = _arc_weights(nav, xs, g.nodes[si])[0]
     hop_in = _arc_weights(nav, g.nodes[ti], ys)[0]
-    # zero-length hops when the endpoint coincides with its node
-    hop_out = np.where(space.h_distance(xs, g.nodes[si]) < 1e-14, 0.0, hop_out)
-    hop_in = np.where(space.h_distance(g.nodes[ti], ys) < 1e-14, 0.0, hop_in)
 
     direct = _arc_weights(nav, xs, ys)[0]
     best = np.array([min(d, _best_two_arc(nav, g, x, y)) for d, x, y in zip(direct, xs, ys)])

@@ -31,10 +31,9 @@ def qconj(q: np.ndarray) -> np.ndarray:
 
 
 def qexp_pure(v: np.ndarray) -> np.ndarray:
-    """exp of a pure imaginary quaternion (0, v); axis-angle closed form."""
+    """exp of the pure imaginary quaternion (0, v), v a 3-vector; axis-angle
+    closed form."""
     v = np.asarray(v, dtype=float)
-    if v.shape[-1] == 4:
-        v = v[..., 1:]
     theta = np.linalg.norm(v, axis=-1, keepdims=True)
     small = theta < 1e-300
     safe = np.where(small, 1.0, theta)

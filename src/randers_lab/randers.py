@@ -120,13 +120,10 @@ class DefiningForm:
     a: np.ndarray
     b: np.ndarray
 
-    def coeffs(self, space, y):
-        """Frame coefficients of an ambient tangent y at x."""
-        return np.array([space.h_inner(self.x, y, f) for f in self.frame])
-
     def norm_defining(self, space, y):
-        """F(y) = sqrt(a_ij y^i y^j) + b_i y^i through the defining form."""
-        c = self.coeffs(space, y)
+        """F(y) = sqrt(a_ij y^i y^j) + b_i y^i through the defining form,
+        y^i the frame coefficients of the ambient tangent y at x."""
+        c = np.array([space.h_inner(self.x, y, f) for f in self.frame])
         return float(np.sqrt(c @ self.a @ c) + self.b @ c)
 
 
@@ -152,15 +149,28 @@ def to_navigation(df: DefiningForm):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FundamentalTensor:
-    x: np.ndarray
-    y: np.ndarray
-    frame: np.ndarray
-    g: np.ndarray  # (dim, dim), symmetric positive definite
+# sign pairs (a, b) of the 4-point mixed second difference, in combining order
+_SIGNS = np.array([(1, 1), (-1, -1), (1, -1), (-1, 1)], dtype=float)
 
 
-def fundamental_tensor(nav: NavigationData, x, y, step: float = 1e-4) -> FundamentalTensor:
+def mixed_second_differences(n: int, blocks, s: float):
+    """Stencil of d2f/dz_i dz_j ~ (f++ + f-- - f+- - f-+) / (4 s^2) on R^n,
+    f+- = f(z + s e_i - s e_j), for (i, j) in rows x cols of each (rows,
+    cols) in blocks. Returns the offsets to add to z, all blocks stacked,
+    and the map from f's values there to one matrix per block."""
+    E = np.eye(n)
+    a, b = _SIGNS.T[..., None]
+    offsets = [s * (a * E[r][:, None, None] + b * E[c][None, :, None]) for r, c in blocks]
+
+    def combine(vals):
+        ends = np.cumsum([o.size // n for o in offsets])
+        vs = [part.reshape(o.shape[:3]) for part, o in zip(np.split(vals, ends[:-1]), offsets)]
+        return [(v[..., 0] + v[..., 1] - v[..., 2] - v[..., 3]) / (4 * s * s) for v in vs]
+
+    return np.concatenate([o.reshape(-1, n) for o in offsets]), combine
+
+
+def fundamental_tensor(nav: NavigationData, x, y, step: float = 1e-4) -> np.ndarray:
     """g_ij(x, y) = Hessian of F^2/2 in y, central differences in the
     orthonormal frame; step is relative to the h-length of y."""
     x = np.asarray(x, dtype=float)
@@ -173,19 +183,9 @@ def fundamental_tensor(nav: NavigationData, x, y, step: float = 1e-4) -> Fundame
     c0 = np.array([nav.space.h_inner(x, y, f) for f in B])
     s = step * speed
 
-    # F^2/2 on a grid of frame-coefficient offsets, evaluated in one batch
-    offsets = []
-    for i in range(dim):
-        for j in range(dim):
-            for si, sj in ((1, 1), (-1, -1), (1, -1), (-1, 1)):
-                e = np.zeros(dim)
-                e[i] += si * s
-                e[j] += sj * s
-                offsets.append(e)
-    C = c0 + np.array(offsets)
-    ys = C @ B
+    # F^2/2 at the frame-coefficient offsets, evaluated in one batch
+    offsets, combine = mixed_second_differences(dim, [(np.arange(dim), np.arange(dim))], s)
+    ys = (c0 + offsets) @ B
     vals = 0.5 * nav.finsler_norm(np.broadcast_to(x, ys.shape), ys) ** 2
-    vals = vals.reshape(dim, dim, 4)
-    g = (vals[..., 0] + vals[..., 1] - vals[..., 2] - vals[..., 3]) / (4 * s * s)
-    g = 0.5 * (g + g.T)
-    return FundamentalTensor(x=x, y=y, frame=B, g=g)
+    (g,) = combine(vals)
+    return 0.5 * (g + g.T)

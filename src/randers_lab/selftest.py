@@ -133,7 +133,7 @@ def criterion_3() -> dict:
         nav = NavigationData(space, wind)
         x = space.sample(rng, 1)[0]
         y = random_tangent(space, rng, x) * rng.uniform(0.2, 3.0)
-        g = fundamental_tensor(nav, x, y).g
+        g = fundamental_tensor(nav, x, y)
         min_eig = min(min_eig, float(np.min(np.linalg.eigvalsh(g))))
         count += 1
     gh_err = 0.0
@@ -141,7 +141,7 @@ def criterion_3() -> dict:
         nav0 = riemannian(space)
         for x in space.sample(rng, 20):
             y = random_tangent(space, rng, x)
-            g = fundamental_tensor(nav0, x, y).g
+            g = fundamental_tensor(nav0, x, y)
             gh_err = max(gh_err, float(np.max(np.abs(g - np.eye(len(g))))))
     passed = min_eig > 0 and gh_err < 1e-6
     return {"criterion": 3, "name": "fundamental tensor PD / g=h at W=0",

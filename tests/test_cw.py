@@ -22,6 +22,7 @@ from randers_lab.killing import (
     zero_field,
 )
 from randers_lab.randers import NavigationData
+from randers_lab.selftest import fixture_navs
 from randers_lab.spaces import Euclidean, Product, Sphere, random_tangent
 
 from conftest import ANTI_HOPF, conjugated_hopf
@@ -96,6 +97,47 @@ def test_small_time_threshold_rejects_nonconstant(s3):
     nav = NavigationData(s3, zero_field(s3))
     with pytest.raises(ValueError):
         small_time_threshold(nav, SphereKilling(s3, _rot(1.0, 2.0)))
+
+
+def test_small_time_threshold_rejects_a_spread_sampling_misses():
+    # F-length sqrt(|Ax|^2 + 1) runs over [sqrt(2), sqrt(1 + (1 + 5e-7)^2)],
+    # a relative spread of 2.5e-7 that samples checked to 1e-6 cannot tell
+    # from constant; windless, Y - L*W = Y has a non-constant S^3 factor
+    p = Product((Sphere(3, 1.0), Euclidean(2)))
+    nav = NavigationData(p, zero_field(p))
+    Y = ProductKilling(p, (SphereKilling(p.factors[0], _rot(1.0, 1.0 + 5e-7)),
+                           EuclideanKilling(p.factors[1], np.array([1.0, 0.0]))))
+    with pytest.raises(ValueError, match="on factor 0"):
+        small_time_threshold(nav, Y)
+
+
+def _threshold_navs():
+    navs = dict(fixture_navs())
+    s3, s5 = Sphere(3, 1.0), Sphere(5, 1.0)
+    navs["anti-hopf"] = NavigationData(s3, SphereKilling(s3, ANTI_HOPF))
+    navs["qjq-S5"] = NavigationData(s5, SphereKilling(s5, conjugated_hopf(3, 0.3, seed=1)))
+    return navs
+
+
+@pytest.mark.parametrize("name", ["euclidean", "sphere-hopf", "su2-left", "product",
+                                  "anti-hopf", "qjq-S5"])
+def test_small_time_threshold_is_delta_over_f_length(name):
+    # Y = c * (X + W) with X an h-unit family member has F-length c; the
+    # threshold is delta / L with L the sampled F-length to 1e-12
+    nav = _threshold_navs()[name]
+    rng = np.random.default_rng(31)
+    c = rng.uniform(0.3, 1.5)
+    Y = (constant_length_family(nav).random_member(rng, 1.0) + nav.wind).scaled(c)
+    xs = nav.space.sample(rng, 10_000)
+    lengths = nav.finsler_norm(xs, Y.evaluate(xs))
+    np.testing.assert_allclose(lengths, c, rtol=1e-12)
+    got = small_time_threshold(nav, Y)
+    delta = nav.space.injectivity_radius
+    if not np.isfinite(delta):
+        assert got == np.inf
+        return
+    L = delta / got
+    assert np.max(np.abs(lengths - L)) <= 1e-12 * L
 
 
 def test_random_fields_pass_at_half_threshold(hopf_nav):

@@ -149,7 +149,7 @@ def test_fundamental_tensor_equals_h_when_windless(rng):
     x = np.zeros(3)
     y = rng.normal(size=3)
     g = fundamental_tensor(nav, x, y)
-    np.testing.assert_allclose(g.g, np.eye(3), atol=1e-6)
+    np.testing.assert_allclose(g, np.eye(3), atol=1e-6)
 
 
 def test_fundamental_tensor_positive_definite(e2_nav, rng):
@@ -157,7 +157,7 @@ def test_fundamental_tensor_positive_definite(e2_nav, rng):
         x = rng.uniform(-3, 3, size=2)
         y = rng.normal(size=2)
         g = fundamental_tensor(e2_nav, x, y)
-        assert np.linalg.eigvalsh(g.g).min() > 0
+        assert np.linalg.eigvalsh(g).min() > 0
 
 
 def test_fundamental_tensor_zero_homogeneous(hopf_nav, rng):
@@ -165,7 +165,7 @@ def test_fundamental_tensor_zero_homogeneous(hopf_nav, rng):
     y = random_tangent(hopf_nav.space, rng, x)
     g1 = fundamental_tensor(hopf_nav, x, y)
     g2 = fundamental_tensor(hopf_nav, x, 2.0 * y)
-    np.testing.assert_allclose(g2.g, g1.g, atol=1e-6)
+    np.testing.assert_allclose(g2, g1, atol=1e-6)
 
 
 def test_fundamental_tensor_rejects_zero_direction(e2_nav):
