@@ -30,18 +30,22 @@ the chord kNN is the h-kNN as it stands; on products of two or more
 factors it is over-fetched and re-ranked by h-distance, the one place
 the re-rank runs. eps, the largest h-distance from a node to its nearest
 neighbour, comes from that same query. Once the graph is known to be
-strongly connected, the build picks 8 landmark nodes by farthest-point
-sampling over the embedding and stores the graph distances from each to
-every node, d_land. The cache is an uncompressed `.npz`; older compressed
-ones still load, and a file that cannot be read is a miss: the graph is
-rebuilt and the file replaced.
+strongly connected, the build picks 8 landmark nodes (node 0 alone on a
+compact space) by farthest-point sampling over the embedding, from node
+0, and stores the graph distances from each to every node, d_land. The
+cache is an uncompressed `.npz`; older compressed ones still load, and a
+file that cannot be read is a miss: the graph is rebuilt and the file
+replaced.
 
 Queries first take the best of the direct arc and of curves through
 net nodes: the 2-arc x -> z -> y with z the best single intermediate
 node, and the path that refines both of its legs through a further node
 each. Those candidates are again lengths of actual curves, so the
 no-undercut guarantee survives while the dilation error drops by roughly
-an order of magnitude. The graph search then stops at the best curve
+an order of magnitude. On a compact space (no R^n factor) an F-isometry
+first carries each pair to a pair whose source is node 0, and node 0's
+row of d_land gives every graph path (`_from_base_point`). On a
+space with an R^n factor the graph search stops at the best curve
 already known: each pair's Dijkstra runs only as far as a graph path
 could still beat its estimate, which leaves every estimate exactly what
 an unbounded search gives.
@@ -84,7 +88,7 @@ from .killing import constant_length_family
 from .randers import NavigationData
 
 C_HINT = 4.0
-_CACHE_VERSION = 6
+_CACHE_VERSION = 7
 _N_LANDMARKS = 8
 # a pair's search keeps only the rows of the nodes in its landmark ellipse,
 # unless they are more than this share of all nodes: then copying the rows
@@ -124,7 +128,7 @@ class NetGraph:
     weights_fwd: np.ndarray  # F-length rows[i] -> cols[i]
     weights_rev: np.ndarray  # F-length cols[i] -> rows[i]
     eps: float
-    d_land: np.ndarray  # (_N_LANDMARKS, n) graph distances from the landmarks
+    d_land: np.ndarray  # (landmarks, n) graph distances from the landmarks; node 0's first
 
     @cached_property
     def csr(self) -> csr_matrix:
@@ -294,8 +298,10 @@ def build_graph(nav: NavigationData, n_nodes: int, k: int, seed: int,
     n_comp, _ = connected_components(csr, directed=True, connection="strong")
     if n_comp > 1:
         raise GraphDisconnected(f"{n_comp} strong components at k={k}; use a larger k")
-    # strongly connected, so every landmark distance is finite
-    d_land = dijkstra(csr, directed=True, indices=_landmarks(space.embed(nodes), _N_LANDMARKS))
+    # strongly connected, so every landmark distance is finite; a compact
+    # space answers every query from node 0 (`_from_base_point`)
+    m = 1 if space.compact else _N_LANDMARKS
+    d_land = dijkstra(csr, directed=True, indices=_landmarks(space.embed(nodes), m))
     g = NetGraph(nav_config=cfg, n_nodes=n_nodes, k=k, seed=seed, nodes=nodes, rows=rows,
                  cols=cols, weights_fwd=fwd, weights_rev=rev, eps=eps, d_land=d_land)
     vars(g)["csr"] = csr  # the queries reuse the matrix the checks built
@@ -390,6 +396,26 @@ def _best_two_arc(nav, g: NetGraph, x, y) -> float:
     return min(float(tot[j]), via_x + via_y)
 
 
+def _from_base_point(g: NetGraph, nav: NavigationData, xs, ys, direct) -> np.ndarray:
+    """Estimates on a compact space, each pair (x, y) answered as the pair
+    (rho(x), rho(y)) = (x', y') with x' at o = node 0. rho is the time-1
+    flow of the X in `constant_length_family` with X(x) = log_x(o): an
+    F-isometry, as X commutes with the wind, whose orbits are h-geodesics,
+    as X has constant length. The estimate is the least of the direct arc,
+    the curves through net nodes from x' to y', and x' -> o -> t' -> y'
+    through d_land[0], t' the node nearest y': all actual curves' lengths.
+    """
+    space, o = nav.space, g.nodes[0]
+    family = constant_length_family(nav)
+    moved = np.array([family.match(x, v).flow(np.stack([x, y]), 1.0)
+                      for x, y, v in zip(xs, ys, space.h_log(xs, o))])
+    xp, yp = moved.reshape(len(xs), 2, xs.shape[1]).transpose(1, 0, 2)
+    _, ti = g.tree.query(space.embed(yp), k=1)
+    graph = _arc_weights(nav, xp, o)[0] + g.d_land[0, ti] + _arc_weights(nav, g.nodes[ti], yp)[0]
+    curves = [_best_two_arc(nav, g, x, y) for x, y in zip(xp, yp)]
+    return np.minimum(np.minimum(direct, curves), graph)
+
+
 def oracle_distance(g: NetGraph, nav: NavigationData, x, y):
     """(estimate, upper_error_hint) for d_F(x, y).
 
@@ -406,14 +432,15 @@ def oracle_distance_pairs(g: NetGraph, nav: NavigationData, xs, ys) -> np.ndarra
 
     Each estimate is the shortest of the direct arc, the curves through
     net nodes (`_best_two_arc`) and the snap hops plus the graph path.
-    A graph path can only win when it is no longer than the best of the
-    others less the hops. A pair whose budget is negative, or below the
-    landmark bound on its graph distance, is left out of the search. Each
-    pair left runs one Dijkstra limited to its budget, over the rows of
-    the nodes in its landmark ellipse (`NetGraph.ellipse`): every graph
-    path within the budget keeps all its arcs there. When the ellipse
-    holds more than `_ELLIPSE_SHARE` of the nodes, the whole graph is
-    searched instead. The estimates equal those of unbounded searches
+    On a compact space no search runs (`_from_base_point`). Elsewhere a
+    graph path can only win when it is no longer than the
+    best of the others less the hops. A pair whose budget is negative, or
+    below the landmark bound on its graph distance, is left out of the
+    search. Each pair left runs one Dijkstra limited to its budget, over
+    the rows of the nodes in its landmark ellipse (`NetGraph.ellipse`):
+    every graph path within the budget keeps all its arcs there. When the
+    ellipse holds more than `_ELLIPSE_SHARE` of the nodes, the whole graph
+    is searched instead. The estimates equal those of unbounded searches
     over all nodes bit for bit.
     """
     _check_nav(g, nav)
@@ -422,6 +449,9 @@ def oracle_distance_pairs(g: NetGraph, nav: NavigationData, xs, ys) -> np.ndarra
     ys = np.atleast_2d(np.asarray(ys, dtype=float))
     if len(xs) != len(ys):
         raise ValueError(f"xs has {len(xs)} rows but ys has {len(ys)}; pairs are row-aligned")
+    direct = _arc_weights(nav, xs, ys)[0]
+    if space.compact:
+        return _from_base_point(g, nav, xs, ys, direct)
     _, si = g.tree.query(space.embed(xs), k=1)
     _, ti = g.tree.query(space.embed(ys), k=1)
 
@@ -429,7 +459,6 @@ def oracle_distance_pairs(g: NetGraph, nav: NavigationData, xs, ys) -> np.ndarra
     hop_out = _arc_weights(nav, xs, g.nodes[si])[0]
     hop_in = _arc_weights(nav, g.nodes[ti], ys)[0]
 
-    direct = _arc_weights(nav, xs, ys)[0]
     best = np.array([min(d, _best_two_arc(nav, g, x, y)) for d, x, y in zip(direct, xs, ys)])
     # a graph path longer than best - hops cannot win; the relative margin
     # covers the rounding of hop_out + path + hop_in, and that of the

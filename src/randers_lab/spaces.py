@@ -19,7 +19,8 @@ whether h-distance is moreover a nondecreasing function of that chord,
 so that nearest neighbours in the embedding are nearest neighbours in h:
 the chord itself on R^n, 2R arcsin(chord/2R) on spheres and SU(2). A
 product of two or more factors mixes the factors' chords, and its
-h-order can differ.
+h-order can differ. `compact` is False exactly when there is an R^n
+factor.
 """
 from __future__ import annotations
 
@@ -63,6 +64,7 @@ class Euclidean:
     box: float = 5.0
 
     chord_ordered: ClassVar[bool] = True
+    compact: ClassVar[bool] = False
 
     @property
     def ambient_dim(self) -> int:
@@ -121,6 +123,7 @@ class Sphere:
     radius: float = 1.0
 
     chord_ordered: ClassVar[bool] = True
+    compact: ClassVar[bool] = True
 
     def __post_init__(self):
         if self.dim < 1 or self.dim % 2 == 0:
@@ -254,6 +257,7 @@ class CompactGroup:
     scale: float = 1.0
 
     chord_ordered: ClassVar[bool] = True
+    compact: ClassVar[bool] = True
 
     def __post_init__(self):
         if self.name != "SU2":
@@ -355,6 +359,10 @@ class Product:
     @property
     def chord_ordered(self) -> bool:
         return len(self.factors) == 1 and self.factors[0].chord_ordered
+
+    @property
+    def compact(self) -> bool:
+        return all(f.compact for f in self.factors)
 
     @property
     def slices(self) -> tuple:

@@ -423,3 +423,49 @@ def test_zero_field_flow_is_identity(rng):
     Z = zero_field(p)
     x = p.sample(rng, 4)
     np.testing.assert_array_equal(Z.flow(x, 1.7), x)
+
+
+# --- homogeneity: translations to a base point ------------------------------
+
+def _homogeneous_winds():
+    s3, s5, su2 = Sphere(3, 1.0), Sphere(5, 1.3), CompactGroup("SU2", 0.8)
+    l, r = np.array([0.0, 0.4, 0.0, 0.0]), np.array([0.0, 0.0, 0.3, 0.0])
+    prod = Product((s3, su2))
+    return {
+        "S3-hopf": hopf_field(s3, 0.3),
+        "S3-anti-hopf": SphereKilling(s3, ANTI_HOPF),
+        "S5-qjq": SphereKilling(s5, conjugated_hopf(3, 0.3, seed=1)),
+        "SU2-left": GroupKilling(su2, l, np.zeros(4)),
+        "SU2-right": GroupKilling(su2, np.zeros(4), r),
+        "S3xSU2": ProductKilling(prod, (hopf_field(s3, 0.3), GroupKilling(su2, l, np.zeros(4)))),
+        "S3-zero": zero_field(s3),
+    }
+
+
+HOMOGENEOUS_WINDS = _homogeneous_winds()
+
+
+@pytest.mark.parametrize("name", HOMOGENEOUS_WINDS)
+def test_family_flow_carries_any_point_to_the_base_point(name):
+    # the oracle's rho_x: the time-1 flow of the family member X with
+    # X(x) = log_x(o). X has constant length, so its integral curve from x
+    # is the h-geodesic to o, and X commutes with the wind, so rho_x is an
+    # F-isometry; the antipode -o (on every factor) and a point 1e-9 from
+    # it are the hardest sources, where log_x(o) has length pi R
+    W = HOMOGENEOUS_WINDS[name]
+    space, nav = W.space, NavigationData(W.space, W)
+    family = constant_length_family(nav)
+    rng = np.random.default_rng(31)
+    o = space.sample(rng, 1)[0]
+    xs = np.vstack([space.sample(rng, 30), -o,
+                    space.h_exp(-o, 1e-9 * random_tangent(space, rng, -o))])
+    ys = space.sample(rng, 20)
+    vs = rng.uniform(0.1, 2.0, (20, 1)) * random_tangent(space, rng, ys)
+    f = nav.finsler_norm(ys, vs)
+    for x in xs:
+        rho = family.match(x, space.h_log(x, o))
+        assert np.linalg.norm(rho.flow(x, 1.0) - o) <= 1e-12
+        # the flows of compact factors are linear maps of the ambient
+        # space, so the differential of rho is rho itself
+        moved = nav.finsler_norm(rho.flow(ys, 1.0), rho.flow(vs, 1.0))
+        np.testing.assert_allclose(moved, f, rtol=1e-14, atol=0)

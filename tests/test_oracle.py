@@ -411,8 +411,6 @@ def _reference_pairs(g, nav, xs, ys):
     _, ti = g.tree.query(space.embed(ys), k=1)
     hop_out = _arc_weights(nav, xs, g.nodes[si])[0]
     hop_in = _arc_weights(nav, g.nodes[ti], ys)[0]
-    hop_out = np.where(space.h_distance(xs, g.nodes[si]) < 1e-14, 0.0, hop_out)
-    hop_in = np.where(space.h_distance(g.nodes[ti], ys) < 1e-14, 0.0, hop_in)
     srcs = np.unique(si)
     D = dijkstra(g.csr, directed=True, indices=srcs)
     row = {int(s): r for r, s in enumerate(srcs)}
@@ -427,6 +425,27 @@ def _reference_pairs(g, nav, xs, ys):
     # the sources a search bounded by the curves alone would visit
     bounded = np.unique(si[curves - hop_out - hop_in + 1e-9 * curves >= 0])
     return est, graph, curves, bounded
+
+
+def _base_point_reference(g, nav, xs, ys):
+    """The query on a compact space with nothing pruned: each pair moved
+    by rho_x, the flow that carries x to node 0, one full Dijkstra from
+    node 0, and the two-arc over all nodes. Returns the estimates, the
+    graph candidates and the best of the other curves."""
+    space, o = nav.space, g.nodes[0]
+    family = constant_length_family(nav)
+    D = dijkstra(g.csr, directed=True, indices=0)
+    graph = np.empty(len(xs))
+    curves = np.empty(len(xs))
+    for i, (x, y) in enumerate(zip(xs, ys)):
+        # a copy, as in the oracle: the flow returns a strided real part, and
+        # numpy's sums can round differently over a strided operand
+        xp, yp = np.array(family.match(x, space.h_log(x, o)).flow(np.stack([x, y]), 1.0))
+        _, t = g.tree.query(space.embed(yp))
+        graph[i] = _arc_weights(nav, xp, o)[0] + D[t] + _arc_weights(nav, g.nodes[t], yp)[0]
+        direct = float(_arc_weights(nav, x, y)[0])
+        curves[i] = min(direct, _all_nodes_two_arc(nav, g.nodes, xp, yp))
+    return np.minimum(graph, curves), graph, curves
 
 
 def _strong_product_nav():
@@ -451,6 +470,11 @@ def _e2_nav():
 def test_landmark_bound_is_below_the_graph_distance(make_nav):
     nav = make_nav()
     g = build_graph(nav, 2000, 32, seed=5)
+    if nav.space.compact:
+        # queries run from node 0 alone, and the one row is its full search
+        assert g.d_land.shape == (1, g.n_nodes)
+        assert np.array_equal(g.d_land, dijkstra(g.csr, directed=True, indices=[0]))
+        return
     # each row is a full search from its landmark, the one node at distance
     # 0; farthest-point sampling starts at node 0 and never repeats a node
     land = np.argmin(g.d_land, axis=1)
@@ -472,7 +496,9 @@ def test_landmark_bound_is_below_the_graph_distance(make_nav):
 def test_bounded_query_matches_unbounded(make_nav, graph_wins, monkeypatch):
     # limiting each Dijkstra to what can still beat the best curve known,
     # and skipping the pairs whose landmark bound already exceeds that,
-    # leaves every estimate unchanged, bit for bit
+    # leaves every estimate unchanged, bit for bit; on a compact space every
+    # pair is moved to node 0, and the build's search from there is the one
+    # a query needs
     nav = make_nav()
     g = build_graph(nav, 2000, 32, seed=5)
     rng = np.random.default_rng(3)
@@ -481,7 +507,10 @@ def test_bounded_query_matches_unbounded(make_nav, graph_wins, monkeypatch):
     # a second pair from the same source, x == y, and x on a net node
     xs = np.vstack([xs, xs[:1], xs[1:2], g.nodes[7:8]])
     ys = np.vstack([ys, ys[2:3], xs[1:2], ys[3:4]])
-    want, graph, curves, bounded = _reference_pairs(g, nav, xs, ys)
+    if nav.space.compact:
+        want, graph, curves = _base_point_reference(g, nav, xs, ys)
+    else:
+        want, graph, curves, bounded = _reference_pairs(g, nav, xs, ys)
     searched = []
 
     def counted(*args, **kwargs):
@@ -493,6 +522,9 @@ def test_bounded_query_matches_unbounded(make_nav, graph_wins, monkeypatch):
     assert np.array_equal(got, want)
     # the graph path wins somewhere only under the strong wind
     assert np.any(graph < curves) == graph_wins
+    if nav.space.compact:
+        assert searched == []
+        return
     # the landmark bound leaves out some sources the budget alone would search
     assert set(searched) <= set(bounded.tolist())
     assert len(searched) < len(bounded)
@@ -667,3 +699,33 @@ def test_ellipse_cap_keeps_the_estimates(share, restricted, monkeypatch):
     assert any(m is not g.csr for m in graphs) == restricted
     for m in graphs:
         assert m.shape == g.csr.shape and m.nnz <= g.csr.nnz
+
+
+def test_compact_spaces_answer_from_the_base_point(monkeypatch):
+    # `compact` picks the route: a space without an R^n factor moves every
+    # pair to node 0 and runs no search; S^3 x R^2 keeps its searches
+    s3, su2, e2 = Sphere(3, 1.0), CompactGroup("SU2", 0.8), Euclidean(2)
+    assert (e2.compact, s3.compact, su2.compact) == (False, True, True)
+    assert Product((s3, su2)).compact and not Product((s3, e2)).compact
+    prod = Product((s3, su2))
+    nav = NavigationData(prod, ProductKilling(prod, (
+        hopf_field(s3, 0.3), GroupKilling(su2, np.array([0.0, 0.4, 0.0, 0.0]), np.zeros(4)))))
+    g = build_graph(nav, 2000, 32, seed=5)
+    assert g.d_land.shape == (1, g.n_nodes)
+    strong = _strong_product_nav()
+    g_strong = build_graph(strong, 2000, 32, seed=5)
+    searched = []
+
+    def counted(*args, **kwargs):
+        searched.append(kwargs["indices"])
+        return dijkstra(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "dijkstra", counted)
+    rng = np.random.default_rng(9)
+    xs, ys = prod.sample(rng, 20), prod.sample(rng, 20)
+    est = oracle_distance_pairs(g, nav, xs, ys)
+    assert searched == []
+    assert np.all(est >= f_distance_batch(nav, xs, ys) - 1e-9)
+    xs, ys = strong.space.sample(rng, 20), strong.space.sample(rng, 20)
+    oracle_distance_pairs(g_strong, strong, xs, ys)
+    assert len(searched) > 0
