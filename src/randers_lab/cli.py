@@ -51,15 +51,31 @@ def _json_arg(s):
         raise argparse.ArgumentTypeError(f"invalid JSON: {e}") from None
 
 
+def _count(s):
+    """A count of at least 1 (an argparse type)."""
+    n = int(s)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
+
+
+def _positive(s):
+    """A float above 0 (an argparse type)."""
+    x = float(s)
+    if not x > 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {s}")
+    return x
+
+
 # arguments that are not verb parameters: the dispatch, the fields
 # ExperimentConfig holds itself, and where output and cache files go
-_NOT_PARAMS = {"command", "func", "space", "wind", "seed", "tol", "format", "out", "cache"}
+_NOT_PARAMS = {"command", "func", "space", "wind", "out", "cache"}
 
 
 def _config(args) -> ExperimentConfig:
     params = {k: v for k, v in vars(args).items() if k not in _NOT_PARAMS}
-    return ExperimentConfig(space=args.space, wind=args.wind,
-                            seed=args.seed, tol=args.tol, fmt=args.format, params=params)
+    return ExperimentConfig(space=getattr(args, "space", None),
+                            wind=getattr(args, "wind", None), params=params)
 
 
 def _nav_from_args(args) -> tuple[NavigationData, ExperimentConfig]:
@@ -262,13 +278,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--version", action="version", version=f"randers-lab {__version__}")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp):
+    def common(sp, seed=False, tol=None, formats=None):
+        """--space, --wind and --out, and of --seed, --tol (default tol) and
+        --format (one of formats) the ones the verb reads."""
         sp.add_argument("--space", type=_json_arg, help="space JSON (inline, @file, or path)")
         sp.add_argument("--wind", type=_json_arg, help="wind field JSON (inline, @file, or path)")
-        sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--tol", type=float, default=1e-6)
         sp.add_argument("--out", help="output directory")
-        sp.add_argument("--format", choices=["json", "csv", "svg"], default="json")
+        if seed:
+            sp.add_argument("--seed", type=int, default=0)
+        if tol is not None:
+            sp.add_argument("--tol", type=_positive, default=tol)
+        if formats is not None:
+            sp.add_argument("--format", choices=formats, default="json")
 
     sp = sub.add_parser("convert", help="navigation data -> defining form at a point")
     common(sp)
@@ -288,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_distance)
 
     sp = sub.add_parser("geodesic", help="trace an F-geodesic")
-    common(sp)
+    common(sp, formats=["json", "csv", "svg"])
     sp.add_argument("--x", type=_json_arg, required=True)
     sp.add_argument("--direction", type=_json_arg, required=True)
     sp.add_argument("--T", type=float, default=1.0)
@@ -305,21 +326,21 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_flow)
 
     sp = sub.add_parser("cw-check", help="displacement-constancy check of a flow")
-    common(sp)
+    common(sp, seed=True, tol=1e-4, formats=["json", "svg"])  # relative spread verdict
     sp.add_argument("--field", type=_json_arg,
                     help="full field to flow (default: family member + wind)")
     sp.add_argument("--t", type=float, default=0.1)
-    sp.add_argument("--samples", type=int, default=100)
-    sp.set_defaults(func=cmd_cw_check, tol=1e-4)  # relative spread verdict
+    sp.add_argument("--samples", type=_count, default=100)
+    sp.set_defaults(func=cmd_cw_check)
 
     sp = sub.add_parser("exhaust", help="direction exhaustion check")
-    common(sp)
+    common(sp, seed=True, tol=1e-6)
     sp.add_argument("--point", type=_json_arg)
-    sp.add_argument("--directions", type=int, default=50)
+    sp.add_argument("--directions", type=_count, default=50)
     sp.set_defaults(func=cmd_exhaust)
 
     sp = sub.add_parser("connect", help="CW-connect two points")
-    common(sp)
+    common(sp, tol=1e-6)
     sp.add_argument("--x0", type=_json_arg, required=True)
     sp.add_argument("--x1", type=_json_arg, required=True)
     sp.set_defaults(func=cmd_connect)
@@ -328,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     oracle_sub = sp.add_subparsers(dest="oracle_cmd", required=True)
     for name in ("build", "query"):
         osp = oracle_sub.add_parser(name)
-        common(osp)
+        common(osp, seed=True)
         osp.add_argument("--nodes", type=int, default=10000)
         osp.add_argument("--k", type=int, default=64)
         osp.add_argument("--cache", help="cache directory (default: $RANDERS_LAB_CACHE)")
@@ -338,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
         osp.set_defaults(func=cmd_oracle)
 
     sp = sub.add_parser("selftest", help="run the acceptance criteria")
-    common(sp)
+    sp.add_argument("--out", help="output directory")
     sp.add_argument("--criteria", help="comma-separated subset, e.g. 1,2,5")
     sp.add_argument("--cache", help="oracle cache directory")
     sp.set_defaults(func=cmd_selftest)

@@ -17,23 +17,13 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """What a verb ran: the space, the wind, and the verb's own arguments
-    in `params`; output locations are not part of it."""
+    """What a verb ran: the space, the wind, and the arguments the verb
+    reads in `params` (seed, tol and format among them where it reads
+    them); output locations are not part of it."""
 
     space: dict | None = None
     wind: object = None  # field spec dict, list of per-factor specs, or None
-    seed: int = 0
-    tol: float = 1e-6
-    fmt: str = "json"
     params: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.seed is None:
-            raise ConfigError("seed is mandatory")
-        if self.tol <= 0:
-            raise ConfigError("tolerances must be positive")
-        if self.fmt not in ("json", "csv", "svg"):
-            raise ConfigError(f"unknown format {self.fmt!r}")
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True, separators=(",", ":"))

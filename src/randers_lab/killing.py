@@ -457,6 +457,9 @@ def killing_from_config(space, cfg) -> KillingField:
         entries = cfg if isinstance(cfg, list) else [cfg]
         for entry in entries:
             i = int(entry.get("factor", 0))
+            if not 0 <= i < len(parts):
+                raise ValueError(f"factor {i} out of range: this product has factors "
+                                 f"0-{len(parts) - 1}")
             parts[i] = killing_from_config(space.factors[i], entry)
         return ProductKilling(space, tuple(parts))
     t = cfg.get("type")

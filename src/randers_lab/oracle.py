@@ -37,18 +37,18 @@ cache is an uncompressed `.npz`; older compressed ones still load, and a
 file that cannot be read is a miss: the graph is rebuilt and the file
 replaced.
 
-Queries first take the best of the direct arc and of curves through
-net nodes: the 2-arc x -> z -> y with z the best single intermediate
-node, and the path that refines both of its legs through a further node
-each. Those candidates are again lengths of actual curves, so the
-no-undercut guarantee survives while the dilation error drops by roughly
-an order of magnitude. On a compact space (no R^n factor) an F-isometry
-first carries each pair to a pair whose source is node 0, and node 0's
-row of d_land gives every graph path (`_from_base_point`). On a
-space with an R^n factor the graph search stops at the best curve
-already known: each pair's Dijkstra runs only as far as a graph path
-could still beat its estimate, which leaves every estimate exactly what
-an unbounded search gives.
+Queries run one pipeline on every space. On a compact space (no R^n
+factor) a pre-step first carries each pair by an F-isometry to a pair
+whose source is node 0 (`_to_base_point`). Each query then takes the
+best of the direct arc and of curves through net nodes: the 2-arc
+x -> z -> y with z the best single intermediate node, and the path that
+refines both of its legs through a further node each. Those candidates
+are again lengths of actual curves, so the no-undercut guarantee
+survives while the dilation error drops by roughly an order of
+magnitude. The graph path from a snapped source that is a landmark is
+that landmark's row of d_land, so no search runs on a compact space;
+from any other source the search stops at the best curve already known,
+which leaves every estimate exactly what an unbounded search gives.
 
 Two certified lower bounds confine both phases to the nodes that can
 still matter, and leave every estimate bit for bit what the search over
@@ -60,9 +60,9 @@ all nodes gives:
 * the landmark (ALT) bound of Goldberg & Harrelson (SODA 2005): by the
   directed triangle inequality, d_G(s, t) >= d_G(l, t) - d_G(l, s) for
   every landmark l. A pair whose bound exceeds its budget runs no search;
-  the others search only the rows of the nodes v whose bounds
-  d_G(s, v) + d_G(v, t) fit the budget, as every path within the budget
-  runs through such nodes alone.
+  the others from a source that is no landmark search only the rows of
+  the nodes v whose bounds d_G(s, v) + d_G(v, t) fit the budget, as
+  every path within the budget runs through such nodes alone.
 
 Error hints are C_HINT * eps with eps the largest nearest-neighbor gap;
 convergence runs on S^3 at n = 2e4, k = 256 showed worst-case relative
@@ -90,10 +90,6 @@ from .randers import NavigationData
 C_HINT = 4.0
 _CACHE_VERSION = 7
 _N_LANDMARKS = 8
-# a pair's search keeps only the rows of the nodes in its landmark ellipse,
-# unless they are more than this share of all nodes: then copying the rows
-# costs more memory than it saves search, and the whole graph is searched
-_ELLIPSE_SHARE = 0.25
 # pairs per block of the build's pairwise geometry (re-rank, edge weights),
 # to bound peak memory at acceptance-scale edge counts
 _CHUNK = 1_000_000
@@ -187,15 +183,21 @@ def _rows_of(csr, keep) -> csr_matrix:
     return csr_matrix((csr.data[take], csr.indices[take], indptr), shape=csr.shape)
 
 
+def _chords(emb, p):
+    """Chord lengths from the embedded point p to every row of emb."""
+    d = emb - p
+    return np.sqrt(np.einsum("ij,ij->i", d, d))
+
+
 def _landmarks(emb, m):
     """m node indices by farthest-point sampling over the embedding,
     starting at node 0: each next landmark is the node farthest in chord
     from those already picked."""
     picks = [0]
-    gap = np.linalg.norm(emb - emb[0], axis=1)
+    gap = _chords(emb, emb[0])
     for _ in range(m - 1):
         picks.append(int(np.argmax(gap)))
-        np.minimum(gap, np.linalg.norm(emb - emb[picks[-1]], axis=1), out=gap)
+        np.minimum(gap, _chords(emb, emb[picks[-1]]), out=gap)
     return np.array(picks)
 
 
@@ -299,7 +301,7 @@ def build_graph(nav: NavigationData, n_nodes: int, k: int, seed: int,
     if n_comp > 1:
         raise GraphDisconnected(f"{n_comp} strong components at k={k}; use a larger k")
     # strongly connected, so every landmark distance is finite; a compact
-    # space answers every query from node 0 (`_from_base_point`)
+    # space carries every query to one from node 0 (`_to_base_point`)
     m = 1 if space.compact else _N_LANDMARKS
     d_land = dijkstra(csr, directed=True, indices=_landmarks(space.embed(nodes), m))
     g = NetGraph(nav_config=cfg, n_nodes=n_nodes, k=k, seed=seed, nodes=nodes, rows=rows,
@@ -336,12 +338,6 @@ def _load(path: Path) -> NetGraph:
 def _check_nav(g: NetGraph, nav: NavigationData) -> None:
     if json.dumps(g.nav_config, sort_keys=True) != json.dumps(nav.to_config(), sort_keys=True):
         raise GraphMismatch("graph was built for different navigation data")
-
-
-def _chords(emb, p):
-    """Chord lengths from the embedded point p to every row of emb."""
-    d = emb - p
-    return np.sqrt(np.einsum("ij,ij->i", d, d))
 
 
 def _best_two_arc(nav, g: NetGraph, x, y) -> float:
@@ -396,24 +392,18 @@ def _best_two_arc(nav, g: NetGraph, x, y) -> float:
     return min(float(tot[j]), via_x + via_y)
 
 
-def _from_base_point(g: NetGraph, nav: NavigationData, xs, ys, direct) -> np.ndarray:
-    """Estimates on a compact space, each pair (x, y) answered as the pair
-    (rho(x), rho(y)) = (x', y') with x' at o = node 0. rho is the time-1
-    flow of the X in `constant_length_family` with X(x) = log_x(o): an
-    F-isometry, as X commutes with the wind, whose orbits are h-geodesics,
-    as X has constant length. The estimate is the least of the direct arc,
-    the curves through net nodes from x' to y', and x' -> o -> t' -> y'
-    through d_land[0], t' the node nearest y': all actual curves' lengths.
-    """
-    space, o = nav.space, g.nodes[0]
+def _to_base_point(nav: NavigationData, g: NetGraph, xs, ys):
+    """The pairs (rho(x), rho(y)) = (x', y'), x' at o = node 0: rho is the
+    time-1 flow of the X in `constant_length_family` with X(x) = log_x(o),
+    an F-isometry, as X commutes with the wind, whose orbits are
+    h-geodesics, as X has constant length. Every curve keeps its length,
+    so the query (x', y') answers (x, y)."""
+    o = g.nodes[0]
     family = constant_length_family(nav)
     moved = np.array([family.match(x, v).flow(np.stack([x, y]), 1.0)
-                      for x, y, v in zip(xs, ys, space.h_log(xs, o))])
+                      for x, y, v in zip(xs, ys, nav.space.h_log(xs, o))])
     xp, yp = moved.reshape(len(xs), 2, xs.shape[1]).transpose(1, 0, 2)
-    _, ti = g.tree.query(space.embed(yp), k=1)
-    graph = _arc_weights(nav, xp, o)[0] + g.d_land[0, ti] + _arc_weights(nav, g.nodes[ti], yp)[0]
-    curves = [_best_two_arc(nav, g, x, y) for x, y in zip(xp, yp)]
-    return np.minimum(np.minimum(direct, curves), graph)
+    return xp, yp
 
 
 def oracle_distance(g: NetGraph, nav: NavigationData, x, y):
@@ -431,17 +421,17 @@ def oracle_distance_pairs(g: NetGraph, nav: NavigationData, xs, ys) -> np.ndarra
     """Vectorized oracle estimates for row-aligned point arrays.
 
     Each estimate is the shortest of the direct arc, the curves through
-    net nodes (`_best_two_arc`) and the snap hops plus the graph path.
-    On a compact space no search runs (`_from_base_point`). Elsewhere a
-    graph path can only win when it is no longer than the
-    best of the others less the hops. A pair whose budget is negative, or
-    below the landmark bound on its graph distance, is left out of the
-    search. Each pair left runs one Dijkstra limited to its budget, over
-    the rows of the nodes in its landmark ellipse (`NetGraph.ellipse`):
-    every graph path within the budget keeps all its arcs there. When the
-    ellipse holds more than `_ELLIPSE_SHARE` of the nodes, the whole graph
-    is searched instead. The estimates equal those of unbounded searches
-    over all nodes bit for bit.
+    net nodes (`_best_two_arc`) and the snap hops plus the graph path. On
+    a compact space every pair is first carried to one from node 0
+    (`_to_base_point`). A graph path can only win when it is no longer
+    than the best of the others less the hops. A pair whose budget is
+    negative, or below the landmark bound on its graph distance, is left
+    out of the search. A pair left whose snapped source is a landmark, as
+    node 0 is, reads that landmark's row of d_land; every other one runs
+    one Dijkstra limited to its budget, over the rows of the nodes in its
+    landmark ellipse (`NetGraph.ellipse`): every graph path within the
+    budget keeps all its arcs there. The estimates equal those of
+    unbounded searches over all nodes bit for bit.
     """
     _check_nav(g, nav)
     space = nav.space
@@ -451,7 +441,7 @@ def oracle_distance_pairs(g: NetGraph, nav: NavigationData, xs, ys) -> np.ndarra
         raise ValueError(f"xs has {len(xs)} rows but ys has {len(ys)}; pairs are row-aligned")
     direct = _arc_weights(nav, xs, ys)[0]
     if space.compact:
-        return _from_base_point(g, nav, xs, ys, direct)
+        xs, ys = _to_base_point(nav, g, xs, ys)
     _, si = g.tree.query(space.embed(xs), k=1)
     _, ti = g.tree.query(space.embed(ys), k=1)
 
@@ -469,8 +459,12 @@ def oracle_distance_pairs(g: NetGraph, nav: NavigationData, xs, ys) -> np.ndarra
     live = (budget >= 0) & (g.lower_bound(si, ti) <= budget)
     est = best.copy()
     for i in np.flatnonzero(live):
-        ellipse = g.ellipse(si[i], ti[i], budget[i])
-        csr = g.csr if len(ellipse) > _ELLIPSE_SHARE * g.n_nodes else _rows_of(g.csr, ellipse)
-        D = dijkstra(csr, directed=True, indices=si[i], limit=budget[i])
+        # a node is landmark l exactly when its distance from l is 0
+        land = np.flatnonzero(g.d_land[:, si[i]] == 0)
+        if len(land):
+            D = g.d_land[land[0]]
+        else:
+            csr = _rows_of(g.csr, g.ellipse(si[i], ti[i], budget[i]))
+            D = dijkstra(csr, directed=True, indices=si[i], limit=budget[i])
         est[i] = min(hop_out[i] + D[ti[i]] + hop_in[i], best[i])
     return est

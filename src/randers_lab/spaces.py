@@ -38,6 +38,11 @@ def _dot(u, v):
     return np.einsum("...i,...i->...", u, v)
 
 
+def _check_finite(x) -> None:
+    if not np.all(np.isfinite(x)):
+        raise SpaceError("point has non-finite coordinates")
+
+
 def _norm(v):
     """np.linalg.norm(v, axis=-1), bit for bit, at a third of its cost on
     the few coordinates of these spaces. Under 8 entries numpy adds the
@@ -82,6 +87,7 @@ class Euclidean:
         x = np.asarray(x)
         if x.shape[-1] != self.n:
             raise SpaceError(f"expected ambient dim {self.n}, got {x.shape[-1]}")
+        _check_finite(x)
 
     def h_inner(self, x, u, v):
         return _dot(u, v)
@@ -143,6 +149,7 @@ class Sphere:
         x = np.asarray(x)
         if x.shape[-1] != self.ambient_dim:
             raise SpaceError(f"expected ambient dim {self.ambient_dim}, got {x.shape[-1]}")
+        _check_finite(x)
         err = np.max(np.abs(np.linalg.norm(x, axis=-1) - self.radius))
         if err > 1e-12:
             raise SpaceError(f"point off the sphere by {err:.3e}")
@@ -281,6 +288,7 @@ class CompactGroup:
         x = np.asarray(x)
         if x.shape[-1] != 4:
             raise SpaceError("SU2 points are quaternions of shape (..., 4)")
+        _check_finite(x)
         err = np.max(np.abs(np.linalg.norm(x, axis=-1) - 1.0))
         if err > 1e-12:
             raise SpaceError(f"quaternion norm off by {err:.3e}")

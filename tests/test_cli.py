@@ -334,3 +334,83 @@ def test_anti_hopf_wind_passes_every_verb(capsys, verb, args):
         assert result["worst_residual"] < 1e-6
     if verb == "connect":
         assert result["residual"] < 1e-9
+
+
+SU2 = '{"kind": "group", "name": "SU2", "scale": 1.0}'
+
+
+@pytest.mark.parametrize("space, x, y", [
+    (S3, "[NaN,0,0,0]", "[1,0,0,0]"),
+    (S3, "[1,0,0,0]", "[Infinity,0,0,0]"),
+    (E2, "[0,NaN]", "[1,0]"),
+    (SU2, "[1,0,0,-Infinity]", "[1,0,0,0]"),
+], ids=["S3-nan", "S3-inf", "E2-nan", "SU2-inf"])
+def test_non_finite_point_exits_two(capsys, space, x, y):
+    # NaN compares False with every tolerance, so it is refused on its own
+    rc = main(["distance", "--space", space, "--x", x, "--y", y])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: point has non-finite coordinates\n"
+
+
+@pytest.mark.parametrize("factor", [5, -1])
+def test_product_factor_out_of_range_exits_two(capsys, factor):
+    space = json.dumps({"kind": "product", "factors": [json.loads(S3), json.loads(E2)]})
+    wind = json.dumps([{**json.loads(HOPF), "factor": factor}])
+    rc = main(["distance", "--space", space, "--wind", wind,
+               "--x", "[1,0,0,0,0,0]", "--y", "[0,1,0,0,0,0]"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err == f"error: factor {factor} out of range: this product has factors 0-1\n"
+
+
+# every shared option a verb does not read, and a format cw-check never writes
+DEAD_OPTIONS = [
+    *[(verb, opt) for verb in ("convert", "norm", "distance", "flow")
+      for opt in (["--seed", "1"], ["--tol", "1e-3"], ["--format", "json"])],
+    ("geodesic", ["--seed", "1"]), ("geodesic", ["--tol", "1e-3"]),
+    ("exhaust", ["--format", "json"]),
+    ("connect", ["--seed", "1"]), ("connect", ["--format", "json"]),
+    *[(verb, opt) for verb in ("oracle build", "oracle query")
+      for opt in (["--tol", "1e-3"], ["--format", "json"])],
+    *[("selftest", opt) for opt in (["--space", E2], ["--wind", WIND], ["--seed", "1"],
+                                    ["--tol", "1e-3"], ["--format", "json"])],
+    ("cw-check", ["--format", "csv"]),
+]
+
+
+# each verb's required arguments, so that parsing reaches the options
+REQUIRED = {"convert": ["--point", "[0,0]"], "norm": ["--point", "[0,0]", "--vector", "[1,0]"],
+            "distance": ["--x", "[0,0]", "--y", "[1,0]"], "flow": ["--point", "[0,0]"],
+            "geodesic": ["--x", "[0,0]", "--direction", "[1,0]"],
+            "connect": ["--x0", "[0,0]", "--x1", "[1,0]"],
+            "oracle query": ["--x", "[0,0]", "--y", "[1,0]"]}
+
+
+@pytest.mark.parametrize("verb, option", DEAD_OPTIONS,
+                         ids=[f"{v}{o[0]}" for v, o in DEAD_OPTIONS])
+def test_verb_refuses_options_it_does_not_read(capsys, verb, option):
+    with pytest.raises(SystemExit) as exc:
+        main(verb.split() + REQUIRED.get(verb, []) + option)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"unrecognized arguments: {option[0]}" in err or "invalid choice: 'csv'" in err
+
+
+def test_config_holds_only_options_the_verb_reads(capsys):
+    _, cfg = _config_of(capsys, ["distance", "--space", E2, "--wind", WIND,
+                                 "--x", "[0,0]", "--y", "[1,0]"])
+    assert set(cfg) == {"space", "wind", "params"}
+    assert set(cfg["params"]) == {"x", "y"}
+    _, cfg = _config_of(capsys, ["cw-check", "--space", S3, "--wind", HOPF, "--samples", "10"])
+    assert {k: cfg["params"][k] for k in ("seed", "tol", "format")} == {
+        "seed": 0, "tol": 1e-4, "format": "json"}
+
+
+@pytest.mark.parametrize("verb, option", [("cw-check", "--samples"),
+                                          ("exhaust", "--directions"),
+                                          ("cw-check", "--tol")])
+def test_counts_and_tolerances_are_checked_at_parse_time(capsys, verb, option):
+    with pytest.raises(SystemExit) as exc:
+        main([verb, "--space", S3, "--wind", HOPF, option, "0"])
+    assert exc.value.code == 2
+    assert f"argument {option}: must be " in capsys.readouterr().err

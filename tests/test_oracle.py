@@ -675,10 +675,8 @@ def test_winning_paths_lie_in_their_ellipse():
         assert len(inside) < g.n_nodes
 
 
-@pytest.mark.parametrize("share, restricted", [(0.0, False), (oracle._ELLIPSE_SHARE, True)],
-                         ids=["whole-graph", "ellipse"])
-def test_ellipse_cap_keeps_the_estimates(share, restricted, monkeypatch):
-    # at a cap of 0 every search runs on g.csr itself; either way the
+def test_ellipse_searches_keep_the_estimates(monkeypatch):
+    # every search runs on the rows of its pair's ellipse alone, and the
     # estimates are those of the unbounded searches, bit for bit
     nav = _strong_product_nav()
     g = build_graph(nav, 2000, 32, seed=5)
@@ -692,13 +690,35 @@ def test_ellipse_cap_keeps_the_estimates(share, restricted, monkeypatch):
         graphs.append(csr)
         return dijkstra(csr, **kwargs)
 
-    monkeypatch.setattr(oracle, "_ELLIPSE_SHARE", share)
     monkeypatch.setattr(oracle, "dijkstra", counted)
     assert np.array_equal(oracle_distance_pairs(g, nav, xs, ys), want)
     assert graphs
-    assert any(m is not g.csr for m in graphs) == restricted
     for m in graphs:
-        assert m.shape == g.csr.shape and m.nnz <= g.csr.nnz
+        assert m is not g.csr
+        assert m.shape == g.csr.shape and m.nnz < g.csr.nnz
+
+
+def test_landmark_sources_read_their_rows(monkeypatch):
+    # a search from a landmark is its row of d_land: pairs whose snapped
+    # source is a landmark run no search and keep the unbounded estimates
+    nav = _strong_product_nav()
+    g = build_graph(nav, 2000, 32, seed=5)
+    land = np.argmin(g.d_land, axis=1)
+    rng = np.random.default_rng(4)
+    xs = np.repeat(g.nodes[land], 12, axis=0)
+    ys = nav.space.sample(rng, len(xs))
+    want, graph, curves, _ = _reference_pairs(g, nav, xs, ys)
+    searched = []
+
+    def counted(*args, **kwargs):
+        searched.append(kwargs["indices"])
+        return dijkstra(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "dijkstra", counted)
+    assert np.array_equal(oracle_distance_pairs(g, nav, xs, ys), want)
+    # the graph path wins somewhere, so some pair is live
+    assert np.any(graph < curves)
+    assert searched == []
 
 
 def test_compact_spaces_answer_from_the_base_point(monkeypatch):
