@@ -233,7 +233,7 @@ def cmd_oracle(args) -> int:
     g = build_graph(nav, args.nodes, args.k, seed=args.seed, cache_dir=args.cache)
     if args.oracle_cmd == "build":
         result = {"graph_hash": g.graph_hash, "eps": g.eps,
-                  "n_nodes": g.n_nodes, "k": g.k, "n_edges": 2 * len(g.rows)}
+                  "n_nodes": g.n_nodes, "k": g.k, "n_edges": g.csr.nnz}
         _emit(args, "oracle-build", result, cfg)
         return 0
     est, hint = oracle_distance(g, nav, x, y)
@@ -313,8 +313,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--x", type=_json_arg, required=True)
     sp.add_argument("--direction", type=_json_arg, required=True)
     sp.add_argument("--T", type=float, default=1.0)
-    sp.add_argument("--step", type=float, default=1e-3, help="ODE step")
-    sp.add_argument("--steps", type=int, default=200, help="flow-curve samples")
+    sp.add_argument("--step", type=_positive, default=1e-3, help="ODE step")
+    sp.add_argument("--steps", type=_count, default=200, help="flow-curve samples")
     sp.add_argument("--method", choices=["flow", "ode"], default="flow")
     sp.set_defaults(func=cmd_geodesic)
 

@@ -161,7 +161,9 @@ class SphereKilling(KillingField):
         lam, Z = self._eig
         c = x @ Z.conj()
         e = np.exp(np.multiply.outer(t, lam)) if np.ndim(t) else np.exp(t * lam)
-        return np.real((c * e) @ Z.T)
+        # contiguous: numpy's sums over a strided real part can round
+        # differently from those over a copy of the same values
+        return np.ascontiguousarray(np.real((c * e) @ Z.T))
 
     def length_range(self):
         # R times the extreme singular values of A, |eigenvalues| as A is normal

@@ -21,21 +21,43 @@ length to be constant, on every factor of a product: `build_graph` asks
 `killing.constant_length_family`, the one test of a supported wind, and
 so refuses exactly the winds the verifiers refuse, with `UnsupportedWind`.
 
+The net is an orbit net: the orbit of nb = ceil(n / |G|) sampled base
+points under a finite group G of orthogonal ambient maps that preserve h
+and commute with the wind, so F-isometries (`_orbit_group`). Node
+g * nb + b is M_g applied to base point b, so the node count rounds up to
+a multiple of |G|. On S^3, for every supported wind, G is the right
+multiplication by the 120 quaternions of the binary icosahedral group
+2I, conjugated by the wind's Schur Q; on SU(2) 2I acts on the side
+opposite a one-sided wind; elsewhere G is trivial and the net is n
+random points. Each M_g permutes the nodes, so kNN(M_g u) = M_g kNN(u)
+and F(M_g u -> M_g v) = F(u -> v): only the nb base rows take a kNN
+query, a dedupe and edge weights.
+
 The net's edges join each node to its k nearest neighbours in h. They
-are stored undirected, one row (r, c) with r < c per edge, with the two
-weights F(r -> c) and F(c -> r); the search graph holds both
-orientations. A kd-tree over `space.embed` finds them: on spaces whose
-h-distance grows with the chord (`chord_ordered`: R^n, spheres, SU(2))
-the chord kNN is the h-kNN as it stands; on products of two or more
-factors it is over-fetched and re-ranked by h-distance, the one place
-the re-rank runs. eps, the largest h-distance from a node to its nearest
-neighbour, comes from that same query. Once the graph is known to be
-strongly connected, the build picks 8 landmark nodes (node 0 alone on a
-compact space) by farthest-point sampling over the embedding, from node
-0, and stores the graph distances from each to every node, d_land. The
-cache is an uncompressed `.npz`; older compressed ones still load, and a
-file that cannot be read is a miss: the graph is rebuilt and the file
-replaced.
+are stored undirected from the base rows, one row (b, h * nb + c) per
+edge with the two weights F(b -> M_h c) and back; the edge's mirror
+c -> (h^-1, b) out of base row c shares the row (with the trivial group
+that is one row (r, c) with r < c). The search graph holds both
+orientations: its base rows are built and then tiled, row g * nb + b
+being base row b with each column h * nb + c moved to mult[g, h] * nb + c
+for the group table mult. A copied weight is the F-length of its own arc
+to about 1e-14 relative, as the nodes M_g b are rounded, so the
+guarantee below holds to that rounding, which the queries' 1e-9 margins
+cover. (An arc between antipodes, which h_log takes along a fixed
+direction, copies to another half great circle between the same nodes.) A kd-tree over `space.embed` of all nodes finds the edges: on
+spaces whose h-distance grows with the chord (`chord_ordered`: R^n,
+spheres, SU(2)) the chord kNN is the h-kNN as it stands; on products of
+two or more factors it is over-fetched and re-ranked by h-distance, the
+one place the re-rank runs. eps, the largest h-distance from a node to
+its nearest neighbour, comes from that same query. Once the graph is
+known to be strongly connected, the build picks 8 landmark nodes (node 0
+alone on a compact space) by farthest-point sampling over the embedding,
+from node 0, and stores the graph distances from each to every node,
+d_land. The cache is an uncompressed `.npz` of the nodes, the base rows'
+edges, mult and d_land (about 1.3 MiB on S^3 and SU(2) at 2e4 nodes,
+k = 256, against 61 MiB for the edges of every row); older compressed
+ones still load, and a file that cannot be read is a miss: the graph is
+rebuilt and the file replaced.
 
 Queries run one pipeline on every space. On a compact space (no R^n
 factor) a pre-step first carries each pair by an F-isometry to a pair
@@ -84,11 +106,12 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components, dijkstra
 from scipy.spatial import cKDTree
 
-from .killing import constant_length_family
+from . import quat
+from .killing import GroupFamily, SphereFamily, constant_length_family
 from .randers import NavigationData
 
 C_HINT = 4.0
-_CACHE_VERSION = 7
+_CACHE_VERSION = 8
 _N_LANDMARKS = 8
 # pairs per block of the build's pairwise geometry (re-rank, edge weights),
 # to bound peak memory at acceptance-scale edge counts
@@ -118,19 +141,21 @@ class NetGraph:
     n_nodes: int
     k: int
     seed: int
-    nodes: np.ndarray
-    rows: np.ndarray  # undirected edges rows[i] < cols[i]
+    nodes: np.ndarray  # node g * nb + b is M_g applied to base node b < nb
+    rows: np.ndarray  # the base rows' edges, from base node rows[i] to node cols[i]
     cols: np.ndarray
     weights_fwd: np.ndarray  # F-length rows[i] -> cols[i]
     weights_rev: np.ndarray  # F-length cols[i] -> rows[i]
     eps: float
     d_land: np.ndarray  # (landmarks, n) graph distances from the landmarks; node 0's first
+    mult: np.ndarray  # (|G|, |G|) group table: M_mult[g, h] = M_g M_h
 
     @cached_property
     def csr(self) -> csr_matrix:
-        """The directed search graph: every edge in both orientations."""
+        """The directed search graph: every edge in both orientations,
+        tiled from the base rows to every orbit."""
         return _search_graph(self.n_nodes, self.rows, self.cols,
-                             self.weights_fwd, self.weights_rev)
+                             self.weights_fwd, self.weights_rev, self.mult)
 
     @cached_property
     def tree(self) -> cKDTree:
@@ -165,10 +190,27 @@ class NetGraph:
         return np.flatnonzero(far <= budget)
 
 
-def _search_graph(n, rows, cols, fwd, rev) -> csr_matrix:
-    return csr_matrix((np.concatenate([fwd, rev]),
-                       (np.concatenate([rows, cols]), np.concatenate([cols, rows]))),
-                      shape=(n, n))
+def _search_graph(n, rows, cols, fwd, rev, mult) -> csr_matrix:
+    """The base rows hold every edge b -> (h, c), from base node b to node
+    h * nb + c, and its mirror c -> (h^-1, b), which M_h^-1 maps the arc
+    back onto (one arc when the two coincide). Row g * nb + b is then base
+    row b with each column h * nb + c moved to mult[g, h] * nb + c: its
+    image under M_g, with the same weights."""
+    size = len(mult)
+    nb = n // size
+    h, c = np.divmod(cols, nb)
+    mirror = np.argmin(mult, axis=1)[h] * nb + rows  # mult[h, h^-1] = 0, the identity
+    two = (c != rows) | (mirror != cols)
+    base = csr_matrix((np.concatenate([fwd, rev[two]]),
+                       (np.concatenate([rows, c[two]]), np.concatenate([cols, mirror[two]]))),
+                      shape=(nb, n))
+    h, c = np.divmod(base.indices, nb)
+    indices = np.take(mult, h, axis=1)  # C-ordered, so ravel() below copies nothing
+    indices *= nb
+    indices += c
+    indptr = base.indptr[:-1] + base.nnz * np.arange(size)[:, None]
+    return csr_matrix((np.tile(base.data, size), indices.ravel(),
+                       np.append(indptr.ravel(), size * base.nnz)), shape=(n, n))
 
 
 def _rows_of(csr, keep) -> csr_matrix:
@@ -201,9 +243,54 @@ def _landmarks(emb, m):
     return np.array(picks)
 
 
-def _knn_edges(space, nodes, k):
-    """Undirected kNN edges under h-distance, one row (r, c) with r < c
-    per edge, and each node's h-distance to its nearest neighbour.
+def _orbit_group(space, family) -> np.ndarray:
+    """The maps M_g, shape (|G|, d, d), of a finite group of orthogonal
+    ambient maps that preserve h and commute with the wind, so that each
+    is an F-isometry; the identity first, exactly, so that the base rows
+    of an orbit net are its base points as sampled.
+
+    On S^3 every supported wind is c * Q J Q^T (`killing._family`), and J
+    is the left multiplication by i in the pairing (w + ix, y + iz) of a
+    quaternion w + xi + yj + zk; so the right multiplications by the
+    binary icosahedral group 2I, conjugated by Q, commute with it. On SU(2)
+    2I acts on the side of the family's members, opposite a one-sided
+    wind. Everywhere else the group is trivial.
+    """
+    d = space.ambient_dim
+    if isinstance(family, SphereFamily) and d == 4:
+        right, Q = True, family.Q
+    elif isinstance(family, GroupFamily):
+        right, Q = family.side == "right", np.eye(d)
+    else:
+        return np.eye(d)[None]
+    p, eye = quat.binary_icosahedral()[:, None], np.eye(d)
+    # row j of each image is that map's image of e_j: e_j p, or p e_j
+    mats = Q @ (quat.qmul(eye, p) if right else quat.qmul(p, eye)).transpose(0, 2, 1) @ Q.T
+    mats[0] = eye
+    return mats
+
+
+def _multiplication_table(mats) -> np.ndarray:
+    """mult[g, h] = the index of M_g M_h among mats: the k at which the
+    trace of M_k^T M_g M_h peaks, at d, as the maps are orthogonal."""
+    size = len(mats)
+    prods = np.matmul(mats[:, None], mats[None]).reshape(size * size, -1)
+    match = np.argmax(prods @ mats.reshape(size, -1).T, axis=1)
+    return match.reshape(size, size).astype(np.int32)
+
+
+def _knn_edges(space, nodes, k, mult):
+    """Undirected kNN edges under h-distance, found from the base rows
+    alone, and each base node's h-distance to its nearest neighbour.
+
+    nodes is an orbit net: node g * nb + b is M_g applied to base node b,
+    nb = len(nodes) // len(mult), and each M_g is an isometry that maps
+    the nodes onto themselves, so kNN(g * nb + b) is M_g kNN(b). An edge
+    b -> (h, c), from base node b to node h * nb + c, has the mirror
+    c -> (h^-1, b), its image under M_h^-1, out of base row c. Both take
+    one key, the lesser of b * n + h * nb + c and c * n + h^-1 * nb + b,
+    and one row (b, h * nb + c) or (c, h^-1 * nb + b) stands for the
+    edge. With the trivial group that is one row (r, c) with r < c.
 
     Where h-distance is a nondecreasing function of the chord
     (`space.chord_ordered`), the chord kNN of the embedding is the h-kNN.
@@ -215,15 +302,16 @@ def _knn_edges(space, nodes, k):
     h-kNN.
     """
     n = len(nodes)
+    nb = n // len(mult)
     emb = space.embed(nodes)
     tree = cKDTree(emb)
     fetch = k if space.chord_ordered else min(n - 1, int(np.ceil(1.5 * k)))
-    chord, jj = tree.query(emb, k=fetch + 1, workers=-1)
+    chord, jj = tree.query(emb[:nb], k=fetch + 1, workers=-1)
     jj = jj[:, 1:]
     if fetch > k:
-        d_true = np.empty((n, fetch))
+        d_true = np.empty((nb, fetch))
         step = max(1, _CHUNK // fetch)
-        for lo in range(0, n, step):
+        for lo in range(0, nb, step):
             sl = slice(lo, lo + step)
             near = nodes[jj[sl]]
             d_true[sl] = space.h_distance(np.broadcast_to(nodes[sl, None], near.shape), near)
@@ -242,15 +330,23 @@ def _knn_edges(space, nodes, k):
             jj[i] = ball[near]
             d_nn[i] = d[near[0]]
     else:
-        d_nn = space.h_distance(nodes, nodes[jj[:, 0]])
-    rows = np.repeat(np.arange(n, dtype=np.int64), k)
-    cols = jj.ravel().astype(np.int64, copy=False)
-    # code each edge as min * n + max, then dedupe (duplicate entries would
-    # be summed by CSR); sorting the codes gives np.unique's result without
+        d_nn = space.h_distance(nodes[:nb], nodes[jj[:, 0]])
+    rows = np.repeat(np.arange(nb, dtype=np.int64), k)
+    cols = jj.ravel()
+    # code each edge by its key, then dedupe (duplicate entries would be
+    # summed by CSR); sorting the codes gives np.unique's result without
     # its hashing
-    enc = np.minimum(rows, cols)
-    enc *= n
-    enc += np.maximum(rows, cols)
+    enc = rows * n
+    enc += cols
+    h, mirror = np.divmod(cols, nb)
+    mirror *= n
+    mirror += rows
+    h = np.argmin(mult, axis=1)[h]  # mult[h, h^-1] = 0, the identity
+    h *= nb
+    mirror += h
+    del h
+    np.minimum(enc, mirror, out=enc)
+    del mirror
     enc.sort()
     keep = np.empty(len(enc), dtype=bool)
     keep[0] = True
@@ -267,7 +363,7 @@ def build_graph(nav: NavigationData, n_nodes: int, k: int, seed: int,
         raise ValueError("need at least 100 nodes for a meaningful net")
     if not 1 <= k < n_nodes:
         raise ValueError(f"k must lie in [1, {n_nodes - 1}] for {n_nodes} nodes, got {k}")
-    constant_length_family(nav)  # refuses an unsupported wind
+    family = constant_length_family(nav)  # refuses an unsupported wind
     cfg = nav.to_config()
     if cache_dir is None:
         cache_dir = os.environ.get("RANDERS_LAB_CACHE")
@@ -284,10 +380,16 @@ def build_graph(nav: NavigationData, n_nodes: int, k: int, seed: int,
                 pass  # an unreadable file is a miss: rebuilt and replaced below
 
     space = nav.space
+    mats = _orbit_group(space, family)
+    mult = _multiplication_table(mats)
     rng = np.random.default_rng(seed)
-    nodes = space.sample(rng, n_nodes)
+    # the orbit net: n_nodes rounded up to a multiple of |G|, node
+    # g * nb + b being M_g applied to base point b
+    base = space.sample(rng, -(-n_nodes // len(mats)))
+    nodes = np.matmul(base, mats.transpose(0, 2, 1)).reshape(-1, space.ambient_dim)
+    n_nodes = len(nodes)
 
-    rows, cols, d_nn = _knn_edges(space, nodes, k)
+    rows, cols, d_nn = _knn_edges(space, nodes, k, mult)
     fwd = np.empty(len(rows))
     rev = np.empty(len(rows))
     for lo in range(0, len(rows), _CHUNK):
@@ -296,7 +398,7 @@ def build_graph(nav: NavigationData, n_nodes: int, k: int, seed: int,
     # eps = max over nodes of the h-distance to the nearest neighbor
     eps = float(np.max(d_nn))
 
-    csr = _search_graph(n_nodes, rows, cols, fwd, rev)
+    csr = _search_graph(n_nodes, rows, cols, fwd, rev, mult)
     n_comp, _ = connected_components(csr, directed=True, connection="strong")
     if n_comp > 1:
         raise GraphDisconnected(f"{n_comp} strong components at k={k}; use a larger k")
@@ -305,7 +407,8 @@ def build_graph(nav: NavigationData, n_nodes: int, k: int, seed: int,
     m = 1 if space.compact else _N_LANDMARKS
     d_land = dijkstra(csr, directed=True, indices=_landmarks(space.embed(nodes), m))
     g = NetGraph(nav_config=cfg, n_nodes=n_nodes, k=k, seed=seed, nodes=nodes, rows=rows,
-                 cols=cols, weights_fwd=fwd, weights_rev=rev, eps=eps, d_land=d_land)
+                 cols=cols, weights_fwd=fwd, weights_rev=rev, eps=eps, d_land=d_land,
+                 mult=mult)
     vars(g)["csr"] = csr  # the queries reuse the matrix the checks built
     if cache_path is not None:
         # write beside the cache file and rename it into place, so a failed
@@ -316,7 +419,7 @@ def build_graph(nav: NavigationData, n_nodes: int, k: int, seed: int,
         try:
             np.savez(
                 tmp, nodes=nodes, rows=rows, cols=cols, weights_fwd=fwd, weights_rev=rev,
-                eps=eps, d_land=d_land,
+                eps=eps, d_land=d_land, mult=mult,
                 meta=json.dumps({"cfg": cfg, "n": n_nodes, "k": k, "seed": seed}))
             os.replace(tmp, cache_path)
         finally:
@@ -332,7 +435,7 @@ def _load(path: Path) -> NetGraph:
                         seed=meta["seed"], nodes=z["nodes"], rows=z["rows"],
                         cols=z["cols"], weights_fwd=z["weights_fwd"],
                         weights_rev=z["weights_rev"], eps=float(z["eps"]),
-                        d_land=z["d_land"])
+                        d_land=z["d_land"], mult=z["mult"])
 
 
 def _check_nav(g: NetGraph, nav: NavigationData) -> None:

@@ -5,6 +5,8 @@ last axis (size 4). Pure imaginary quaternions double as su(2) elements.
 """
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 
@@ -50,3 +52,18 @@ def pure(v3) -> np.ndarray:
     out = np.zeros(v3.shape[:-1] + (4,))
     out[..., 1:] = v3
     return out
+
+
+def binary_icosahedral() -> np.ndarray:
+    """The 120 unit quaternions of the binary icosahedral group 2I, shape
+    (120, 4), the identity first: the 8 units +-1, +-i, +-j, +-k, the 16
+    (+-1 +-i +-j +-k)/2, and the 96 even permutations of
+    (0, +-1, +-phi, +-1/phi)/2, phi the golden ratio."""
+    phi = (1.0 + np.sqrt(5.0)) / 2.0
+    units = np.vstack([np.eye(4), -np.eye(4)])
+    halves = np.array(list(itertools.product((0.5, -0.5), repeat=4)))
+    signed = np.array(list(itertools.product((1.0, -1.0), repeat=3))) * [0.5, phi / 2, 0.5 / phi]
+    golden = np.hstack([np.zeros((8, 1)), signed])
+    even = [p for p in itertools.permutations(range(4))
+            if sum(a > b for a, b in itertools.combinations(p, 2)) % 2 == 0]
+    return np.vstack([units, halves, *(golden[:, p] for p in even)])

@@ -186,9 +186,7 @@ class Sphere:
         deg = (pn < 1e-14) & (R + dr < 0.0)
         if np.any(deg):
             perp = np.array(perp, copy=True)
-            fb = self._fallback_dir(np.broadcast_to(x, perp.shape))
-            w = np.broadcast_to(deg[..., None], perp.shape)
-            perp[w] = fb[w]
+            perp[deg] = self._fallback_dir(np.broadcast_to(x, perp.shape)[deg])
             pn = np.where(deg, _norm(perp), pn)
         # antipodes keep theta = pi, coincident points give theta = 0
         return (R * theta / np.where(pn < 1e-300, 1.0, pn))[..., None] * perp

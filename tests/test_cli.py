@@ -128,6 +128,17 @@ def test_oracle_build_and_query(tmp_path, capsys):
     assert out["result"]["estimate"] == pytest.approx(2 / 3, rel=0.10)
 
 
+def test_oracle_build_reports_the_orbit_net(tmp_path, capsys):
+    # on S^3 the node count rounds up to a multiple of |2I| = 120, and the
+    # edge count is the tiled search graph's, not the base rows'
+    rc = main(["oracle", "build", "--space", S3, "--wind", HOPF, "--nodes", "2000",
+               "--k", "10", "--cache", str(tmp_path)])
+    assert rc == 0
+    built = json.loads(capsys.readouterr().out)["result"]
+    assert built["n_nodes"] == 2040
+    assert built["n_edges"] == 23520
+
+
 def test_truncated_oracle_cache_is_rebuilt(tmp_path, capsys):
     # an unreadable cache file is a miss, not a traceback
     args = ["--space", E2, "--wind", WIND, "--nodes", "2000", "--k", "10",
@@ -408,7 +419,9 @@ def test_config_holds_only_options_the_verb_reads(capsys):
 
 @pytest.mark.parametrize("verb, option", [("cw-check", "--samples"),
                                           ("exhaust", "--directions"),
-                                          ("cw-check", "--tol")])
+                                          ("cw-check", "--tol"),
+                                          ("geodesic", "--step"),
+                                          ("geodesic", "--steps")])
 def test_counts_and_tolerances_are_checked_at_parse_time(capsys, verb, option):
     with pytest.raises(SystemExit) as exc:
         main([verb, "--space", S3, "--wind", HOPF, option, "0"])

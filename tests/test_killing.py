@@ -469,3 +469,24 @@ def test_family_flow_carries_any_point_to_the_base_point(name):
         # space, so the differential of rho is rho itself
         moved = nav.finsler_norm(rho.flow(ys, 1.0), rho.flow(vs, 1.0))
         np.testing.assert_allclose(moved, f, rtol=1e-14, atol=0)
+
+
+def test_sphere_flow_is_contiguous():
+    # the real part of the complex product is copied out: numpy's sums over
+    # a strided view round differently, which moved the oracle's arc weights
+    # from a flowed point by a few 1e-16 on some pairs
+    from randers_lab.oracle import _arc_weights
+
+    s3 = Sphere(3, 1.0)
+    nav = NavigationData(s3, hopf_field(s3, 0.3))
+    family = constant_length_family(nav)
+    rng = np.random.default_rng(3)
+    xs, ys = s3.sample(rng, 100), s3.sample(rng, 100)
+    nodes = s3.sample(rng, 2000)
+    o = nodes[0]
+    for x, y in zip(xs, ys):
+        moved = family.match(x, s3.h_log(x, o)).flow(np.stack([x, y]), 1.0)
+        assert moved.flags.c_contiguous
+        for row, copy in zip(moved, moved.copy()):
+            got, want = _arc_weights(nav, row, nodes), _arc_weights(nav, copy, nodes)
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])

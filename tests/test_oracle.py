@@ -361,7 +361,8 @@ def test_knn_edges_match_brute_force(space, k, chunk, monkeypatch):
     src = np.repeat(np.arange(n), k)
     brute = set(zip(src, nn.ravel())) | set(zip(nn.ravel(), src))
 
-    rows, cols, d_nn = _knn_edges(space, nodes, k)
+    # a net of random nodes is the orbit net of the trivial group
+    rows, cols, d_nn = _knn_edges(space, nodes, k, np.zeros((1, 1), dtype=np.int32))
     assert (rows < cols).all()
     edges = list(zip(rows.tolist(), cols.tolist()))
     assert len(edges) == len(set(edges))
@@ -581,15 +582,17 @@ def test_reverse_weight_matches_the_direct_route(name):
 
 @pytest.mark.parametrize("make_nav, n_edges, eps", [
     (_e2_nav, 22946, 0.38800879236779207),
-    (_s3_hopf_nav, 22914, 0.2655881317850648),
+    (_s3_hopf_nav, 23520, 0.22451305959147969),
 ], ids=["E2", "S3-hopf-0.3"])
 def test_undirected_storage_keeps_the_directed_graph(make_nav, n_edges, eps):
-    # the directed arc count and eps are the values the graph had when every
-    # orientation was stored as its own row, and each forward weight is the
-    # direct route's F(r, log_r(c)) bit for bit
+    # on E^2 the directed arc count and eps are the values the graph had
+    # when every orientation was stored as its own row; on S^3 (the orbit
+    # net of 2I, 17 base rows) every stored edge is tiled to all 120 orbits,
+    # in both orientations. Each forward weight is the direct route's
+    # F(r, log_r(c)) bit for bit
     nav = make_nav()
     g = build_graph(nav, 2000, 10, seed=0)
-    assert 2 * len(g.rows) == g.csr.nnz == n_edges
+    assert 2 * len(g.mult) * len(g.rows) == g.csr.nnz == n_edges
     assert g.eps == eps
     a, b = g.nodes[g.rows], g.nodes[g.cols]
     assert np.array_equal(g.weights_fwd, nav.finsler_norm(a, nav.space.h_log(a, b)))
@@ -749,3 +752,142 @@ def test_compact_spaces_answer_from_the_base_point(monkeypatch):
     xs, ys = strong.space.sample(rng, 20), strong.space.sample(rng, 20)
     oracle_distance_pairs(g_strong, strong, xs, ys)
     assert len(searched) > 0
+
+
+def _orbit_winds():
+    s3, su2 = Sphere(3, 1.0), CompactGroup("SU2", 0.8)
+    return {
+        "S3-hopf": hopf_field(s3, 0.3),
+        "S3-anti-hopf": SphereKilling(s3, ANTI_HOPF),
+        "S3-qjq": SphereKilling(s3, conjugated_hopf(2, -0.4, seed=3)),
+        "SU2-left": GroupKilling(su2, np.array([0.0, 0.4, 0.0, 0.0]), np.zeros(4)),
+        "SU2-right": GroupKilling(su2, np.zeros(4), np.array([0.0, 0.0, 0.3, 0.0])),
+    }
+
+
+ORBIT_WINDS = _orbit_winds()
+
+
+@pytest.fixture(scope="module")
+def orbit_graphs():
+    """480-node orbit nets (4 base rows, k = 8), one per wind."""
+    graphs = {}
+    for name, W in ORBIT_WINDS.items():
+        nav = NavigationData(W.space, W)
+        graphs[name] = nav, build_graph(nav, 400, 8, seed=7)
+    return graphs
+
+
+@pytest.mark.parametrize("name", ORBIT_WINDS)
+def test_orbit_group_closes_and_commutes_with_the_wind(name):
+    # 2I's 120 maps, the identity first: a group under the table, each map
+    # orthogonal and commuting with the wind's linear map A, so each is an
+    # F-isometry
+    W = ORBIT_WINDS[name]
+    mats = oracle._orbit_group(W.space, constant_length_family(NavigationData(W.space, W)))
+    mult = oracle._multiplication_table(mats)
+    eye = np.eye(4)
+    assert mats.shape == (120, 4, 4) and np.array_equal(mats[0], eye)
+    gaps = np.abs(mats[:, None] - mats[None]).max(axis=(2, 3)) + 9.0 * np.eye(120)
+    assert gaps.min() > 0.1  # 120 distinct maps
+    assert np.abs(mats[mult] - np.matmul(mats[:, None], mats[None])).max() <= 1e-14
+    assert (np.sort(mult, axis=1) == np.arange(120)).all()
+    assert np.abs(mats @ mats.transpose(0, 2, 1) - eye).max() <= 1e-14
+    A = W.evaluate(eye).T  # the wind is x -> A x
+    assert np.abs(mats @ A - A @ mats).max() <= 1e-14
+
+
+@pytest.mark.parametrize("name", ORBIT_WINDS)
+def test_orbit_net_edges_are_the_brute_force_knn(name, orbit_graphs):
+    # the tiled graph holds every arc of the h-kNN graph of all 480 nodes
+    # (both orientations), up to ties at the k-th distance within 1e-12
+    nav, g = orbit_graphs[name]
+    n, k = g.n_nodes, g.k
+    assert n == 480 and len(g.mult) == 120 and g.rows.max() < 4
+    i, j = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
+    d = nav.space.h_distance(g.nodes[i.ravel()], g.nodes[j.ravel()]).reshape(n, n)
+    np.fill_diagonal(d, np.inf)
+    d_k = np.sort(d, axis=1)[:, k - 1:k]
+    maybe = d <= d_k + 1e-12
+    # a node without ties at its k-th distance has exactly k sure neighbours
+    sure = (d < d_k - 1e-12) | (maybe & (maybe.sum(axis=1, keepdims=True) == k))
+    got = g.csr.toarray() > 0
+    assert (got == got.T).all()
+    assert not (sure | sure.T)[~got].any()
+    assert not got[~(maybe | maybe.T)].any()
+    assert abs(g.eps - d.min(axis=1).max()) <= 1e-12
+
+
+@pytest.mark.parametrize("name", ORBIT_WINDS)
+def test_tiled_weights_are_the_arc_lengths(name, orbit_graphs):
+    # each copied weight is the F-length of its own arc, to rounding
+    nav, g = orbit_graphs[name]
+    coo = g.csr.tocoo()
+    direct = _arc_weights(nav, g.nodes[coo.row], g.nodes[coo.col])[0]
+    np.testing.assert_allclose(coo.data, direct, rtol=1e-13, atol=0)
+
+
+def test_antipodal_edge_is_one_arc():
+    # at k = n - 1 each base node's kNN holds its antipode M_-1 b, an edge
+    # that is its own mirror: one arc each way, not two arcs summed into
+    # one. h_log joins antipodes along a fixed direction that M_g need not
+    # keep, so a copied antipodal arc is another half great circle between
+    # the same nodes, of F-length at most pi R / (1 - |W|)
+    nav = _s3_hopf_nav()
+    g = build_graph(nav, 240, 239, seed=7)
+    assert g.n_nodes == 240 and g.csr.nnz == 240 * 239
+    coo = g.csr.tocoo()
+    anti = nav.space.h_distance(g.nodes[coo.row], g.nodes[coo.col]) > np.pi - 1e-6
+    assert anti.sum() == 240
+    direct = _arc_weights(nav, g.nodes[coo.row], g.nodes[coo.col])[0]
+    np.testing.assert_allclose(coo.data[~anti], direct[~anti], rtol=1e-13, atol=0)
+    assert np.all(coo.data[anti] <= np.pi / (1 - 0.3))
+
+
+@pytest.mark.parametrize("name", ORBIT_WINDS)
+def test_orbit_net_cache_round_trips(name, tmp_path):
+    W = ORBIT_WINDS[name]
+    nav = NavigationData(W.space, W)
+    g = build_graph(nav, 400, 8, seed=7, cache_dir=tmp_path)
+    (path,) = tmp_path.iterdir()
+    loaded = build_graph(nav, 400, 8, seed=7, cache_dir=tmp_path)
+    assert "csr" not in vars(loaded)  # read from the file, tiled anew
+    assert loaded.graph_hash == g.graph_hash
+    assert (loaded.csr != g.csr).nnz == 0
+    assert np.array_equal(loaded.d_land, g.d_land)
+    assert _load(path).n_nodes == 480
+
+
+def test_orbit_net_cache_is_small(tmp_path):
+    # the file holds the base rows' edges: the criterion-6 scale S^3 graph
+    # is 2.6 million edges, and its file stays under 2 MiB
+    g = build_graph(_s3_hopf_nav(), 20_000, 256, seed=61, cache_dir=tmp_path)
+    (path,) = tmp_path.iterdir()
+    assert g.n_nodes == 20_040 and g.csr.nnz > 5_000_000
+    assert path.stat().st_size < 2 * 2**20
+
+
+def _product_nav(factor, wind):
+    """S^3 (Hopf wind 0.3) times factor with wind."""
+    s3 = Sphere(3, 1.0)
+    prod = Product((s3, factor))
+    return NavigationData(prod, ProductKilling(prod, (hopf_field(s3, 0.3), wind)))
+
+
+@pytest.mark.parametrize("name, make_nav, n, k, seed, digest", [
+    ("E2", _e2_nav, 10_000, 12, 0,
+     "580eae13694138032f8e6f68546eb38141e5cb7e01c113ab66887cd831c47bbc"),
+    ("S3xR2", lambda: _product_nav(Euclidean(2), EuclideanKilling(Euclidean(2), [0.3, 0.0])),
+     10_000, 128, 61, "ed69b115dedd5879da8f58946446c4d7513d6fb7f579ae6133cb9a0d4c03c334"),
+    ("S5-qjq", lambda: NavigationData(Sphere(5, 1.3), NOETHER_WINDS["qjq-S5"]), 2000, 32, 5,
+     "0e56de28bda37667d7748a3e37ddb465557c18e11e487f4389e197ca9146f8e1"),
+    ("S3xSU2", lambda: _product_nav(CompactGroup("SU2", 0.8), GroupKilling(
+        CompactGroup("SU2", 0.8), np.array([0.0, 0.4, 0.0, 0.0]), np.zeros(4))),
+     2000, 32, 5, "1ba0e654b06d6578315dd874448c81fe92fbe26ae3bf8868a3b866a3ff15a02d"),
+], ids=["E2", "S3xR2", "S5-qjq", "S3xSU2"])
+def test_trivial_group_keeps_the_graph(name, make_nav, n, k, seed, digest):
+    # spaces outside S^3 and SU(2) take the trivial group, and their graphs
+    # are the random nets they were before orbit nets, bit for bit
+    g = build_graph(make_nav(), n, k, seed=seed)
+    assert len(g.mult) == 1 and g.n_nodes == n
+    assert g.graph_hash == digest
