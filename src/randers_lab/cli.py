@@ -86,10 +86,27 @@ def _nav_from_args(args) -> tuple[NavigationData, ExperimentConfig]:
     return NavigationData(space, wind), _config(args)
 
 
+def _flat(value, what: str) -> np.ndarray:
+    """A flat JSON array of numbers as a float array."""
+    if not isinstance(value, list) or not all(
+            isinstance(v, (int, float)) and not isinstance(v, bool) for v in value):
+        raise ConfigError(f"{what} is a flat JSON array of numbers, got {json.dumps(value)}")
+    return np.array(value, dtype=float)
+
+
 def _point(nav: NavigationData, value) -> np.ndarray:
-    x = np.asarray(value, dtype=float)
+    x = _flat(value, "a point")
     nav.space.check_point(x)
     return x
+
+
+def _vector(nav: NavigationData, value) -> np.ndarray:
+    """A tangent vector in ambient coordinates: ambient_dim finite numbers."""
+    v = _flat(value, "a tangent vector")
+    if len(v) != nav.space.ambient_dim or not np.all(np.isfinite(v)):
+        raise ConfigError(f"a tangent vector here is {nav.space.ambient_dim} finite numbers, "
+                          f"got {json.dumps(value)}")
+    return v
 
 
 def _emit(args, name: str, result: dict, cfg: ExperimentConfig) -> None:
@@ -121,7 +138,7 @@ def cmd_convert(args) -> int:
 def cmd_norm(args) -> int:
     nav, cfg = _nav_from_args(args)
     x = _point(nav, args.point)
-    y = np.asarray(args.vector, dtype=float)
+    y = _vector(nav, args.vector)
     df = from_navigation(nav, x)
     result = {
         "F_navigation": float(nav.finsler_norm(x, y)),
@@ -144,7 +161,7 @@ def cmd_distance(args) -> int:
 def cmd_geodesic(args) -> int:
     nav, cfg = _nav_from_args(args)
     x = _point(nav, args.x)
-    y = np.asarray(args.direction, dtype=float)
+    y = _vector(nav, args.direction)
     y = y / nav.finsler_norm(x, y)  # normalize to unit F-speed
     if args.method == "flow":
         curve = f_geodesic_flowcurve(nav, x, y, T=args.T, n_steps=args.steps)

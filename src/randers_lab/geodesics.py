@@ -26,6 +26,10 @@ from .randers import NavigationData, mixed_second_differences
 from .spaces import frame as h_frame
 
 
+# bisection stops at a bracket this wide; pairs this close in h are at distance 0
+_TOL = 1e-10
+
+
 class NoMatchingField(RuntimeError):
     pass
 
@@ -125,10 +129,8 @@ def f_geodesic_ode(nav: NavigationData, x, y, T: float = 1.0,
 
     for _ in range(n_steps):
         B = h_frame(space, p)
-        # chart coordinates at the step start: xi = 0, c = coefficients of v
-        c = np.array([space.h_inner(p, v, f) for f in B])
-        gram = np.array([[space.h_inner(p, f, g) for g in B] for f in B])
-        c = np.linalg.solve(gram, c)
+        # chart coordinates at the step start: xi = 0, c = v in the h-orthonormal frame B
+        c = space.h_inner(p, B, v)
         xi = np.zeros(len(B))
 
         def acc(xi_, c_):
@@ -157,7 +159,7 @@ def f_geodesic_ode(nav: NavigationData, x, y, T: float = 1.0,
 # ---------------------------------------------------------------------------
 
 
-def f_distance_batch(nav: NavigationData, xs, ys, tol: float = 1e-10) -> np.ndarray:
+def f_distance_batch(nav: NavigationData, xs, ys) -> np.ndarray:
     """Vectorized f_distance over row-aligned point arrays."""
     space = nav.space
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
@@ -166,7 +168,7 @@ def f_distance_batch(nav: NavigationData, xs, ys, tol: float = 1e-10) -> np.ndar
     wmax = nav.wind.length_range()[1]
     g0 = np.asarray(space.h_distance(xs, ys), dtype=float)
     out = np.zeros(m)
-    active = g0 > tol
+    active = g0 > _TOL
     if not np.any(active):
         return out
     rows = np.flatnonzero(active)
@@ -190,7 +192,7 @@ def f_distance_batch(nav: NavigationData, xs, ys, tol: float = 1e-10) -> np.ndar
         raise RootNotBracketed(f"g(hi) = {np.max(chk):.3e} > 0; does length_range "
                                "under-report the wind?")
     for _ in range(200):
-        if np.max(hi - lo) < tol:
+        if np.max(hi - lo) < _TOL:
             break
         mid = 0.5 * (lo + hi)
         pos = g_of(mid) > 0.0
@@ -200,7 +202,7 @@ def f_distance_batch(nav: NavigationData, xs, ys, tol: float = 1e-10) -> np.ndar
     return out
 
 
-def f_distance(nav: NavigationData, x, y, tol: float = 1e-10) -> float:
+def f_distance(nav: NavigationData, x, y) -> float:
     """Asymmetric Randers distance d_F(x, y); smallest root of
     d_h(x, phi_{W;-t}(y)) = t."""
-    return float(f_distance_batch(nav, np.asarray(x)[None, :], np.asarray(y)[None, :], tol=tol)[0])
+    return float(f_distance_batch(nav, np.asarray(x)[None, :], np.asarray(y)[None, :])[0])

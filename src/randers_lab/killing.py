@@ -69,26 +69,12 @@ def standard_J(k: int) -> np.ndarray:
 
 
 class KillingField:
-    """Base class; subclasses hold exact per-factor generators."""
-
-    def evaluate(self, x):
-        raise NotImplementedError
-
-    def flow(self, x, t):
-        raise NotImplementedError
-
-    def length_range(self) -> tuple[float, float]:
-        """Exact (min, max) of the field's h-length over the space."""
-        raise NotImplementedError
-
-    def __add__(self, other):
-        raise NotImplementedError
+    """Base class; subclasses hold exact per-factor generators and define
+    evaluate, flow, length_range (the exact (min, max) of the field's
+    h-length over the space), + and scaled."""
 
     def __rmul__(self, c):
         return self.scaled(float(c))
-
-    def scaled(self, c: float):
-        raise NotImplementedError
 
     def __sub__(self, other):
         return self + other.scaled(-1.0)
@@ -109,7 +95,11 @@ class EuclideanKilling(KillingField):
     v: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "v", np.asarray(self.v, dtype=float))
+        v = np.asarray(self.v, dtype=float)
+        if v.shape != (self.space.n,):
+            raise ValueError(f"a translation on E^{self.space.n} is a vector of "
+                             f"{self.space.n} numbers, got shape {v.shape}")
+        object.__setattr__(self, "v", v)
 
     def evaluate(self, x):
         x = np.asarray(x, dtype=float)
@@ -142,6 +132,10 @@ class SphereKilling(KillingField):
 
     def __post_init__(self):
         A = np.asarray(self.A, dtype=float)
+        d = self.space.ambient_dim
+        if A.shape != (d, d):
+            raise ValueError(f"a generator on S^{self.space.dim} is a {d}x{d} matrix, "
+                             f"got shape {A.shape}")
         if np.max(np.abs(A + A.T)) > 1e-12:
             raise ValueError("sphere generator must be skew-symmetric")
         object.__setattr__(self, "A", A)
@@ -160,7 +154,7 @@ class SphereKilling(KillingField):
         t = _as_times(t, x)
         lam, Z = self._eig
         c = x @ Z.conj()
-        e = np.exp(np.multiply.outer(t, lam)) if np.ndim(t) else np.exp(t * lam)
+        e = np.exp(np.multiply.outer(t, lam))
         # contiguous: numpy's sums over a strided real part can round
         # differently from those over a copy of the same values
         return np.ascontiguousarray(np.real((c * e) @ Z.T))
@@ -192,6 +186,9 @@ class GroupKilling(KillingField):
     def __post_init__(self):
         l = np.asarray(self.l, dtype=float)
         r = np.asarray(self.r, dtype=float)
+        if l.shape != (4,) or r.shape != (4,):
+            raise ValueError(f"group generators are quaternions of 4 numbers, got shapes "
+                             f"{l.shape} and {r.shape}")
         if abs(l[0]) > 1e-12 or abs(r[0]) > 1e-12:
             raise ValueError("group generators must be pure imaginary quaternions")
         object.__setattr__(self, "l", l)
@@ -452,18 +449,25 @@ def _family(space, W):
 
 
 def killing_from_config(space, cfg) -> KillingField:
-    """Build a field from a JSON-style spec; products take a list of
-    per-factor specs carrying a "factor" index (missing factors are zero)."""
+    """Build a field from a JSON object such as {"type": "hopf", "c": 0.3};
+    products take one such object or a list of them, each carrying a
+    "factor" index (missing factors are zero)."""
     if isinstance(space, Product):
         parts = [zero_field(f) for f in space.factors]
         entries = cfg if isinstance(cfg, list) else [cfg]
         for entry in entries:
+            if not isinstance(entry, dict):
+                raise ValueError(f'a product field is a JSON object with a "type" and a '
+                                 f'"factor", or a list of them, got {entry!r}')
             i = int(entry.get("factor", 0))
             if not 0 <= i < len(parts):
                 raise ValueError(f"factor {i} out of range: this product has factors "
                                  f"0-{len(parts) - 1}")
             parts[i] = killing_from_config(space.factors[i], entry)
         return ProductKilling(space, tuple(parts))
+    if not isinstance(cfg, dict):
+        raise ValueError(f'a field on {type(space).__name__} is one JSON object with a '
+                         f'"type", got {cfg!r}')
     t = cfg.get("type")
     if t == "zero":
         return zero_field(space)

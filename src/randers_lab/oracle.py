@@ -44,20 +44,20 @@ for the group table mult. A copied weight is the F-length of its own arc
 to about 1e-14 relative, as the nodes M_g b are rounded, so the
 guarantee below holds to that rounding, which the queries' 1e-9 margins
 cover. (An arc between antipodes, which h_log takes along a fixed
-direction, copies to another half great circle between the same nodes.) A kd-tree over `space.embed` of all nodes finds the edges: on
-spaces whose h-distance grows with the chord (`chord_ordered`: R^n,
-spheres, SU(2)) the chord kNN is the h-kNN as it stands; on products of
-two or more factors it is over-fetched and re-ranked by h-distance, the
-one place the re-rank runs. eps, the largest h-distance from a node to
-its nearest neighbour, comes from that same query. Once the graph is
-known to be strongly connected, the build picks 8 landmark nodes (node 0
-alone on a compact space) by farthest-point sampling over the embedding,
-from node 0, and stores the graph distances from each to every node,
-d_land. The cache is an uncompressed `.npz` of the nodes, the base rows'
-edges, mult and d_land (about 1.3 MiB on S^3 and SU(2) at 2e4 nodes,
-k = 256, against 61 MiB for the edges of every row); older compressed
-ones still load, and a file that cannot be read is a miss: the graph is
-rebuilt and the file replaced.
+direction, copies to another half great circle between the same nodes.)
+A kd-tree over `space.embed` of all nodes finds the edges: on spaces
+whose h-distance grows with the chord (`chord_ordered`: R^n, spheres,
+SU(2)) the chord kNN is the h-kNN as it stands; on products of two or
+more factors it is over-fetched and re-ranked by h-distance, the one
+place the re-rank runs. eps, the largest h-distance from a node to its
+nearest neighbour, comes from that same query. The build picks 8
+landmark nodes (node 0 alone on a compact space) by farthest-point
+sampling over the embedding, from node 0, and stores the graph distances
+from each to every node, d_land. Holding each edge both ways, the search
+graph is strongly connected exactly when node 0 reaches every node, or
+GraphDisconnected is raised. The cache is an uncompressed `.npz` of the
+nodes, the base rows' edges, mult and d_land; older compressed ones
+still load, and an unreadable file is a miss, rebuilt and replaced.
 
 Queries run one pipeline on every space. On a compact space (no R^n
 factor) a pre-step first carries each pair by an F-isometry to a pair
@@ -103,7 +103,8 @@ from pathlib import Path
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components, dijkstra
+# connected_components is unused here; perfbench/tracer.py patches it by name
+from scipy.sparse.csgraph import connected_components, dijkstra  # noqa: F401
 from scipy.spatial import cKDTree
 
 from . import quat
@@ -399,17 +400,17 @@ def build_graph(nav: NavigationData, n_nodes: int, k: int, seed: int,
     eps = float(np.max(d_nn))
 
     csr = _search_graph(n_nodes, rows, cols, fwd, rev, mult)
-    n_comp, _ = connected_components(csr, directed=True, connection="strong")
-    if n_comp > 1:
-        raise GraphDisconnected(f"{n_comp} strong components at k={k}; use a larger k")
-    # strongly connected, so every landmark distance is finite; a compact
-    # space carries every query to one from node 0 (`_to_base_point`)
+    # a compact space carries every query to one from node 0 (`_to_base_point`);
+    # csr holds each edge both ways: strongly connected iff node 0 reaches all
     m = 1 if space.compact else _N_LANDMARKS
     d_land = dijkstra(csr, directed=True, indices=_landmarks(space.embed(nodes), m))
+    far = np.count_nonzero(np.isinf(d_land[0]))
+    if far:
+        raise GraphDisconnected(f"{far} nodes unreachable from node 0 at k={k}; use a larger k")
     g = NetGraph(nav_config=cfg, n_nodes=n_nodes, k=k, seed=seed, nodes=nodes, rows=rows,
                  cols=cols, weights_fwd=fwd, weights_rev=rev, eps=eps, d_land=d_land,
                  mult=mult)
-    vars(g)["csr"] = csr  # the queries reuse the matrix the checks built
+    vars(g)["csr"] = csr  # the queries reuse the matrix the landmark search ran on
     if cache_path is not None:
         # write beside the cache file and rename it into place, so a failed
         # write leaves nothing at cache_path (numpy appends .npz if missing);
@@ -505,8 +506,7 @@ def _to_base_point(nav: NavigationData, g: NetGraph, xs, ys):
     family = constant_length_family(nav)
     moved = np.array([family.match(x, v).flow(np.stack([x, y]), 1.0)
                       for x, y, v in zip(xs, ys, nav.space.h_log(xs, o))])
-    xp, yp = moved.reshape(len(xs), 2, xs.shape[1]).transpose(1, 0, 2)
-    return xp, yp
+    return moved.reshape(len(xs), 2, xs.shape[1]).transpose(1, 0, 2)
 
 
 def oracle_distance(g: NetGraph, nav: NavigationData, x, y):

@@ -123,7 +123,7 @@ class DefiningForm:
     def norm_defining(self, space, y):
         """F(y) = sqrt(a_ij y^i y^j) + b_i y^i through the defining form,
         y^i the frame coefficients of the ambient tangent y at x."""
-        c = np.array([space.h_inner(self.x, y, f) for f in self.frame])
+        c = space.h_inner(self.x, self.frame, y)
         return float(np.sqrt(c @ self.a @ c) + self.b @ c)
 
 
@@ -132,7 +132,7 @@ def from_navigation(nav: NavigationData, x) -> DefiningForm:
     x = np.asarray(x, dtype=float)
     B = h_frame(nav.space, x)
     Wamb = nav.wind.evaluate(x)
-    w = np.array([nav.space.h_inner(x, Wamb, f) for f in B])
+    w = nav.space.h_inner(x, B, Wamb)
     a, b = nav_to_defining_matrices(np.eye(len(B)), w)
     return DefiningForm(x=x, frame=B, a=a, b=b)
 
@@ -170,9 +170,9 @@ def mixed_second_differences(n: int, blocks, s: float):
     return np.concatenate([o.reshape(-1, n) for o in offsets]), combine
 
 
-def fundamental_tensor(nav: NavigationData, x, y, step: float = 1e-4) -> np.ndarray:
+def fundamental_tensor(nav: NavigationData, x, y) -> np.ndarray:
     """g_ij(x, y) = Hessian of F^2/2 in y, central differences in the
-    orthonormal frame; step is relative to the h-length of y."""
+    orthonormal frame with a step of 1e-4 times the h-length of y."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     speed = np.sqrt(nav.space.h_inner(x, y, y))
@@ -180,8 +180,8 @@ def fundamental_tensor(nav: NavigationData, x, y, step: float = 1e-4) -> np.ndar
         raise ValueError("fundamental tensor is undefined at y = 0")
     B = h_frame(nav.space, x)
     dim = len(B)
-    c0 = np.array([nav.space.h_inner(x, y, f) for f in B])
-    s = step * speed
+    c0 = nav.space.h_inner(x, B, y)
+    s = 1e-4 * speed
 
     # F^2/2 at the frame-coefficient offsets, evaluated in one batch
     offsets, combine = mixed_second_differences(dim, [(np.arange(dim), np.arange(dim))], s)

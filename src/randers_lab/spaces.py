@@ -488,6 +488,10 @@ def random_tangent(space, rng, x, unit: bool = True) -> np.ndarray:
 
 
 def space_from_config(cfg: dict):
+    """A space from a JSON object such as {"kind": "sphere", "dim": 3}; a
+    product's "factors" is a list of such objects."""
+    if not isinstance(cfg, dict):
+        raise SpaceError(f'a space is a JSON object with a "kind", got {cfg!r}')
     kind = cfg.get("kind")
     if kind == "euclidean":
         return Euclidean(n=int(cfg["n"]), box=float(cfg.get("box", 5.0)))
@@ -496,5 +500,8 @@ def space_from_config(cfg: dict):
     if kind == "group":
         return CompactGroup(name=cfg.get("name", "SU2"), scale=float(cfg.get("scale", 1.0)))
     if kind == "product":
-        return Product(tuple(space_from_config(f) for f in cfg["factors"]))
+        factors = cfg["factors"]
+        if not isinstance(factors, list):
+            raise SpaceError(f'a product\'s "factors" is a list of spaces, got {factors!r}')
+        return Product(tuple(space_from_config(f) for f in factors))
     raise SpaceError(f"unknown space kind {kind!r}")

@@ -427,3 +427,96 @@ def test_counts_and_tolerances_are_checked_at_parse_time(capsys, verb, option):
         main([verb, "--space", S3, "--wind", HOPF, option, "0"])
     assert exc.value.code == 2
     assert f"argument {option}: must be " in capsys.readouterr().err
+
+
+PRODUCT = json.dumps({"kind": "product", "factors": [json.loads(S3), json.loads(E2)]})
+
+
+@pytest.mark.parametrize("args, says", [
+    (["--space", "[1]"], 'a space is a JSON object with a "kind", got [1]'),
+    (["--space", '{"kind": "product", "factors": [1]}'], "a space is a JSON object"),
+    (["--space", S3, "--wind", '"hopf"'], "a field on Sphere is one JSON object"),
+    (["--space", S3, "--wind", f"[{HOPF}]"], "a field on Sphere is one JSON object"),
+    (["--space", PRODUCT, "--wind", "[1]"], 'a product field is a JSON object with a "type"'),
+    (["--space", S3, "--x", "{}"], "a point is a flat JSON array of numbers, got {}"),
+    (["--space", S3, "--x", "[[1,0,0,0]]"], "a point is a flat JSON array of numbers"),
+], ids=["space-list", "factor-number", "wind-string", "wind-list", "product-wind-number",
+        "point-object", "point-nested"])
+def test_json_of_the_wrong_shape_exits_two(capsys, args, says):
+    argv = ["distance", "--x", "[1,0,0,0]", "--y", "[0,1,0,0]"] + args
+    rc = main(argv)
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {says}") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("verb, args", [
+    ("norm", ["--point", "[1,0,0,0]", "--vector", "[0,1,0]"]),
+    ("geodesic", ["--x", "[1,0,0,0]", "--direction", "[0,1,0,0,0]"]),
+    ("geodesic", ["--x", "[1,0,0,0]", "--direction", "[0,NaN,0,0]"]),
+])
+def test_tangent_vectors_need_the_ambient_length(capsys, verb, args):
+    rc = main([verb, "--space", S3, "--wind", HOPF] + args)
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: a tangent vector here is 4 finite numbers")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("space, wind, says", [
+    (S3, '{"type": "sphere-skew", "matrix": [[0, -0.3], [0.3, 0]]}',
+     "a generator on S^3 is a 4x4 matrix, got shape (2, 2)"),
+    (SU2, '{"type": "group-left", "l": [0, 0.3, 0]}',
+     "group generators are quaternions of 4 numbers, got shapes (3,) and (4,)"),
+], ids=["sphere-2x2", "group-3"])
+def test_generators_of_the_wrong_shape_exit_two(capsys, space, wind, says):
+    rc = main(["distance", "--space", space, "--wind", wind,
+               "--x", "[1,0,0,0]", "--y", "[0,1,0,0]"])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {says}\n"
+
+
+def test_off_group_point_exits_two(capsys):
+    rc = main(["distance", "--space", SU2, "--x", "[1,0,0,0.1]", "--y", "[0,1,0,0]"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: quaternion norm off by") and err.count("\n") == 1
+
+
+def test_cw_check_writes_the_displacement_histogram(tmp_path, capsys):
+    rc = main(["cw-check", "--space", S3, "--wind", HOPF, "--samples", "20",
+               "--format", "svg", "--out", str(tmp_path)])
+    assert rc == 0
+    svg = (tmp_path / "cw-displacements.svg").read_text()
+    assert svg.startswith("<svg") and "<rect" in svg
+    assert (tmp_path / "cw-check.json").exists()
+
+
+def test_exhaust_at_a_given_point(capsys):
+    rc = main(["exhaust", "--space", S3, "--wind", HOPF, "--point", "[0,0.6,0.8,0]",
+               "--directions", "10"])
+    assert rc == 0
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert result["base_point"] == [0.0, 0.6, 0.8, 0.0]
+    assert result["passed"] and result["worst_residual"] < 1e-6
+
+
+def test_connect_below_reach_reports_its_best_residual(capsys):
+    # no search meets a tolerance of 1e-300: exit 1 with the residual it got
+    rc = main(["connect", "--space", S3, "--wind", HOPF, "--x0", "[1,0,0,0]",
+               "--x1", "[0,0.6,0.8,0]", "--tol", "1e-300"])
+    assert rc == 1
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert result["failed"] is True
+    assert 0.0 < result["best_residual"] < 1e-9
+
+
+def test_geodesic_ode_follows_the_flow_curve(capsys):
+    args = ["geodesic", "--space", S3, "--wind", HOPF, "--x", "[1,0,0,0]",
+            "--direction", "[0,0.3,0.4,0.5]", "--T", "0.05"]
+    assert main(args + ["--method", "ode", "--step", "0.01"]) == 0
+    ode = json.loads(capsys.readouterr().out)["result"]
+    assert main(args + ["--method", "flow", "--steps", "5"]) == 0
+    flow = json.loads(capsys.readouterr().out)["result"]
+    assert ode["method"] == "ode" and not ode["diverged"] and ode["n_points"] == 6
+    np.testing.assert_allclose(ode["endpoint"], flow["endpoint"], rtol=0, atol=1e-9)

@@ -13,6 +13,7 @@ from randers_lab.killing import (
     commutator,
     constant_length_family,
     hopf_field,
+    killing_from_config,
     standard_J,
     zero_field,
 )
@@ -67,6 +68,29 @@ def test_product_field_componentwise(rng):
 def test_skew_generator_required(s3):
     with pytest.raises(ValueError):
         SphereKilling(s3, np.eye(4))
+
+
+def test_generators_have_the_space_s_shape(s3, su2):
+    with pytest.raises(ValueError, match=r"a generator on S\^3 is a 4x4 matrix, got shape \(2, 2\)"):
+        SphereKilling(s3, 0.3 * standard_J(1))
+    with pytest.raises(ValueError, match=r"on E\^2 is a vector of 2 numbers, got shape \(3,\)"):
+        EuclideanKilling(Euclidean(2), np.array([0.1, 0.0, 0.0]))
+    with pytest.raises(ValueError, match=r"of 4 numbers, got shapes \(4,\) and \(3,\)"):
+        GroupKilling(su2, np.zeros(4), np.array([0.0, 0.3, 0.0]))
+    with pytest.raises(ValueError, match=r"got shapes \(2, 4\) and \(4,\)"):
+        GroupKilling(su2, np.zeros((2, 4)), np.zeros(4))
+
+
+@pytest.mark.parametrize("cfg", [
+    {"type": "group-left", "l": [0.0, 0.3, 0.0, 0.0]},
+    {"type": "group-right", "r": [0.0, 0.0, -0.2, 0.1]},
+    {"type": "group-pair", "l": [0.0, 0.3, 0.0, 0.0], "r": [0.0, 0.0, 0.2, 0.0]},
+], ids=["left", "right", "pair"])
+def test_group_winds_round_trip_through_json(su2, cfg):
+    X = killing_from_config(su2, cfg)
+    assert X.to_config() == cfg
+    Y = killing_from_config(su2, X.to_config())
+    assert np.array_equal(Y.l, X.l) and np.array_equal(Y.r, X.r)
 
 
 # --- residual ---------------------------------------------------------------

@@ -4,7 +4,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.sparse.csgraph import dijkstra
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components, dijkstra
 
 from randers_lab import oracle
 from randers_lab.geodesics import f_distance, f_distance_batch
@@ -268,6 +269,32 @@ def test_disconnected_net_raises_at_the_requested_k(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_disconnected_count_is_the_unreachable_nodes():
+    # the count is the nodes outside node 0's component of the h-kNN graph
+    # of the same 100 nodes, found here by brute force
+    e = Euclidean(2)
+    nav = NavigationData(e, EuclideanKilling(e, np.array([0.2, 0.0])))
+    nodes = e.sample(np.random.default_rng(0), 100)
+    d = e.h_distance(nodes[:, None], nodes[None])
+    np.fill_diagonal(d, np.inf)
+    near = np.argsort(d, axis=1)[:, :2]
+    knn = csr_matrix((np.ones(200), (np.repeat(np.arange(100), 2), near.ravel())), (100, 100))
+    _, label = connected_components(knn, directed=False)
+    far = int(np.count_nonzero(label != label[0]))
+    assert far > 0
+    with pytest.raises(GraphDisconnected, match=f"^{far} nodes unreachable from node 0 at k=2"):
+        build_graph(nav, 100, 2, seed=0)
+
+
+def test_disconnected_orbit_net_raises_at_the_requested_k():
+    # the 240-node S^3 orbit net (2 base rows) falls apart at k = 2 into
+    # 12 strong components, and holds together from k = 3
+    nav = _s3_hopf_nav()
+    with pytest.raises(GraphDisconnected, match="at k=2; use a larger k"):
+        build_graph(nav, 240, 2, seed=7)
+    assert np.isfinite(build_graph(nav, 240, 3, seed=7).d_land).all()
+
+
 def test_interrupted_cache_write_leaves_no_file(tmp_path, monkeypatch):
     e = Euclidean(2)
     nav = NavigationData(e, EuclideanKilling(e, np.array([0.5, 0.0])))
@@ -374,7 +401,7 @@ def test_knn_edges_match_brute_force(space, k, chunk, monkeypatch):
 
 
 def test_build_keeps_its_csr(monkeypatch):
-    # the strong-component check's matrix is reused by the queries
+    # the landmark search's matrix is reused by the queries
     monkeypatch.delenv("RANDERS_LAB_CACHE", raising=False)
     e = Euclidean(2)
     nav = NavigationData(e, EuclideanKilling(e, np.array([0.5, 0.0])))
@@ -891,3 +918,20 @@ def test_trivial_group_keeps_the_graph(name, make_nav, n, k, seed, digest):
     g = build_graph(make_nav(), n, k, seed=seed)
     assert len(g.mult) == 1 and g.n_nodes == n
     assert g.graph_hash == digest
+
+
+@pytest.mark.parametrize("which", ["E2", "S3xR2", "S3-hopf", "S3-anti-hopf", "SU2-right",
+                                   "antipodal"])
+def test_search_graph_pattern_is_symmetric(which, orbit_graphs):
+    # every edge is in the search graph both ways, which makes "node 0
+    # reaches every node" the same as "strongly connected"
+    if which in orbit_graphs:
+        g = orbit_graphs[which][1]
+    else:
+        make_nav, n, k = {"E2": (_e2_nav, 1000, 8), "S3xR2": (_strong_product_nav, 1000, 16),
+                          "antipodal": (_s3_hopf_nav, 240, 239)}[which]
+        g = build_graph(make_nav(), n, k, seed=7)
+    pattern = g.csr.copy()
+    pattern.data[:] = 1.0
+    assert pattern.nnz > 0 and (pattern != pattern.T).nnz == 0
+    assert np.isfinite(g.d_land).all()
