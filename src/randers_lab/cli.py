@@ -32,10 +32,8 @@ from .geodesics import (
     f_geodesic_ode,
 )
 from .killing import constant_length_family, killing_from_config, zero_field
-from .oracle import GraphDisconnected, build_graph, oracle_distance
 from .randers import NavigationData, from_navigation, to_navigation
 from .reports import geodesic_rows, polyline_svg, histogram_svg, render_json, write_csv
-from .selftest import CRITERIA, run_criterion
 from .spaces import SpaceError, space_from_config
 
 
@@ -100,12 +98,17 @@ def _point(nav: NavigationData, value) -> np.ndarray:
     return x
 
 
-def _vector(nav: NavigationData, value) -> np.ndarray:
-    """A tangent vector in ambient coordinates: ambient_dim finite numbers."""
+def _vector(nav: NavigationData, x: np.ndarray, value) -> np.ndarray:
+    """A tangent vector at x in ambient coordinates: ambient_dim finite
+    numbers that the tangent projection at x leaves alone, to 1e-9 of |v|."""
     v = _flat(value, "a tangent vector")
     if len(v) != nav.space.ambient_dim or not np.all(np.isfinite(v)):
         raise ConfigError(f"a tangent vector here is {nav.space.ambient_dim} finite numbers, "
                           f"got {json.dumps(value)}")
+    off = np.linalg.norm(v - nav.space.tangent_project(x, v))
+    if off > 1e-9 * np.linalg.norm(v):
+        raise ConfigError(f"{json.dumps(value)} is not tangent at {json.dumps(x.tolist())}: "
+                          f"it leaves the tangent space by {off:.3g}")
     return v
 
 
@@ -138,7 +141,7 @@ def cmd_convert(args) -> int:
 def cmd_norm(args) -> int:
     nav, cfg = _nav_from_args(args)
     x = _point(nav, args.point)
-    y = _vector(nav, args.vector)
+    y = _vector(nav, x, args.vector)
     df = from_navigation(nav, x)
     result = {
         "F_navigation": float(nav.finsler_norm(x, y)),
@@ -161,7 +164,7 @@ def cmd_distance(args) -> int:
 def cmd_geodesic(args) -> int:
     nav, cfg = _nav_from_args(args)
     x = _point(nav, args.x)
-    y = _vector(nav, args.direction)
+    y = _vector(nav, x, args.direction)
     y = y / nav.finsler_norm(x, y)  # normalize to unit F-speed
     if args.method == "flow":
         curve = f_geodesic_flowcurve(nav, x, y, T=args.T, n_steps=args.steps)
@@ -244,10 +247,16 @@ def cmd_connect(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    # oracle and selftest are the modules that load scipy, imported by their verbs alone
+    from .oracle import GraphDisconnected, build_graph, oracle_distance
+
     nav, cfg = _nav_from_args(args)
     if args.oracle_cmd == "query":  # check the points before paying for a build
         x, y = _point(nav, args.x), _point(nav, args.y)
-    g = build_graph(nav, args.nodes, args.k, seed=args.seed, cache_dir=args.cache)
+    try:
+        g = build_graph(nav, args.nodes, args.k, seed=args.seed, cache_dir=args.cache)
+    except GraphDisconnected as e:  # --nodes and --k too small for this space
+        raise ConfigError(str(e)) from None
     if args.oracle_cmd == "build":
         result = {"graph_hash": g.graph_hash, "eps": g.eps,
                   "n_nodes": g.n_nodes, "k": g.k, "n_edges": g.csr.nnz}
@@ -260,6 +269,8 @@ def cmd_oracle(args) -> int:
 
 def _criteria(text: str) -> list[int]:
     """Criterion numbers from a comma-separated list such as "1,2,5"."""
+    from .selftest import CRITERIA
+
     try:
         chosen = [int(c) for c in text.split(",")]
     except ValueError:
@@ -271,6 +282,8 @@ def _criteria(text: str) -> list[int]:
 
 
 def cmd_selftest(args) -> int:
+    from .selftest import CRITERIA, run_criterion
+
     chosen = _criteria(args.criteria) if args.criteria else CRITERIA
     results = []
     for i in sorted(chosen):
@@ -390,7 +403,7 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         return args.func(args)
     except (ConfigError, SpaceError, ValueError, OSError, KeyError,
-            RootNotBracketed, NoMatchingField, GraphDisconnected) as e:
+            RootNotBracketed, NoMatchingField) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -15,6 +15,18 @@ class ConfigError(ValueError):
     pass
 
 
+def json_number(cfg: dict, key: str, default=None, integer: bool = False):
+    """cfg[key], or default when key is absent and a default is given, as
+    a float, or as an int if integer: a JSON number, never a list, an
+    object, a string or a bool."""
+    value = cfg[key] if default is None else cfg.get(key, default)
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or integer and isinstance(value, float) and not value.is_integer()):
+        kind = "an integer" if integer else "a number"
+        raise ConfigError(f'"{key}" is {kind}, got {json.dumps(value)}')
+    return int(value) if integer else float(value)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """What a verb ran: the space, the wind, and the arguments the verb

@@ -21,9 +21,9 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 
 from . import quat
+from .config import json_number
 from .spaces import (
     CompactGroup,
     Euclidean,
@@ -142,9 +142,9 @@ class SphereKilling(KillingField):
 
     @cached_property
     def _eig(self):
-        # complex Schur of a normal matrix is diagonal: A = Z diag(lam) Z^H
-        T, Z = scipy.linalg.schur(self.A, output="complex")
-        return np.diag(T).copy(), Z
+        # iA is Hermitian: iA = Z diag(mu) Z^H, so A = Z diag(lam) Z^H with lam = -i mu
+        mu, Z = np.linalg.eigh(1j * self.A)
+        return -1j * mu, Z
 
     def evaluate(self, x):
         return np.asarray(x, dtype=float) @ self.A.T
@@ -425,18 +425,43 @@ def constant_length_family(nav):
     return _family(nav.space, nav.wind)
 
 
+def _complex_frame(A: np.ndarray) -> np.ndarray:
+    """An orthogonal Q with A = +-c * Q J Q^T, for a generator of constant
+    length c * Q' J Q'^T, so that -A^2 = c^2 I; Q = I for A = 0 and, bit
+    for bit, for A = +-c * J.
+
+    J_A = +-A / c with c = |A e_1| is an orthogonal complex structure.
+    Walk e_1, ..., e_d: project each off the columns chosen so far, and if
+    at least 1/sqrt(d) of it is left, normalise that to u and append u and
+    J_A u. The columns' span stays J_A-invariant, so J_A u is orthogonal to
+    it and to u. The frame always completes: were it short by m >= 2
+    columns, the d squared remainders against the final span would sum to
+    m, yet each is below 1/d.
+    """
+    d = len(A)
+    c = np.linalg.norm(A[:, 0])  # sqrt(c^2) = |c| exactly for A = +-c * J
+    if c == 0.0:
+        return np.eye(d)
+    JA = A / c if A[1, 0] >= 0 else A / -c  # J_A = J for A = +-c * J
+    Q = np.zeros((d, d))
+    k = 0
+    for j, e in enumerate(np.eye(d)):
+        r = e - Q[:, :k] @ Q[j, :k]
+        nrm = np.linalg.norm(r)
+        if nrm >= 1.0 / np.sqrt(d):
+            Q[:, k] = r / nrm
+            Q[:, k + 1] = JA @ Q[:, k]
+            k += 2
+    return Q
+
+
 def _family(space, W):
     if isinstance(space, Product):
         return ProductFamily(space, tuple(_family(f, p) for f, p in zip(space.factors, W.parts)))
     if isinstance(space, Euclidean):
         return EuclideanFamily(space)
     if isinstance(space, Sphere):
-        # real Schur form A = Q T Q^T, T's 2x2 blocks each +-c * [[0, -1], [1, 0]];
-        # negating column 2i+1 of Q flips block i's sign, so that A = +-c * Q J Q^T
-        T, Q = scipy.linalg.schur(W.A, output="real")
-        signs = np.sign(np.diag(T[0::2, 1::2]))
-        Q[:, 1::2] *= np.where(signs == signs[0], 1.0, -1.0)
-        return SphereFamily(space, Q)
+        return SphereFamily(space, _complex_frame(W.A))
     if isinstance(space, CompactGroup):
         # members live on the side opposite the wind (both sides work for W=0)
         return GroupFamily(space, "left" if W.r.any() else "right")
@@ -459,7 +484,7 @@ def killing_from_config(space, cfg) -> KillingField:
             if not isinstance(entry, dict):
                 raise ValueError(f'a product field is a JSON object with a "type" and a '
                                  f'"factor", or a list of them, got {entry!r}')
-            i = int(entry.get("factor", 0))
+            i = json_number(entry, "factor", 0, integer=True)
             if not 0 <= i < len(parts):
                 raise ValueError(f"factor {i} out of range: this product has factors "
                                  f"0-{len(parts) - 1}")
@@ -472,7 +497,7 @@ def killing_from_config(space, cfg) -> KillingField:
     if t == "zero":
         return zero_field(space)
     if t == "hopf":
-        return hopf_field(space, float(cfg["c"]))
+        return hopf_field(space, json_number(cfg, "c"))
     if t == "sphere-skew":
         return SphereKilling(space, np.asarray(cfg["matrix"], dtype=float))
     if t == "euclidean-const":

@@ -27,7 +27,7 @@ and commute with the wind, so F-isometries (`_orbit_group`). Node
 g * nb + b is M_g applied to base point b, so the node count rounds up to
 a multiple of |G|. On S^3, for every supported wind, G is the right
 multiplication by the 120 quaternions of the binary icosahedral group
-2I, conjugated by the wind's Schur Q; on SU(2) 2I acts on the side
+2I, conjugated by the wind's frame Q; on SU(2) 2I acts on the side
 opposite a one-sided wind; elsewhere G is trivial and the net is n
 random points. Each M_g permutes the nodes, so kNN(M_g u) = M_g kNN(u)
 and F(M_g u -> M_g v) = F(u -> v): only the nb base rows take a kNN
@@ -112,7 +112,7 @@ from .killing import GroupFamily, SphereFamily, constant_length_family
 from .randers import NavigationData
 
 C_HINT = 4.0
-_CACHE_VERSION = 8
+_CACHE_VERSION = 9
 _N_LANDMARKS = 8
 # pairs per block of the build's pairwise geometry (re-rank, edge weights),
 # to bound peak memory at acceptance-scale edge counts
@@ -205,6 +205,8 @@ def _search_graph(n, rows, cols, fwd, rev, mult) -> csr_matrix:
     base = csr_matrix((np.concatenate([fwd, rev[two]]),
                        (np.concatenate([rows, c[two]]), np.concatenate([cols, mirror[two]]))),
                       shape=(nb, n))
+    if size == 1:  # the trivial group: the base rows are every row
+        return base
     h, c = np.divmod(base.indices, nb)
     indices = np.take(mult, h, axis=1)  # C-ordered, so ravel() below copies nothing
     indices *= nb

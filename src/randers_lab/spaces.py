@@ -29,6 +29,8 @@ from typing import ClassVar
 
 import numpy as np
 
+from .config import json_number
+
 
 class SpaceError(ValueError):
     pass
@@ -494,11 +496,12 @@ def space_from_config(cfg: dict):
         raise SpaceError(f'a space is a JSON object with a "kind", got {cfg!r}')
     kind = cfg.get("kind")
     if kind == "euclidean":
-        return Euclidean(n=int(cfg["n"]), box=float(cfg.get("box", 5.0)))
+        return Euclidean(n=json_number(cfg, "n", integer=True), box=json_number(cfg, "box", 5.0))
     if kind == "sphere":
-        return Sphere(dim=int(cfg["dim"]), radius=float(cfg.get("radius", 1.0)))
+        return Sphere(dim=json_number(cfg, "dim", integer=True),
+                      radius=json_number(cfg, "radius", 1.0))
     if kind == "group":
-        return CompactGroup(name=cfg.get("name", "SU2"), scale=float(cfg.get("scale", 1.0)))
+        return CompactGroup(name=cfg.get("name", "SU2"), scale=json_number(cfg, "scale", 1.0))
     if kind == "product":
         factors = cfg["factors"]
         if not isinstance(factors, list):

@@ -1,6 +1,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +12,8 @@ import pytest
 from randers_lab.cli import main
 
 from conftest import ANTI_HOPF
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 E2 = '{"kind": "euclidean", "n": 2}'
 WIND = '{"type": "euclidean-const", "v": [0.5, 0.0]}'
@@ -520,3 +526,70 @@ def test_geodesic_ode_follows_the_flow_curve(capsys):
     flow = json.loads(capsys.readouterr().out)["result"]
     assert ode["method"] == "ode" and not ode["diverged"] and ode["n_points"] == 6
     np.testing.assert_allclose(ode["endpoint"], flow["endpoint"], rtol=0, atol=1e-9)
+
+
+@pytest.mark.parametrize("space, wind, says", [
+    ('{"kind": "sphere", "dim": [3]}', None, '"dim" is an integer, got [3]'),
+    (S3, '{"type": "hopf", "c": [0.3]}', '"c" is a number, got [0.3]'),
+    ('{"kind": "sphere", "dim": true}', None, '"dim" is an integer, got true'),
+    ('{"kind": "sphere", "dim": 3.5}', None, '"dim" is an integer, got 3.5'),
+    ('{"kind": "sphere", "dim": 3, "radius": {"r": 1}}', None,
+     '"radius" is a number, got {"r": 1}'),
+    (PRODUCT, '{"type": "zero", "factor": "0"}', '"factor" is an integer, got "0"'),
+], ids=["dim-list", "c-list", "dim-bool", "dim-fraction", "radius-object", "factor-string"])
+def test_scalar_json_slots_exit_two(capsys, space, wind, says):
+    argv = ["distance", "--space", space, "--x", "[1,0,0,0]", "--y", "[0,1,0,0]"]
+    rc = main(argv + (["--wind", wind] if wind else []))
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {says}\n"
+
+
+@pytest.mark.parametrize("verb, args", [
+    ("norm", ["--point", "[1,0,0,0]", "--vector", "[1,0,0,0]"]),
+    ("norm", ["--point", "[1,0,0,0]", "--vector", "[0.5,1,0,0]"]),
+    ("geodesic", ["--x", "[0,0.6,0.8,0]", "--direction", "[0,1,0,0]"]),
+])
+def test_non_tangent_vectors_exit_two(capsys, verb, args):
+    rc = main([verb, "--space", S3, "--wind", HOPF] + args)
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: [") and "is not tangent at" in err and err.count("\n") == 1
+
+
+def test_tangent_vector_to_rounding_is_taken(capsys):
+    rc = main(["norm", "--space", S3, "--wind", HOPF, "--point", "[1,0,0,0]",
+               "--vector", "[1e-13,1,0,0]"])
+    assert rc == 0
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert abs(result["F_navigation"] - result["F_defining"]) <= 1e-12
+
+
+def _run_python(*argv):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env,
+                          timeout=120)
+
+
+def test_cli_starts_without_scipy_and_the_namespace_loads_on_first_use():
+    # a name outside the API fails without importing anything (so that
+    # `from . import quat` falls through to the submodule); the CLI loads no
+    # scipy; the first exported name loads the whole API, oracle included
+    proc = _run_python("-c", (
+        "import sys, randers_lab\n"
+        "try:\n"
+        "    randers_lab.nope\n"
+        "except AttributeError:\n"
+        "    print(sorted(m for m in sys.modules if m.startswith('randers_lab.')))\n"
+        "import randers_lab.cli\n"
+        "print('scipy' in sys.modules)\n"
+        "print(randers_lab.build_graph.__module__, 'scipy' in sys.modules)\n"))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]", "False", "randers_lab.oracle True"]
+
+
+def test_disconnected_net_exits_two_from_a_child_process(tmp_path):
+    proc = _run_python("-m", "randers_lab.cli", "oracle", "build", "--space", E2,
+                       "--nodes", "100", "--k", "1", "--cache", str(tmp_path))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
+    assert "use a larger k" in proc.stderr and proc.stdout == ""

@@ -414,10 +414,11 @@ def test_unsupported_wind_rejected(s3):
 
 
 @pytest.mark.parametrize("k", [2, 3, 4])
-@pytest.mark.parametrize("c", [0.3, -0.3, 0.7, 1e-3])
+@pytest.mark.parametrize("c", [0.3, -0.3, 0.7, 1e-3, 0.0])
 def test_hopf_family_frame_is_exactly_identity(k, c):
-    # the real Schur form of c*J is c*J itself, so the Hopf wind's family
-    # is the standard one bit for bit
+    # the frame walk from e_1 takes e_{2i+1} and J e_{2i+1} = e_{2i+2} as they
+    # are, so the Hopf wind's family is the standard one bit for bit (and
+    # the zero wind's, c = 0, too)
     s = Sphere(2 * k - 1, 1.0)
     fam = constant_length_family(NavigationData(s, hopf_field(s, c)))
     assert np.array_equal(fam.Q, np.eye(2 * k))
@@ -427,11 +428,16 @@ def test_hopf_family_frame_is_exactly_identity(k, c):
     (3, ANTI_HOPF),
     (5, conjugated_hopf(3, 0.3, seed=1)),
     (7, conjugated_hopf(4, -0.4, seed=2)),
-], ids=["anti-hopf-S3", "qjq-S5", "qjq-S7"])
+    (3, conjugated_hopf(2, -0.4, seed=3)),
+    (7, conjugated_hopf(4, 0.9, seed=4)),
+], ids=["anti-hopf-S3", "qjq-S5", "qjq-S7", "qjq-S3", "qjq-S7-fast"])
 def test_conjugated_family_commutes_with_wind(dim, A):
     s = Sphere(dim, 1.0)
     fam = constant_length_family(NavigationData(s, SphereKilling(s, A)))
     np.testing.assert_allclose(fam.Q @ fam.Q.T, np.eye(dim + 1), atol=1e-12)
+    # the frame conjugates the wind to +-c * J, c = |A e_1|
+    QJQ = np.linalg.norm(A[:, 0]) * fam.Q @ standard_J((dim + 1) // 2) @ fam.Q.T
+    assert min(np.abs(A - QJQ).max(), np.abs(A + QJQ).max()) <= 1e-12
     rng = np.random.default_rng(dim)
     x = s.sample(rng, 1)[0]
     for _ in range(20):
@@ -514,3 +520,44 @@ def test_sphere_flow_is_contiguous():
         for row, copy in zip(moved, moved.copy()):
             got, want = _arc_weights(nav, row, nodes), _arc_weights(nav, copy, nodes)
             assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+# --- spectral data from numpy: flows and frames ------------------------------
+
+def _expm_flow(A, x, t):
+    from scipy.linalg import expm
+
+    return x @ expm(t * A).T
+
+
+def _random_skew(d, seed):
+    g = np.random.default_rng(seed).normal(size=(d, d))
+    return g - g.T
+
+
+@pytest.mark.parametrize("dim, A", [
+    (3, _random_skew(4, 0)),
+    (5, _random_skew(6, 1)),
+    (3, np.zeros((4, 4))),
+    (3, 0.3 * standard_J(2)),
+    (3, -0.3 * standard_J(2)),
+    (3, ANTI_HOPF),
+    (5, conjugated_hopf(3, 0.3, seed=1)),
+    (7, conjugated_hopf(4, -0.4, seed=2)),
+], ids=["skew-S3", "skew-S5", "zero", "hopf+", "hopf-", "anti-hopf", "qjq-S5", "qjq-S7"])
+def test_sphere_flow_and_length_match_the_matrix_exponential(dim, A):
+    # eigh of the Hermitian iA against scipy's expm, for generators of
+    # constant length and not; the length range is R times A's extreme
+    # singular values
+    s = Sphere(dim, 1.7)
+    X = SphereKilling(s, A)
+    rng = np.random.default_rng(dim)
+    xs = s.sample(rng, 5)
+    for t in (0.0, 0.37, -2.5):
+        np.testing.assert_allclose(X.flow(xs, t), _expm_flow(A, xs, t), rtol=0, atol=1e-12)
+    ts = rng.uniform(-3.0, 3.0, size=5)
+    want = np.array([_expm_flow(A, x, t) for x, t in zip(xs, ts)])
+    np.testing.assert_allclose(X.flow(xs, ts), want, rtol=0, atol=1e-12)
+    sv = np.linalg.svd(A, compute_uv=False)
+    np.testing.assert_allclose(X.length_range(), 1.7 * np.array([sv.min(), sv.max()]),
+                               rtol=0, atol=1e-12)

@@ -935,3 +935,33 @@ def test_search_graph_pattern_is_symmetric(which, orbit_graphs):
     pattern.data[:] = 1.0
     assert pattern.nnz > 0 and (pattern != pattern.T).nnz == 0
     assert np.isfinite(g.d_land).all()
+
+
+def _generic_tiling(n, rows, cols, fwd, rev, mult):
+    """`_search_graph` without its trivial-group return: the base rows
+    tiled through the group table, whatever its size."""
+    size = len(mult)
+    nb = n // size
+    h, c = np.divmod(cols, nb)
+    mirror = np.argmin(mult, axis=1)[h] * nb + rows
+    two = (c != rows) | (mirror != cols)
+    base = csr_matrix((np.concatenate([fwd, rev[two]]),
+                       (np.concatenate([rows, c[two]]), np.concatenate([cols, mirror[two]]))),
+                      shape=(nb, n))
+    h, c = np.divmod(base.indices, nb)
+    indices = np.take(mult, h, axis=1) * nb + c
+    indptr = base.indptr[:-1] + base.nnz * np.arange(size)[:, None]
+    return csr_matrix((np.tile(base.data, size), indices.ravel(),
+                       np.append(indptr.ravel(), size * base.nnz)), shape=(n, n))
+
+
+def test_trivial_group_search_graph_is_the_base_rows():
+    # with |G| = 1 the base rows are the whole search graph, returned
+    # without a tiled copy, and entry for entry the generic tiling
+    nav = _product_nav(Euclidean(2), EuclideanKilling(Euclidean(2), [0.3, 0.0]))
+    g = build_graph(nav, 1000, 16, seed=61)
+    assert len(g.mult) == 1
+    want = _generic_tiling(g.n_nodes, g.rows, g.cols, g.weights_fwd, g.weights_rev, g.mult)
+    for part in ("data", "indices", "indptr"):
+        got, ref = getattr(g.csr, part), getattr(want, part)
+        assert got.dtype == ref.dtype and np.array_equal(got, ref)

@@ -11,9 +11,8 @@ from pathlib import Path
 import numpy as np
 import scipy.optimize
 
-import randers_lab  # noqa: F401  (loads every module the tracer patches)
 from randers_lab import geodesics, randers
-from randers_lab.selftest import fixture_navs
+from randers_lab.selftest import fixture_navs  # selftest loads every module the tracer patches
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
