@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import ConfigError, ExperimentConfig
+from .config import ConfigError, ExperimentConfig, json_array
 from .cw import (
     SearchFailed,
     cw_connect,
@@ -84,16 +84,8 @@ def _nav_from_args(args) -> tuple[NavigationData, ExperimentConfig]:
     return NavigationData(space, wind), _config(args)
 
 
-def _flat(value, what: str) -> np.ndarray:
-    """A flat JSON array of numbers as a float array."""
-    if not isinstance(value, list) or not all(
-            isinstance(v, (int, float)) and not isinstance(v, bool) for v in value):
-        raise ConfigError(f"{what} is a flat JSON array of numbers, got {json.dumps(value)}")
-    return np.array(value, dtype=float)
-
-
 def _point(nav: NavigationData, value) -> np.ndarray:
-    x = _flat(value, "a point")
+    x = json_array(value, "a point", 1)
     nav.space.check_point(x)
     return x
 
@@ -101,7 +93,7 @@ def _point(nav: NavigationData, value) -> np.ndarray:
 def _vector(nav: NavigationData, x: np.ndarray, value) -> np.ndarray:
     """A tangent vector at x in ambient coordinates: ambient_dim finite
     numbers that the tangent projection at x leaves alone, to 1e-9 of |v|."""
-    v = _flat(value, "a tangent vector")
+    v = json_array(value, "a tangent vector", 1)
     if len(v) != nav.space.ambient_dim or not np.all(np.isfinite(v)):
         raise ConfigError(f"a tangent vector here is {nav.space.ambient_dim} finite numbers, "
                           f"got {json.dumps(value)}")

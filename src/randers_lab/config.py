@@ -10,21 +10,50 @@ import hashlib
 import json
 from dataclasses import asdict, dataclass, field
 
+import numpy as np
+
 
 class ConfigError(ValueError):
     pass
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def json_number(cfg: dict, key: str, default=None, integer: bool = False):
     """cfg[key], or default when key is absent and a default is given, as
     a float, or as an int if integer: a JSON number, never a list, an
     object, a string or a bool."""
-    value = cfg[key] if default is None else cfg.get(key, default)
-    if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or integer and isinstance(value, float) and not value.is_integer()):
+    if default is None and key not in cfg:
+        raise ConfigError(f'"{key}" is missing')
+    value = cfg.get(key, default)
+    if not _is_number(value) or integer and isinstance(value, float) and not value.is_integer():
         kind = "an integer" if integer else "a number"
         raise ConfigError(f'"{key}" is {kind}, got {json.dumps(value)}')
     return int(value) if integer else float(value)
+
+
+def json_array(value, what: str, ndim: int) -> np.ndarray:
+    """value as a float array: a rectangular JSON array nested ndim deep
+    (flat at ndim 1) whose leaves are numbers, never bools, strings,
+    objects or nulls; anything else is a ConfigError naming what, and a
+    missing value (None) is named as missing."""
+    if value is None:
+        raise ConfigError(f"{what} is missing")
+
+    def numbers(v, depth):
+        if depth == 0:
+            return _is_number(v)
+        return isinstance(v, list) and all(numbers(u, depth - 1) for u in v)
+
+    if numbers(value, ndim):
+        try:
+            return np.array(value, dtype=float)
+        except ValueError:  # ragged rows
+            pass
+    kind = "a flat JSON array of" if ndim == 1 else "a JSON array of" + " arrays of" * (ndim - 1)
+    raise ConfigError(f"{what} is {kind} numbers, got {json.dumps(value)}")
 
 
 @dataclass(frozen=True)

@@ -187,7 +187,7 @@ def cw_connect(nav: NavigationData, x0, x1, tol: float = 1e-6) -> ConnectResult:
 
     z = nav.wind.flow(x1, -t)
     v = space.h_log(x0, z)
-    vn = np.linalg.norm(v)
+    vn = float(np.sqrt(space.h_inner(x0, v, v)))  # family members are h-unit
     X = family.match(x0, v / vn) if vn > 0 else zero_field(space)
     Y = X + nav.wind
     residual = float(np.linalg.norm(Y.flow(x0, t) - x1))

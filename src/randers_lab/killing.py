@@ -23,7 +23,7 @@ from functools import cached_property
 import numpy as np
 
 from . import quat
-from .config import json_number
+from .config import json_array, json_number
 from .spaces import (
     CompactGroup,
     Euclidean,
@@ -499,14 +499,14 @@ def killing_from_config(space, cfg) -> KillingField:
     if t == "hopf":
         return hopf_field(space, json_number(cfg, "c"))
     if t == "sphere-skew":
-        return SphereKilling(space, np.asarray(cfg["matrix"], dtype=float))
+        return SphereKilling(space, json_array(cfg.get("matrix"), '"matrix"', 2))
     if t == "euclidean-const":
-        return EuclideanKilling(space, np.asarray(cfg["v"], dtype=float))
+        return EuclideanKilling(space, json_array(cfg.get("v"), '"v"', 1))
     if t == "group-left":
-        return GroupKilling(space, np.asarray(cfg["l"], dtype=float), np.zeros(4))
+        return GroupKilling(space, json_array(cfg.get("l"), '"l"', 1), np.zeros(4))
     if t == "group-right":
-        return GroupKilling(space, np.zeros(4), np.asarray(cfg["r"], dtype=float))
+        return GroupKilling(space, np.zeros(4), json_array(cfg.get("r"), '"r"', 1))
     if t == "group-pair":
-        return GroupKilling(space, np.asarray(cfg["l"], dtype=float),
-                            np.asarray(cfg["r"], dtype=float))
+        return GroupKilling(space, json_array(cfg.get("l"), '"l"', 1),
+                            json_array(cfg.get("r"), '"r"', 1))
     raise ValueError(f"unknown field spec {cfg!r}")

@@ -33,8 +33,8 @@ random points. Each M_g permutes the nodes, so kNN(M_g u) = M_g kNN(u)
 and F(M_g u -> M_g v) = F(u -> v): only the nb base rows take a kNN
 query, a dedupe and edge weights.
 
-The net's edges join each node to its k nearest neighbours in h. They
-are stored undirected from the base rows, one row (b, h * nb + c) per
+The net's edges join each node to its k nearest neighbours. They are
+stored undirected from the base rows, one row (b, h * nb + c) per
 edge with the two weights F(b -> M_h c) and back; the edge's mirror
 c -> (h^-1, b) out of base row c shares the row (with the trivial group
 that is one row (r, c) with r < c). The search graph holds both
@@ -45,12 +45,12 @@ to about 1e-14 relative, as the nodes M_g b are rounded, so the
 guarantee below holds to that rounding, which the queries' 1e-9 margins
 cover. (An arc between antipodes, which h_log takes along a fixed
 direction, copies to another half great circle between the same nodes.)
-A kd-tree over `space.embed` of all nodes finds the edges: on spaces
-whose h-distance grows with the chord (`chord_ordered`: R^n, spheres,
-SU(2)) the chord kNN is the h-kNN as it stands; on products of two or
-more factors it is over-fetched and re-ranked by h-distance, the one
-place the re-rank runs. eps, the largest h-distance from a node to its
-nearest neighbour, comes from that same query. The build picks 8
+A kd-tree over `space.embed` of all nodes finds the edges: each node's k
+nearest neighbours in chord. The guarantee asks only that each edge be
+an actual arc, whichever nodes it joins; on R^n, spheres and SU(2),
+where h-distance grows with the chord, these are the h-kNN as well.
+eps, the largest h-distance from a node to its chord-nearest
+neighbour, comes from that same query. The build picks 8
 landmark nodes (node 0 alone on a compact space) by farthest-point
 sampling over the embedding, from node 0, and stores the graph distances
 from each to every node, d_land. Holding each edge both ways, the search
@@ -112,10 +112,10 @@ from .killing import GroupFamily, SphereFamily, constant_length_family
 from .randers import NavigationData
 
 C_HINT = 4.0
-_CACHE_VERSION = 9
+_CACHE_VERSION = 10
 _N_LANDMARKS = 8
-# pairs per block of the build's pairwise geometry (re-rank, edge weights),
-# to bound peak memory at acceptance-scale edge counts
+# edges per block of the build's edge weights, to bound peak memory at
+# acceptance-scale edge counts
 _CHUNK = 1_000_000
 
 
@@ -283,8 +283,9 @@ def _multiplication_table(mats) -> np.ndarray:
 
 
 def _knn_edges(space, nodes, k, mult):
-    """Undirected kNN edges under h-distance, found from the base rows
-    alone, and each base node's h-distance to its nearest neighbour.
+    """Undirected chord kNN edges of the embedding, found from the base
+    rows alone, and each base node's h-distance to its chord-nearest
+    neighbour.
 
     nodes is an orbit net: node g * nb + b is M_g applied to base node b,
     nb = len(nodes) // len(mult), and each M_g is an isometry that maps
@@ -295,45 +296,16 @@ def _knn_edges(space, nodes, k, mult):
     and one row (b, h * nb + c) or (c, h^-1 * nb + b) stands for the
     edge. With the trivial group that is one row (r, c) with r < c.
 
-    Where h-distance is a nondecreasing function of the chord
-    (`space.chord_ordered`), the chord kNN of the embedding is the h-kNN.
-    Elsewhere (products of two or more factors) the chord kNN is
-    over-fetched 1.5x and re-ranked by the true metric, and a row whose
-    k-th h-distance lies past its farthest fetched chord is re-ranked
-    over the chord ball of that radius; the nearest-neighbour distance is
-    the least of the re-ranked ones. Either way the result is the exact
-    h-kNN.
+    Where h-distance grows with the chord (R^n, spheres, SU(2)) these are
+    the h-kNN; on a product the edges may differ from them, and each is
+    still an actual arc.
     """
     n = len(nodes)
     nb = n // len(mult)
     emb = space.embed(nodes)
-    tree = cKDTree(emb)
-    fetch = k if space.chord_ordered else min(n - 1, int(np.ceil(1.5 * k)))
-    chord, jj = tree.query(emb[:nb], k=fetch + 1, workers=-1)
+    _, jj = cKDTree(emb).query(emb[:nb], k=k + 1, workers=-1)
     jj = jj[:, 1:]
-    if fetch > k:
-        d_true = np.empty((nb, fetch))
-        step = max(1, _CHUNK // fetch)
-        for lo in range(0, nb, step):
-            sl = slice(lo, lo + step)
-            near = nodes[jj[sl]]
-            d_true[sl] = space.h_distance(np.broadcast_to(nodes[sl, None], near.shape), near)
-        order = np.argsort(d_true, axis=1, kind="stable")[:, :k]
-        jj = np.take_along_axis(jj, order, axis=1)
-        d_nn = d_true.min(axis=1)
-        # embed is isometric, so h-distance is at least the chord: a row
-        # whose k-th h-distance passes its farthest fetched chord may miss
-        # nodes beyond the fetch, and is re-ranked over that chord ball
-        d_k = np.take_along_axis(d_true, order[:, -1:], axis=1)[:, 0]
-        for i in np.flatnonzero(chord[:, -1] < d_k):
-            ball = np.sort(tree.query_ball_point(emb[i], d_k[i]))
-            ball = ball[ball != i]
-            d = space.h_distance(nodes[i], nodes[ball])
-            near = np.argsort(d, kind="stable")[:k]
-            jj[i] = ball[near]
-            d_nn[i] = d[near[0]]
-    else:
-        d_nn = space.h_distance(nodes[:nb], nodes[jj[:, 0]])
+    d_nn = space.h_distance(nodes[:nb], nodes[jj[:, 0]])
     rows = np.repeat(np.arange(nb, dtype=np.int64), k)
     cols = jj.ravel()
     # code each edge by its key, then dedupe (duplicate entries would be
@@ -398,7 +370,7 @@ def build_graph(nav: NavigationData, n_nodes: int, k: int, seed: int,
     for lo in range(0, len(rows), _CHUNK):
         sl = slice(lo, lo + _CHUNK)
         fwd[sl], rev[sl] = _arc_weights(nav, nodes[rows[sl]], nodes[cols[sl]])
-    # eps = max over nodes of the h-distance to the nearest neighbor
+    # eps = max over nodes of the h-distance to the chord-nearest neighbour
     eps = float(np.max(d_nn))
 
     csr = _search_graph(n_nodes, rows, cols, fwd, rev, mult)

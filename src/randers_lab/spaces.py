@@ -14,13 +14,8 @@ Conventions
 * Product: the l2 combination of factor distances.
 
 `embed` is an isometric embedding in Euclidean space, so h-distance is
-never less than the chord between embeddings. `chord_ordered` states
-whether h-distance is moreover a nondecreasing function of that chord,
-so that nearest neighbours in the embedding are nearest neighbours in h:
-the chord itself on R^n, 2R arcsin(chord/2R) on spheres and SU(2). A
-product of two or more factors mixes the factors' chords, and its
-h-order can differ. `compact` is False exactly when there is an R^n
-factor.
+never less than the chord between embeddings. `compact` is False
+exactly when there is an R^n factor.
 """
 from __future__ import annotations
 
@@ -70,7 +65,6 @@ class Euclidean:
     n: int
     box: float = 5.0
 
-    chord_ordered: ClassVar[bool] = True
     compact: ClassVar[bool] = False
 
     @property
@@ -130,7 +124,6 @@ class Sphere:
     dim: int
     radius: float = 1.0
 
-    chord_ordered: ClassVar[bool] = True
     compact: ClassVar[bool] = True
 
     def __post_init__(self):
@@ -263,7 +256,6 @@ class CompactGroup:
     name: str = "SU2"
     scale: float = 1.0
 
-    chord_ordered: ClassVar[bool] = True
     compact: ClassVar[bool] = True
 
     def __post_init__(self):
@@ -363,10 +355,6 @@ class Product:
     @property
     def injectivity_radius(self) -> float:
         return min(f.injectivity_radius for f in self.factors)
-
-    @property
-    def chord_ordered(self) -> bool:
-        return len(self.factors) == 1 and self.factors[0].chord_ordered
 
     @property
     def compact(self) -> bool:

@@ -536,12 +536,43 @@ def test_geodesic_ode_follows_the_flow_curve(capsys):
     ('{"kind": "sphere", "dim": 3, "radius": {"r": 1}}', None,
      '"radius" is a number, got {"r": 1}'),
     (PRODUCT, '{"type": "zero", "factor": "0"}', '"factor" is an integer, got "0"'),
-], ids=["dim-list", "c-list", "dim-bool", "dim-fraction", "radius-object", "factor-string"])
+    (S3, '{"type": "hopf"}', '"c" is missing'),
+], ids=["dim-list", "c-list", "dim-bool", "dim-fraction", "radius-object", "factor-string",
+        "c-missing"])
 def test_scalar_json_slots_exit_two(capsys, space, wind, says):
     argv = ["distance", "--space", space, "--x", "[1,0,0,0]", "--y", "[0,1,0,0]"]
     rc = main(argv + (["--wind", wind] if wind else []))
     assert rc == 2
     assert capsys.readouterr().err == f"error: {says}\n"
+
+
+@pytest.mark.parametrize("space, wind, says", [
+    (E2, '{"type": "euclidean-const", "v": [true, 0]}',
+     '"v" is a flat JSON array of numbers, got [true, 0]'),
+    (S3, '{"type": "sphere-skew", "matrix": [[0, "-0.3", 0, 0], [0.3, 0, 0, 0], '
+         '[0, 0, 0, -0.3], [0, 0, 0.3, 0]]}',
+     '"matrix" is a JSON array of arrays of numbers, got [[0, "-0.3", 0, 0], '
+     '[0.3, 0, 0, 0], [0, 0, 0, -0.3], [0, 0, 0.3, 0]]'),
+    (S3, '{"type": "sphere-skew"}', '"matrix" is missing'),
+    (S3, '{"type": "sphere-skew", "matrix": [[0, -0.3], [0.3]]}',
+     '"matrix" is a JSON array of arrays of numbers, got [[0, -0.3], [0.3]]'),
+], ids=["v-bool", "matrix-string", "matrix-missing", "matrix-ragged"])
+def test_array_json_slots_exit_two(capsys, space, wind, says):
+    x, y = ("[0,0]", "[1,0]") if space == E2 else ("[1,0,0,0]", "[0,1,0,0]")
+    rc = main(["distance", "--space", space, "--wind", wind, "--x", x, "--y", y])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {says}\n"
+
+
+def test_connect_on_scaled_su2(capsys):
+    # the left wind 0.3 in h = 0.8^2 * dot; the direction to the target is
+    # normalised in h, so the closed form meets its tolerance
+    rc = main(["connect", "--space", '{"kind": "group", "name": "SU2", "scale": 0.8}',
+               "--wind", '{"type": "group-left", "l": [0, 0.375, 0, 0]}',
+               "--x0", "[1,0,0,0]", "--x1", "[0.5,0.5,0.5,0.5]"])
+    assert rc == 0
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert result["method"] == "closed-form" and result["residual"] < 1e-9
 
 
 @pytest.mark.parametrize("verb, args", [

@@ -15,6 +15,7 @@ from randers_lab.cw import (
 from randers_lab.geodesics import f_distance
 from randers_lab.killing import (
     EuclideanKilling,
+    GroupKilling,
     ProductKilling,
     SphereKilling,
     constant_length_family,
@@ -23,7 +24,7 @@ from randers_lab.killing import (
 )
 from randers_lab.randers import NavigationData
 from randers_lab.selftest import fixture_navs
-from randers_lab.spaces import Euclidean, Product, Sphere, random_tangent
+from randers_lab.spaces import CompactGroup, Euclidean, Product, Sphere, random_tangent
 
 from conftest import ANTI_HOPF, conjugated_hopf
 
@@ -208,6 +209,29 @@ def test_connect_flow_hits_target(su2_nav):
     res = cw_connect(su2_nav, x0, x1)
     Y = res.member + su2_nav.wind
     np.testing.assert_allclose(Y.flow(x0, res.t), x1, atol=1e-6)
+
+
+def _left_wind(g):
+    """The left-invariant wind of h-length 0.3 on SU(2) at g's scale."""
+    return GroupKilling(g, np.array([0.0, 0.3 / g.scale, 0.0, 0.0]), np.zeros(4))
+
+
+@pytest.mark.parametrize("scale, product", [(0.8, False), (2.0, False), (0.8, True)],
+                         ids=["SU2-0.8", "SU2-2.0", "S3xSU2-0.8"])
+def test_connect_off_the_unit_scale(scale, product):
+    # family members are h-unit, and h is scale^2 * dot on SU(2): the
+    # direction is normalised in h, not in the ambient norm
+    g = CompactGroup("SU2", scale)
+    nav = NavigationData(g, _left_wind(g))
+    if product:
+        s3 = Sphere(3, 1.0)
+        prod = Product((s3, g))
+        nav = NavigationData(prod, ProductKilling(prod, (hopf_field(s3, 0.3), _left_wind(g))))
+    rng = np.random.default_rng(17)
+    for x0, x1 in zip(nav.space.sample(rng, 5), nav.space.sample(rng, 5)):
+        res = cw_connect(nav, x0, x1, tol=1e-9)
+        assert res.residual < 1e-9
+        assert res.t == f_distance(nav, x0, x1)
 
 
 @pytest.mark.parametrize("dim, radius, A", [

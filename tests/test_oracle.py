@@ -365,28 +365,30 @@ def test_unreadable_cache_is_a_miss(spoil, tmp_path):
     assert _load(path).graph_hash == g.graph_hash
 
 
-@pytest.mark.parametrize("space, k, chunk", [
-    (Euclidean(2), 6, None),
-    (Sphere(3, 1.0), 8, None),
-    (CompactGroup("SU2", 0.8), 8, None),
-    (Product((Sphere(3, 1.0), Euclidean(2))), 8, None),
-    (Product((Sphere(3, 1.0), Euclidean(2))), 8, 1000),
-], ids=["E2", "S3", "SU2-0.8", "S3xR2", "S3xR2-chunked"])
-def test_knn_edges_match_brute_force(space, k, chunk, monkeypatch):
-    # the chord kNN (re-ranked where the space needs it) is the h-kNN, and
-    # eps is the largest h-distance from a node to its nearest neighbour;
-    # with a small chunk the re-rank runs over 6 blocks of 83 rows and a
-    # last one of 2
-    if chunk is not None:
-        monkeypatch.setattr(oracle, "_CHUNK", chunk)
+@pytest.mark.parametrize("space, k", [
+    (Euclidean(2), 6),
+    (Sphere(3, 1.0), 8),
+    (CompactGroup("SU2", 0.8), 8),
+    (Product((Sphere(3, 1.0), Euclidean(2))), 8),
+], ids=["E2", "S3", "SU2-0.8", "S3xR2"])
+def test_knn_edges_match_brute_force(space, k):
+    # the edges are the chord kNN of the embedding, and eps is the largest
+    # h-distance from a node to its chord-nearest neighbour; where
+    # h-distance grows with the chord (E^2, S^3, SU(2)) they are the h-kNN
     n = 500
     nodes = space.sample(np.random.default_rng(8), n)
     i, j = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
+    emb = space.embed(nodes)
+    chord = np.linalg.norm(emb[i] - emb[j], axis=-1)
     d = space.h_distance(nodes[i.ravel()], nodes[j.ravel()]).reshape(n, n)
+    np.fill_diagonal(chord, np.inf)
     np.fill_diagonal(d, np.inf)
-    nn = np.argsort(d, axis=1, kind="stable")[:, :k]
-    src = np.repeat(np.arange(n), k)
-    brute = set(zip(src, nn.ravel())) | set(zip(nn.ravel(), src))
+
+    def undirected(dist):
+        nn = np.argsort(dist, axis=1, kind="stable")[:, :k]
+        src = np.repeat(np.arange(n), k)
+        return {(int(a), int(b)) for a, b in zip(src, nn.ravel())} | {
+            (int(b), int(a)) for a, b in zip(src, nn.ravel())}
 
     # a net of random nodes is the orbit net of the trivial group
     rows, cols, d_nn = _knn_edges(space, nodes, k, np.zeros((1, 1), dtype=np.int32))
@@ -395,9 +397,15 @@ def test_knn_edges_match_brute_force(space, k, chunk, monkeypatch):
     assert len(edges) == len(set(edges))
     # each undirected edge stands for both of its orientations
     both = set(edges) | {(b, a) for a, b in edges}
-    assert both == {(int(a), int(b)) for a, b in brute}
+    assert both == undirected(chord)
     assert len(both) == 2 * len(edges)
-    assert np.max(d_nn) == np.max(d.min(axis=1))
+    nearest = np.argmin(chord, axis=1)
+    assert np.max(d_nn) == np.max(d[np.arange(n), nearest])
+    if isinstance(space, Product):
+        assert np.max(d_nn) >= np.max(d.min(axis=1))
+    else:
+        assert both == undirected(d)
+        assert np.max(d_nn) == np.max(d.min(axis=1))
 
 
 def test_build_keeps_its_csr(monkeypatch):
@@ -491,6 +499,18 @@ def _s3_hopf_nav():
 def _e2_nav():
     e2 = Euclidean(2)
     return NavigationData(e2, EuclideanKilling(e2, np.array([0.5, 0.0])))
+
+
+@pytest.mark.parametrize("make_nav", [_e2_nav, _strong_product_nav], ids=["E2", "S3xR2-strong"])
+def test_edge_weights_in_blocks_keep_the_graph(make_nav, monkeypatch):
+    # 1000 nodes at k = 8 hold about 5000 edges: with blocks of 1000 the
+    # edge weights run over several blocks and give the one-block graph
+    nav = make_nav()
+    whole = build_graph(nav, 1000, 8, seed=3)
+    monkeypatch.setattr(oracle, "_CHUNK", 1000)
+    blocks = build_graph(nav, 1000, 8, seed=3)
+    assert len(blocks.rows) > 3 * 1000
+    assert blocks.graph_hash == whole.graph_hash
 
 
 @pytest.mark.parametrize("make_nav", [_e2_nav, _s3_hopf_nav, _strong_product_nav],
@@ -905,16 +925,16 @@ def _product_nav(factor, wind):
     ("E2", _e2_nav, 10_000, 12, 0,
      "580eae13694138032f8e6f68546eb38141e5cb7e01c113ab66887cd831c47bbc"),
     ("S3xR2", lambda: _product_nav(Euclidean(2), EuclideanKilling(Euclidean(2), [0.3, 0.0])),
-     10_000, 128, 61, "ed69b115dedd5879da8f58946446c4d7513d6fb7f579ae6133cb9a0d4c03c334"),
+     10_000, 128, 61, "92f2f1dc00032143eeae27f2a11a61c6677694f5fb01d6443ddd8f9d5584262d"),
     ("S5-qjq", lambda: NavigationData(Sphere(5, 1.3), NOETHER_WINDS["qjq-S5"]), 2000, 32, 5,
      "0e56de28bda37667d7748a3e37ddb465557c18e11e487f4389e197ca9146f8e1"),
     ("S3xSU2", lambda: _product_nav(CompactGroup("SU2", 0.8), GroupKilling(
         CompactGroup("SU2", 0.8), np.array([0.0, 0.4, 0.0, 0.0]), np.zeros(4))),
-     2000, 32, 5, "1ba0e654b06d6578315dd874448c81fe92fbe26ae3bf8868a3b866a3ff15a02d"),
+     2000, 32, 5, "d13d5e640185bc4ae1a0982c2fa0bfd3d1a2c702cbb5ff8f6eb8619562eb3209"),
 ], ids=["E2", "S3xR2", "S5-qjq", "S3xSU2"])
 def test_trivial_group_keeps_the_graph(name, make_nav, n, k, seed, digest):
-    # spaces outside S^3 and SU(2) take the trivial group, and their graphs
-    # are the random nets they were before orbit nets, bit for bit
+    # spaces outside S^3 and SU(2) take the trivial group: n random nodes,
+    # the chord kNN of their embedding, pinned bit for bit
     g = build_graph(make_nav(), n, k, seed=seed)
     assert len(g.mult) == 1 and g.n_nodes == n
     assert g.graph_hash == digest
