@@ -15,8 +15,8 @@ _EXPORTS = {
     "spaces": ("CompactGroup", "Euclidean", "Product", "Sphere", "SpaceError", "frame",
                "random_tangent", "space_from_config"),
     "killing": ("EuclideanKilling", "GroupKilling", "KillingField", "ProductKilling",
-                "SphereKilling", "UnsupportedWind", "commutator", "constant_length_family",
-                "hopf_field", "killing_from_config", "standard_J", "zero_field"),
+                "SphereKilling", "UnsupportedWind", "constant_length_family", "hopf_field",
+                "killing_from_config", "standard_J", "zero_field"),
     "randers": ("DefiningForm", "NavigationData", "NotRanders", "WindTooStrong",
                 "defining_to_nav_matrices", "from_navigation", "fundamental_tensor",
                 "nav_to_defining_matrices", "riemannian", "to_navigation"),

@@ -57,9 +57,17 @@ def _count(s):
     return n
 
 
-def _positive(s):
-    """A float above 0 (an argparse type)."""
+def _finite(s):
+    """A finite float (an argparse type)."""
     x = float(s)
+    if not np.isfinite(x):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {s}")
+    return x
+
+
+def _positive(s):
+    """A finite float above 0 (an argparse type)."""
+    x = _finite(s)
     if not x > 0:
         raise argparse.ArgumentTypeError(f"must be positive, got {s}")
     return x
@@ -334,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp, formats=["json", "csv", "svg"])
     sp.add_argument("--x", type=_json_arg, required=True)
     sp.add_argument("--direction", type=_json_arg, required=True)
-    sp.add_argument("--T", type=float, default=1.0)
+    sp.add_argument("--T", type=_finite, default=1.0)
     sp.add_argument("--step", type=_positive, default=1e-3, help="ODE step")
     sp.add_argument("--steps", type=_count, default=200, help="flow-curve samples")
     sp.add_argument("--method", choices=["flow", "ode"], default="flow")
@@ -344,14 +352,14 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.add_argument("--field", type=_json_arg, help="field JSON (defaults to the wind)")
     sp.add_argument("--point", type=_json_arg, required=True)
-    sp.add_argument("--t", type=float, default=1.0)
+    sp.add_argument("--t", type=_finite, default=1.0)
     sp.set_defaults(func=cmd_flow)
 
     sp = sub.add_parser("cw-check", help="displacement-constancy check of a flow")
     common(sp, seed=True, tol=1e-4, formats=["json", "svg"])  # relative spread verdict
     sp.add_argument("--field", type=_json_arg,
                     help="full field to flow (default: family member + wind)")
-    sp.add_argument("--t", type=float, default=0.1)
+    sp.add_argument("--t", type=_finite, default=0.1)
     sp.add_argument("--samples", type=_count, default=100)
     sp.set_defaults(func=cmd_cw_check)
 

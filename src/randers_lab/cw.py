@@ -161,9 +161,6 @@ class ConnectResult:
     total: KillingField  # Y = X + W, the field whose flow moves x0 to x1
     method: str
 
-    def __iter__(self):
-        return iter((self.member, self.t))
-
 
 def cw_connect(nav: NavigationData, x0, x1, tol: float = 1e-6) -> ConnectResult:
     """Find (X, t) with flow(X+W, t)(x0) = x1 and displacement t =
@@ -172,8 +169,9 @@ def cw_connect(nav: NavigationData, x0, x1, tol: float = 1e-6) -> ConnectResult:
     Closed form: pull x1 back along the wind for time t, take the h-log,
     and match the family member through that h-geodesic direction. It is
     exact on every supported space, because constant-length Killing
-    fields there have h-geodesic orbits; a residual above `tol` raises
-    SearchFailed carrying that residual.
+    fields there have h-geodesic orbits. Points at distance 0 are joined
+    by the identity, whose residual is |x1 - x0|. A residual above `tol`
+    raises SearchFailed carrying that residual.
     """
     space = nav.space
     x0 = np.asarray(x0, dtype=float)
@@ -181,17 +179,17 @@ def cw_connect(nav: NavigationData, x0, x1, tol: float = 1e-6) -> ConnectResult:
     family = constant_length_family(nav)
     t = f_distance(nav, x0, x1)
     if t < 1e-12:
-        X = zero_field(space)
-        return ConnectResult(member=X, t=0.0, residual=0.0,
-                             total=X + nav.wind, method="identity")
-
-    z = nav.wind.flow(x1, -t)
-    v = space.h_log(x0, z)
-    vn = float(np.sqrt(space.h_inner(x0, v, v)))  # family members are h-unit
-    X = family.match(x0, v / vn) if vn > 0 else zero_field(space)
-    Y = X + nav.wind
-    residual = float(np.linalg.norm(Y.flow(x0, t) - x1))
+        t, X, method = 0.0, zero_field(space), "identity"
+        Y = X + nav.wind
+        residual = float(np.linalg.norm(x1 - x0))
+    else:
+        z = nav.wind.flow(x1, -t)
+        v = space.h_log(x0, z)
+        vn = float(np.sqrt(space.h_inner(x0, v, v)))  # family members are h-unit
+        X = family.match(x0, v / vn) if vn > 0 else zero_field(space)
+        Y = X + nav.wind
+        residual = float(np.linalg.norm(Y.flow(x0, t) - x1))
+        method = "closed-form"
     if not residual < tol:  # NaN fails too
         raise SearchFailed(f"cw_connect residual {residual:.3e} > tol {tol:.1e}", residual)
-    return ConnectResult(member=X, t=t, residual=residual, total=Y,
-                         method="closed-form")
+    return ConnectResult(member=X, t=t, residual=residual, total=Y, method=method)

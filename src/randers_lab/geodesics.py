@@ -113,8 +113,10 @@ def f_geodesic_ode(nav: NavigationData, x, y, T: float = 1.0,
     The chart is re-centered at the current point after every step, so
     xi stays near 0 and the h_exp chart stays well-conditioned. The
     curve is flagged diverged when the F-speed (a first integral)
-    drifts by more than 1e-6 relative.
+    drifts by more than 1e-6 relative. T is finite and at least 0.
     """
+    if not 0.0 <= T < np.inf:
+        raise ValueError(f"T must be finite and at least 0, got {T}")
     space = nav.space
     p = np.asarray(x, dtype=float)
     v = np.asarray(y, dtype=float)
@@ -160,13 +162,20 @@ def f_geodesic_ode(nav: NavigationData, x, y, T: float = 1.0,
 
 
 def f_distance_batch(nav: NavigationData, xs, ys) -> np.ndarray:
-    """Vectorized f_distance over row-aligned point arrays."""
+    """Vectorized f_distance over row-aligned point arrays; a row with a
+    non-finite point or h-distance is a ValueError naming it."""
     space = nav.space
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     ys = np.atleast_2d(np.asarray(ys, dtype=float))
     m = len(xs)
     wmax = nav.wind.length_range()[1]
     g0 = np.asarray(space.h_distance(xs, ys), dtype=float)
+    # a NaN row would fail `g0 > _TOL` below and read as distance 0
+    finite = np.isfinite(g0) & np.isfinite(xs).all(axis=-1) & np.isfinite(ys).all(axis=-1)
+    if not finite.all():
+        bad = np.flatnonzero(~finite)
+        raise ValueError(f"f_distance needs finite points at a finite h-distance; "
+                         f"{bad.size} of {m} rows are not, the first {bad[:5].tolist()}")
     out = np.zeros(m)
     active = g0 > _TOL
     if not np.any(active):

@@ -1,5 +1,5 @@
-"""Killing fields on the model spaces: exact flows, brackets, the
-constant-length rule, and the commuting constant-length families.
+"""Killing fields on the model spaces: exact flows, the constant-length
+rule, and the commuting constant-length families.
 
 Generators are stored exactly (skew matrix / algebra pair / constant
 vector / tuple) and flows are evaluated by matrix or quaternion
@@ -280,26 +280,6 @@ def require_constant_length(X: KillingField, error: type, claim: str) -> None:
         if hi - lo > 1e-12 * max(1.0, hi):
             where = f" on factor {i}" if isinstance(X, ProductKilling) else ""
             raise error(f"{claim}; its h-length{where} runs over [{lo:.6g}, {hi:.6g}]")
-
-
-def commutator(X: KillingField, Y: KillingField) -> KillingField:
-    """Lie bracket [X, Y] as a closed-form field.
-
-    Sign convention: for matrix fields x -> Ax, x -> Bx the bracket is
-    x -> (BA - AB)x (pinned by a finite-difference test, not by fiat).
-    """
-    if isinstance(X, SphereKilling) and isinstance(Y, SphereKilling):
-        A, B = X.A, Y.A
-        return SphereKilling(X.space, B @ A - A @ B)
-    if isinstance(X, EuclideanKilling) and isinstance(Y, EuclideanKilling):
-        return EuclideanKilling(X.space, np.zeros_like(X.v))
-    if isinstance(X, GroupKilling) and isinstance(Y, GroupKilling):
-        l = quat.qmul(Y.l, X.l) - quat.qmul(X.l, Y.l)
-        r = quat.qmul(Y.r, X.r) - quat.qmul(X.r, Y.r)
-        return GroupKilling(X.space, l, r)
-    if isinstance(X, ProductKilling) and isinstance(Y, ProductKilling):
-        return ProductKilling(X.space, tuple(commutator(a, b) for a, b in zip(X.parts, Y.parts)))
-    raise TypeError("commutator needs two fields of the same kind")
 
 
 # ---------------------------------------------------------------------------

@@ -13,12 +13,12 @@ import numpy as np
 from . import __version__
 
 
-def render_json(result: dict, config=None) -> str:
-    payload = {"version": __version__, "result": result}
-    if config is not None:
-        payload["config_hash"] = config.config_hash
-        payload["config"] = json.loads(config.to_json())
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+def render_json(result: dict, config) -> str:
+    """The report of `result` under `config`. Strict JSON: a NaN or an
+    infinity anywhere raises ValueError instead of writing an invalid file."""
+    payload = {"version": __version__, "result": result, "config_hash": config.config_hash,
+               "config": json.loads(config.to_json())}
+    return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def write_csv(path, header, rows) -> None:
@@ -33,8 +33,9 @@ def geodesic_rows(curve):
     return [(float(t),) + tuple(float(c) for c in p) for t, p in zip(curve.ts, curve.points)]
 
 
-def polyline_svg(points_2d, width: int = 480, height: int = 480, margin: float = 20.0) -> str:
+def polyline_svg(points_2d) -> str:
     """SVG polyline through the first two coordinates of a curve."""
+    width, height, margin = 480, 480, 20.0
     pts = np.asarray(points_2d, dtype=float)[:, :2]
     lo = pts.min(axis=0)
     hi = pts.max(axis=0)
@@ -50,9 +51,9 @@ def polyline_svg(points_2d, width: int = 480, height: int = 480, margin: float =
     )
 
 
-def histogram_svg(values, bins: int = 24, width: int = 480, height: int = 320,
-                  margin: float = 24.0) -> str:
+def histogram_svg(values) -> str:
     """Bar histogram of sampled values (displacement reports)."""
+    bins, width, height, margin = 24, 480, 320, 24.0
     vals = np.asarray(values, dtype=float)
     counts, edges = np.histogram(vals, bins=bins)
     top = max(int(counts.max()), 1)

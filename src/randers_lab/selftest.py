@@ -192,8 +192,8 @@ def criterion_5() -> dict:
                         "control_rel_spread": control.rel_spread}}
 
 
-def criterion_6(n_nodes: int = 20000, cache_dir=None) -> dict:
-    """Distance oracle agreement on the three primitive spaces."""
+def criterion_6(cache_dir=None) -> dict:
+    """Distance oracle agreement on the three primitive spaces, 2e4 nodes each."""
     t0 = time.perf_counter()
     navs = fixture_navs()
     runs = [("euclidean", 64, 20), ("sphere-hopf", 256, 21), ("su2-left", 256, 22)]
@@ -201,7 +201,7 @@ def criterion_6(n_nodes: int = 20000, cache_dir=None) -> dict:
     worst = 0.0
     for key, k, seed in runs:
         nav = navs[key]
-        g = build_graph(nav, n_nodes, k, seed=seed, cache_dir=cache_dir)
+        g = build_graph(nav, 20000, k, seed=seed, cache_dir=cache_dir)
         rng = np.random.default_rng(seed + 100)
         xs = nav.space.sample(rng, 20)
         ys = nav.space.sample(rng, 20)

@@ -12,6 +12,8 @@ Conventions
 * CompactGroup("SU2", scale=s): points are unit quaternions [w,x,y,z];
   the bi-invariant metric is s^2 * dot, so d(1,-1) = s*pi.
 * Product: the l2 combination of factor distances.
+* `h_exp(x, v)` is the point at time 1 on the h-geodesic from x with
+  velocity v; the point at time t is `h_exp(x, t * v)`.
 
 `embed` is an isometric embedding in Euclidean space, so h-distance is
 never less than the chord between embeddings. `compact` is False
@@ -88,9 +90,8 @@ class Euclidean:
     def h_inner(self, x, u, v):
         return _dot(u, v)
 
-    def h_exp(self, x, v, t=1.0):
-        t = np.asarray(t, dtype=float)
-        return np.asarray(x, dtype=float) + t[..., None] * np.asarray(v, dtype=float)
+    def h_exp(self, x, v):
+        return np.asarray(x, dtype=float) + np.asarray(v, dtype=float)
 
     def h_log(self, x, y):
         return np.asarray(y, dtype=float) - np.asarray(x, dtype=float)
@@ -152,12 +153,12 @@ class Sphere:
     def h_inner(self, x, u, v):
         return _dot(u, v)
 
-    def h_exp(self, x, v, t=1.0):
+    def h_exp(self, x, v):
         x = np.asarray(x, dtype=float)
         v = np.asarray(v, dtype=float)
         R = self.radius
         speed = _norm(v)
-        theta = np.asarray(t) * speed / R
+        theta = speed / R
         safe = np.where(speed < 1e-300, 1.0, speed)
         u = v / safe[..., None]
         out = np.cos(theta)[..., None] * x + (R * np.sin(theta))[..., None] * u
@@ -290,8 +291,8 @@ class CompactGroup:
 
     # geometry of the unit quaternion sphere; only lengths carry the scale
 
-    def h_exp(self, x, v, t=1.0):
-        return _UNIT_S3.h_exp(x, v, t)
+    def h_exp(self, x, v):
+        return _UNIT_S3.h_exp(x, v)
 
     def h_log(self, x, y):
         return _UNIT_S3.h_log(x, y)
@@ -383,8 +384,8 @@ class Product:
         parts = zip(self.factors, self.split(x), self.split(u), self.split(v))
         return sum(f.h_inner(xf, uf, vf) for f, xf, uf, vf in parts)
 
-    def h_exp(self, x, v, t=1.0):
-        parts = [f.h_exp(xf, vf, t) for f, xf, vf in zip(self.factors, self.split(x), self.split(v))]
+    def h_exp(self, x, v):
+        parts = [f.h_exp(xf, vf) for f, xf, vf in zip(self.factors, self.split(x), self.split(v))]
         return _concat_parts(parts)
 
     def h_log(self, x, y):
@@ -447,8 +448,8 @@ def frame(space, x) -> np.ndarray:
     return np.array(rows)
 
 
-def random_tangent(space, rng, x, unit: bool = True) -> np.ndarray:
-    """Random tangent vector(s) at x; h-unit by default.
+def random_tangent(space, rng, x) -> np.ndarray:
+    """Random h-unit tangent vector(s) at x.
 
     Draws whose projection is nearly zero (the Gaussian landed almost
     radially) are redrawn — normalizing the projection residue would
@@ -471,10 +472,8 @@ def random_tangent(space, rng, x, unit: bool = True) -> np.ndarray:
             v = v2
         nrm = np.atleast_1d(np.sqrt(space.h_inner(x, v, v)))
         glen = np.linalg.norm(np.atleast_2d(g2), axis=-1)
-    if unit:
-        scale = np.where(nrm < 1e-300, 1.0, nrm)
-        v = v / scale[..., None] if x.ndim > 1 else v / scale[0]
-    return v
+    scale = np.where(nrm < 1e-300, 1.0, nrm)
+    return v / scale[..., None] if x.ndim > 1 else v / scale[0]
 
 
 def space_from_config(cfg: dict):

@@ -21,10 +21,19 @@ S3 = '{"kind": "sphere", "dim": 3, "radius": 1.0}'
 HOPF = '{"type": "hopf", "c": 0.3}'
 
 
+def _refuse(constant):
+    raise ValueError(f"a report holds {constant}, which strict JSON has no word for")
+
+
+def _report(text):
+    """A report read as strict JSON, which has no NaN or Infinity."""
+    return json.loads(text, parse_constant=_refuse)
+
+
 def test_convert_fixture(capsys):
     rc = main(["convert", "--space", E2, "--wind", WIND, "--point", "[0.0, 0.0]"])
     assert rc == 0
-    out = json.loads(capsys.readouterr().out)
+    out = _report(capsys.readouterr().out)
     np.testing.assert_allclose(out["result"]["a"], [[16 / 9, 0], [0, 4 / 3]], atol=1e-14)
     np.testing.assert_allclose(out["result"]["b"], [-2 / 3, 0], atol=1e-14)
     assert out["result"]["lambda"] == pytest.approx(0.75)
@@ -34,7 +43,7 @@ def test_convert_fixture(capsys):
 
 def test_convert_tracks_full_float_precision(capsys):
     main(["convert", "--space", E2, "--wind", WIND, "--point", "[0.1, 0.2]"])
-    out = json.loads(capsys.readouterr().out)
+    out = _report(capsys.readouterr().out)
     # JSON floats round-trip bit-exactly (repr gives 17 significant digits
     # whenever needed)
     assert out["result"]["a"][0][0] == 16 / 9
@@ -44,7 +53,7 @@ def test_norm_subcommand(capsys):
     rc = main(["norm", "--space", E2, "--wind", WIND,
                "--point", "[0,0]", "--vector", "[1,0]"])
     assert rc == 0
-    out = json.loads(capsys.readouterr().out)
+    out = _report(capsys.readouterr().out)
     assert out["result"]["F_navigation"] == pytest.approx(2 / 3, abs=1e-14)
     assert out["result"]["F_defining"] == pytest.approx(2 / 3, abs=1e-10)
 
@@ -52,7 +61,7 @@ def test_norm_subcommand(capsys):
 def test_distance_subcommand(capsys):
     rc = main(["distance", "--space", E2, "--wind", WIND, "--x", "[0,0]", "--y", "[1,0]"])
     assert rc == 0
-    out = json.loads(capsys.readouterr().out)
+    out = _report(capsys.readouterr().out)
     assert out["result"]["d_xy"] == pytest.approx(2 / 3, abs=1e-9)
     assert out["result"]["d_yx"] == pytest.approx(2.0, abs=1e-9)
 
@@ -80,7 +89,7 @@ def test_flow_subcommand(capsys):
     rc = main(["flow", "--space", S3, "--wind", HOPF, "--point", "[1,0,0,0]",
                "--t", "0.5"])
     assert rc == 0
-    out = json.loads(capsys.readouterr().out)
+    out = _report(capsys.readouterr().out)
     p = np.array(out["result"]["point"])
     np.testing.assert_allclose(np.linalg.norm(p), 1.0, atol=1e-12)
     np.testing.assert_allclose(p, [np.cos(0.15), np.sin(0.15), 0, 0], atol=1e-12)
@@ -90,7 +99,7 @@ def test_cw_check_hopf_exits_zero(capsys):
     rc = main(["cw-check", "--space", S3, "--wind", HOPF, "--seed", "3",
                "--samples", "50", "--tol", "1e-4"])
     assert rc == 0
-    out = json.loads(capsys.readouterr().out)
+    out = _report(capsys.readouterr().out)
     assert out["result"]["verdict"] == "CW"
 
 
@@ -105,7 +114,7 @@ def test_exhaust_subcommand(capsys):
     rc = main(["exhaust", "--space", S3, "--wind", HOPF, "--seed", "4",
                "--directions", "20"])
     assert rc == 0
-    out = json.loads(capsys.readouterr().out)
+    out = _report(capsys.readouterr().out)
     assert out["result"]["worst_residual"] < 1e-6
 
 
@@ -113,7 +122,7 @@ def test_connect_subcommand(capsys):
     rc = main(["connect", "--space", E2, "--wind", WIND, "--x0", "[0,0]",
                "--x1", "[2,1]"])
     assert rc == 0
-    out = json.loads(capsys.readouterr().out)
+    out = _report(capsys.readouterr().out)
     assert out["result"]["residual"] < 1e-9
     assert out["result"]["member"]["type"] == "euclidean-const"
 
@@ -123,14 +132,14 @@ def test_oracle_build_and_query(tmp_path, capsys):
             "--cache", str(tmp_path)]
     rc = main(["oracle", "build"] + args)
     assert rc == 0
-    built = json.loads(capsys.readouterr().out)
+    built = _report(capsys.readouterr().out)
     assert built["result"]["n_nodes"] == 2000
     # directed arcs, the count from when each orientation was its own row
     assert built["result"]["n_edges"] == 22946
 
     rc = main(["oracle", "query"] + args + ["--x", "[0,0]", "--y", "[1,0]"])
     assert rc == 0
-    out = json.loads(capsys.readouterr().out)
+    out = _report(capsys.readouterr().out)
     assert out["result"]["estimate"] == pytest.approx(2 / 3, rel=0.10)
 
 
@@ -140,7 +149,7 @@ def test_oracle_build_reports_the_orbit_net(tmp_path, capsys):
     rc = main(["oracle", "build", "--space", S3, "--wind", HOPF, "--nodes", "2000",
                "--k", "10", "--cache", str(tmp_path)])
     assert rc == 0
-    built = json.loads(capsys.readouterr().out)["result"]
+    built = _report(capsys.readouterr().out)["result"]
     assert built["n_nodes"] == 2040
     assert built["n_edges"] == 23520
 
@@ -151,15 +160,15 @@ def test_truncated_oracle_cache_is_rebuilt(tmp_path, capsys):
             "--cache", str(tmp_path)]
     query = ["oracle", "query"] + args + ["--x", "[0,0]", "--y", "[1,0]"]
     assert main(["oracle", "build"] + args) == 0
-    fresh = json.loads(capsys.readouterr().out)["result"]
+    fresh = _report(capsys.readouterr().out)["result"]
     assert main(query) == 0
-    want = json.loads(capsys.readouterr().out)["result"]
+    want = _report(capsys.readouterr().out)["result"]
     (path,) = tmp_path.iterdir()
     data = path.read_bytes()
     for argv, result in ((query, want), (["oracle", "build"] + args, fresh)):
         path.write_bytes(data[:len(data) // 2])
         assert main(argv) == 0
-        assert json.loads(capsys.readouterr().out)["result"] == result
+        assert _report(capsys.readouterr().out)["result"] == result
         assert path.read_bytes() == data
 
 
@@ -200,7 +209,7 @@ def test_library_error_exits_two_with_one_line(capsys):
 
 def _config_of(capsys, argv):
     main(argv)
-    out = json.loads(capsys.readouterr().out)
+    out = _report(capsys.readouterr().out)
     return out["config_hash"], out["config"]
 
 
@@ -274,7 +283,7 @@ def test_json_argument_from_file(tmp_path, capsys):
     for spec in ("@" + str(path), str(path)):
         rc = main(["distance", "--space", spec, "--wind", WIND, "--x", "[0,0]", "--y", "[1,0]"])
         assert rc == 0
-        assert json.loads(capsys.readouterr().out)["result"]["d_xy"] == pytest.approx(2 / 3, abs=1e-9)
+        assert _report(capsys.readouterr().out)["result"]["d_xy"] == pytest.approx(2 / 3, abs=1e-9)
 
 
 def test_oracle_build_refuses_nonconstant_wind(tmp_path, capsys):
@@ -320,6 +329,7 @@ def test_selftest_out_is_byte_identical(tmp_path, capsys):
     first = (tmp_path / "a" / "selftest.json").read_bytes()
     assert first == (tmp_path / "b" / "selftest.json").read_bytes()
     assert b"elapsed" not in first
+    assert _report(first)["result"]["results"][0]["passed"]
 
 
 def test_disconnected_oracle_net_exits_two_with_one_line(tmp_path, capsys):
@@ -346,7 +356,7 @@ def test_anti_hopf_wind_passes_every_verb(capsys, verb, args):
     # constant length but not a multiple of J: a supported wind all the same
     rc = main([verb, "--space", S3, "--wind", ANTI_HOPF_JSON] + args)
     assert rc == 0
-    result = json.loads(capsys.readouterr().out)["result"]
+    result = _report(capsys.readouterr().out)["result"]
     if verb == "exhaust":
         assert result["worst_residual"] < 1e-6
     if verb == "connect":
@@ -435,6 +445,50 @@ def test_counts_and_tolerances_are_checked_at_parse_time(capsys, verb, option):
     assert f"argument {option}: must be " in capsys.readouterr().err
 
 
+# numbers no verb can honour: an infinite tolerance passes every check, and
+# an infinite or NaN time gives NaN points or fails inside numpy
+NON_FINITE = [("flow", "--t", "inf"), ("cw-check", "--t", "nan"), ("geodesic", "--T", "inf"),
+              ("geodesic", "--T", "nan"), ("cw-check", "--tol", "inf")]
+
+
+@pytest.mark.parametrize("verb, option, value", NON_FINITE,
+                         ids=[f"{v}{o}={x}" for v, o, x in NON_FINITE])
+def test_number_options_are_finite(capsys, verb, option, value):
+    with pytest.raises(SystemExit) as exc:
+        main([verb, "--space", S3, "--wind", HOPF, option, value])
+    assert exc.value.code == 2
+    assert f"argument {option}: must be a finite number, got {value}" in capsys.readouterr().err
+
+
+def test_geodesic_ode_refuses_a_negative_time(capsys):
+    rc = main(["geodesic", "--space", S3, "--wind", HOPF, "--x", "[1,0,0,0]",
+               "--direction", "[0,1,0,0]", "--method", "ode", "--T", "-0.01"])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: T must be finite and at least 0, got -0.01\n"
+
+
+def test_nan_field_is_refused_not_cw(capsys):
+    # the flow of a NaN generator moves every sample to NaN, and a NaN
+    # displacement would read as 0 and pass as CW
+    field = '{"type": "euclidean-const", "v": [NaN, 0.0]}'
+    rc = main(["cw-check", "--space", E2, "--wind", WIND, "--field", field, "--samples", "3"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err == ("error: f_distance needs finite points at a finite h-distance; "
+                   "3 of 3 rows are not, the first [0, 1, 2]\n")
+
+
+def test_report_with_a_non_finite_number_exits_two(tmp_path, capsys):
+    # strict JSON has no NaN: the report is refused, and no file is written
+    field = '{"type": "euclidean-const", "v": [NaN, 0.0]}'
+    rc = main(["flow", "--space", E2, "--field", field, "--point", "[0,0]",
+               "--out", str(tmp_path)])
+    assert rc == 2
+    assert capsys.readouterr() == ("", "error: Out of range float values are not JSON "
+                                   "compliant: nan\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 PRODUCT = json.dumps({"kind": "product", "factors": [json.loads(S3), json.loads(E2)]})
 
 
@@ -495,14 +549,14 @@ def test_cw_check_writes_the_displacement_histogram(tmp_path, capsys):
     assert rc == 0
     svg = (tmp_path / "cw-displacements.svg").read_text()
     assert svg.startswith("<svg") and "<rect" in svg
-    assert (tmp_path / "cw-check.json").exists()
+    assert _report((tmp_path / "cw-check.json").read_text())["result"]["verdict"] == "CW"
 
 
 def test_exhaust_at_a_given_point(capsys):
     rc = main(["exhaust", "--space", S3, "--wind", HOPF, "--point", "[0,0.6,0.8,0]",
                "--directions", "10"])
     assert rc == 0
-    result = json.loads(capsys.readouterr().out)["result"]
+    result = _report(capsys.readouterr().out)["result"]
     assert result["base_point"] == [0.0, 0.6, 0.8, 0.0]
     assert result["passed"] and result["worst_residual"] < 1e-6
 
@@ -512,7 +566,7 @@ def test_connect_below_reach_reports_its_best_residual(capsys):
     rc = main(["connect", "--space", S3, "--wind", HOPF, "--x0", "[1,0,0,0]",
                "--x1", "[0,0.6,0.8,0]", "--tol", "1e-300"])
     assert rc == 1
-    result = json.loads(capsys.readouterr().out)["result"]
+    result = _report(capsys.readouterr().out)["result"]
     assert result["failed"] is True
     assert 0.0 < result["best_residual"] < 1e-9
 
@@ -521,9 +575,9 @@ def test_geodesic_ode_follows_the_flow_curve(capsys):
     args = ["geodesic", "--space", S3, "--wind", HOPF, "--x", "[1,0,0,0]",
             "--direction", "[0,0.3,0.4,0.5]", "--T", "0.05"]
     assert main(args + ["--method", "ode", "--step", "0.01"]) == 0
-    ode = json.loads(capsys.readouterr().out)["result"]
+    ode = _report(capsys.readouterr().out)["result"]
     assert main(args + ["--method", "flow", "--steps", "5"]) == 0
-    flow = json.loads(capsys.readouterr().out)["result"]
+    flow = _report(capsys.readouterr().out)["result"]
     assert ode["method"] == "ode" and not ode["diverged"] and ode["n_points"] == 6
     np.testing.assert_allclose(ode["endpoint"], flow["endpoint"], rtol=0, atol=1e-9)
 
@@ -571,7 +625,7 @@ def test_connect_on_scaled_su2(capsys):
                "--wind", '{"type": "group-left", "l": [0, 0.375, 0, 0]}',
                "--x0", "[1,0,0,0]", "--x1", "[0.5,0.5,0.5,0.5]"])
     assert rc == 0
-    result = json.loads(capsys.readouterr().out)["result"]
+    result = _report(capsys.readouterr().out)["result"]
     assert result["method"] == "closed-form" and result["residual"] < 1e-9
 
 
@@ -591,7 +645,7 @@ def test_tangent_vector_to_rounding_is_taken(capsys):
     rc = main(["norm", "--space", S3, "--wind", HOPF, "--point", "[1,0,0,0]",
                "--vector", "[1e-13,1,0,0]"])
     assert rc == 0
-    result = json.loads(capsys.readouterr().out)["result"]
+    result = _report(capsys.readouterr().out)["result"]
     assert abs(result["F_navigation"] - result["F_defining"]) <= 1e-12
 
 

@@ -175,8 +175,26 @@ def test_exhaustion_product(navs):
 
 def test_connect_identity(hopf_nav):
     x = hopf_nav.space.sample(np.random.default_rng(3), 1)[0]
-    member, t = cw_connect(hopf_nav, x, x)
-    assert t == 0.0
+    res = cw_connect(hopf_nav, x, x)
+    assert (res.t, res.residual, res.method) == (0.0, 0.0, "identity")
+
+
+def test_connect_identity_measures_its_gap(e2_nav):
+    # 5e-11 apart, the points are at f_distance 0: the identity joins them
+    # with the gap as its residual, which a tolerance below it refuses
+    x0 = np.array([0.3, -1.2])
+    x1 = x0 + [5e-11, 0.0]
+    res = cw_connect(e2_nav, x0, x1)
+    assert res.method == "identity" and res.residual == pytest.approx(5e-11, rel=1e-3)
+    with pytest.raises(SearchFailed) as err:
+        cw_connect(e2_nav, x0, x1, tol=1e-12)
+    assert err.value.best_residual == res.residual
+
+
+def test_nan_time_is_refused_not_cw(hopf_nav):
+    Y = constant_length_family(hopf_nav).random_member(np.random.default_rng(1), 1.0) + hopf_nav.wind
+    with pytest.raises(ValueError, match="5 of 5 rows are not"):
+        cw_displacement_check(hopf_nav, (Y, np.nan), n_samples=5)
 
 
 def test_connect_euclidean_exact(e2_nav, rng):
@@ -195,7 +213,7 @@ def test_connect_hopf_nearby(hopf_nav):
     x0 = s.sample(rng, 1)[0]
     from randers_lab.spaces import random_tangent
 
-    x1 = s.h_exp(x0, random_tangent(s, rng, x0), 0.3)
+    x1 = s.h_exp(x0, 0.3 * random_tangent(s, rng, x0))
     res = cw_connect(hopf_nav, x0, x1)
     assert res.residual < 1e-6
     Y = res.member + hopf_nav.wind

@@ -37,7 +37,7 @@ def test_flowcurve_windless_sphere_is_great_circle(rng):
     x = s.sample(rng, 1)[0]
     u = random_tangent(s, rng, x)
     curve = f_geodesic_flowcurve(nav, x, u, T=1.0, n_steps=50)
-    expected = s.h_exp(x, u, curve.ts)
+    expected = s.h_exp(x, curve.ts[:, None] * u)
     np.testing.assert_allclose(curve.points, expected, atol=1e-9)
 
 
@@ -104,6 +104,18 @@ def test_distance_raises_when_length_range_under_reports(e2_nav, monkeypatch):
     monkeypatch.setattr(EuclideanKilling, "length_range", lambda self: (0.0, 0.0))
     with pytest.raises(RootNotBracketed):
         f_distance(e2_nav, np.array([1.0, 0.0]), np.zeros(2))
+
+
+@pytest.mark.parametrize("nav", ["e2_nav", "hopf_nav"])
+def test_distance_refuses_non_finite_rows(nav, request):
+    # a NaN row fails every comparison, so it would read as distance 0; a
+    # point at infinity has a finite chord distance on the sphere
+    nav = request.getfixturevalue(nav)
+    x = nav.space.sample(np.random.default_rng(0), 3)
+    y = x[::-1].copy()
+    y[1, 0], y[2, 0] = np.nan, np.inf
+    with pytest.raises(ValueError, match=r"2 of 3 rows are not, the first \[1, 2\]"):
+        f_distance_batch(nav, x, y)
 
 
 def test_distance_brackets_with_the_exact_wind_maximum(s3):
