@@ -24,17 +24,11 @@ from .cw import (
     cw_displacement_check,
     direction_exhaustion_check,
 )
-from .geodesics import (
-    NoMatchingField,
-    RootNotBracketed,
-    f_distance,
-    f_geodesic_flowcurve,
-    f_geodesic_ode,
-)
+from .geodesics import f_distance, f_geodesic_flowcurve, f_geodesic_ode
 from .killing import constant_length_family, killing_from_config, zero_field
 from .randers import NavigationData, from_navigation, to_navigation
 from .reports import geodesic_rows, polyline_svg, histogram_svg, render_json, write_csv
-from .spaces import SpaceError, space_from_config
+from .spaces import space_from_config
 
 
 def _json_arg(s):
@@ -125,7 +119,7 @@ def cmd_convert(args) -> int:
     nav, cfg = _nav_from_args(args)
     x = _point(nav, args.point)
     df = from_navigation(nav, x)
-    h, wc, wamb = to_navigation(df)
+    h, wamb = to_navigation(df)
     result = {
         "a": df.a.tolist(),
         "b": df.b.tolist(),
@@ -248,15 +242,12 @@ def cmd_connect(args) -> int:
 
 def cmd_oracle(args) -> int:
     # oracle and selftest are the modules that load scipy, imported by their verbs alone
-    from .oracle import GraphDisconnected, build_graph, oracle_distance
+    from .oracle import build_graph, oracle_distance
 
     nav, cfg = _nav_from_args(args)
     if args.oracle_cmd == "query":  # check the points before paying for a build
         x, y = _point(nav, args.x), _point(nav, args.y)
-    try:
-        g = build_graph(nav, args.nodes, args.k, seed=args.seed, cache_dir=args.cache)
-    except GraphDisconnected as e:  # --nodes and --k too small for this space
-        raise ConfigError(str(e)) from None
+    g = build_graph(nav, args.nodes, args.k, seed=args.seed, cache_dir=args.cache)
     if args.oracle_cmd == "build":
         result = {"graph_hash": g.graph_hash, "eps": g.eps,
                   "n_nodes": g.n_nodes, "k": g.k, "n_edges": g.csr.nnz}
@@ -282,13 +273,13 @@ def _criteria(text: str) -> list[int]:
 
 
 def cmd_selftest(args) -> int:
-    from .selftest import CRITERIA, run_criterion
+    from .selftest import CRITERIA
 
     chosen = _criteria(args.criteria) if args.criteria else CRITERIA
     results = []
     for i in sorted(chosen):
         t0 = time.perf_counter()
-        r = run_criterion(i, cache_dir=args.cache)
+        r = CRITERIA[i]()
         results.append(r)
         status = "PASS" if r["passed"] else "FAIL"
         print(f"CRITERION {i}: {status} ({r['name']})")
@@ -391,7 +382,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("selftest", help="run the acceptance criteria")
     sp.add_argument("--out", help="output directory")
     sp.add_argument("--criteria", help="comma-separated subset, e.g. 1,2,5")
-    sp.add_argument("--cache", help="oracle cache directory")
     sp.set_defaults(func=cmd_selftest)
 
     return p
@@ -401,9 +391,11 @@ def main(argv=None) -> int:
     try:
         # an unreadable JSON file raises OSError from argument parsing
         args = build_parser().parse_args(argv)
-        return args.func(args)
-    except (ConfigError, SpaceError, ValueError, OSError, KeyError,
-            RootNotBracketed, NoMatchingField) as e:
+        # a non-finite result is refused where it is used, so numpy's
+        # overflow warnings would only precede that one error line
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.func(args)
+    except (ValueError, OSError) as e:  # every library error is a ValueError
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -31,7 +31,6 @@ class SearchFailed(RuntimeError):
 @dataclass(frozen=True)
 class CwReport:
     description: str
-    n_samples: int
     displacements: np.ndarray
     tol: float
 
@@ -58,7 +57,7 @@ class CwReport:
     def to_dict(self) -> dict:
         return {
             "description": self.description,
-            "n_samples": self.n_samples,
+            "n_samples": len(self.displacements),
             "min": self.d_min,
             "max": self.d_max,
             "mean": self.d_mean,
@@ -72,7 +71,6 @@ class CwReport:
 @dataclass(frozen=True)
 class ExhaustionReport:
     base_point: np.ndarray
-    directions: np.ndarray
     residuals: np.ndarray
     tol: float
 
@@ -87,7 +85,7 @@ class ExhaustionReport:
     def to_dict(self) -> dict:
         return {
             "base_point": [float(v) for v in self.base_point],
-            "n_directions": len(self.directions),
+            "n_directions": len(self.residuals),
             "worst_residual": self.worst_residual,
             "tol": self.tol,
             "passed": bool(self.passed),
@@ -95,24 +93,15 @@ class ExhaustionReport:
         }
 
 
-def cw_displacement_check(nav: NavigationData, isometry, n_samples: int = 100,
+def cw_displacement_check(nav: NavigationData, flow, n_samples: int = 100,
                           tol: float = 1e-4, seed: int = 0) -> CwReport:
-    """Sample x -> d_F(x, rho(x)) and report its spread.
-
-    `isometry` is either a pair (X, t) flowed exactly, or a plain point
-    map. Verdict is CW iff (max - min)/mean < tol.
+    """Sample x -> d_F(x, phi_{X;t}(x)) for the pair flow = (X, t), flowed
+    exactly, and report its spread. Verdict is CW iff (max - min)/mean < tol.
     """
-    rng = np.random.default_rng(seed)
-    xs = nav.space.sample(rng, n_samples)
-    if isinstance(isometry, tuple):
-        X, t = isometry
-        images = X.flow(xs, float(t))
-        desc = f"flow({type(X).__name__}, t={t})"
-    else:
-        images = np.array([isometry(x) for x in xs])
-        desc = getattr(isometry, "__name__", "map")
-    disp = f_distance_batch(nav, xs, images)
-    return CwReport(description=desc, n_samples=n_samples, displacements=disp, tol=tol)
+    X, t = flow
+    xs = nav.space.sample(np.random.default_rng(seed), n_samples)
+    disp = f_distance_batch(nav, xs, X.flow(xs, float(t)))
+    return CwReport(description=f"flow({type(X).__name__}, t={t})", displacements=disp, tol=tol)
 
 
 def small_time_threshold(nav: NavigationData, Y: KillingField) -> float:
@@ -123,7 +112,7 @@ def small_time_threshold(nav: NavigationData, Y: KillingField) -> float:
     ValueError."""
     x0 = nav.space.sample(np.random.default_rng(7), 1)[0]
     L = float(nav.finsler_norm(x0, Y.evaluate(x0)))
-    require_constant_length(Y - L * nav.wind, ValueError,
+    require_constant_length(Y + nav.wind.scaled(-L), ValueError,
                             f"a field of constant F-length L = {L:.6g} has Y - L*W of constant length")
     return np.inf if L < 1e-300 else float(nav.space.injectivity_radius / L)
 
@@ -137,7 +126,6 @@ def direction_exhaustion_check(nav: NavigationData, x, n_directions: int = 50,
     x = np.asarray(x, dtype=float)
     rng = np.random.default_rng(seed)
     Wx = nav.wind.evaluate(x)
-    dirs = []
     resid = []
     for _ in range(n_directions):
         u = random_tangent(nav.space, rng, x)  # h-unit
@@ -146,11 +134,8 @@ def direction_exhaustion_check(nav: NavigationData, x, n_directions: int = 50,
         Yx = X.evaluate(x) + Wx
         num = nav.space.h_inner(x, Yx, y)
         den = np.sqrt(nav.space.h_inner(x, Yx, Yx) * nav.space.h_inner(x, y, y))
-        ang = float(np.arccos(np.clip(num / den, -1.0, 1.0)))
-        dirs.append(y)
-        resid.append(ang)
-    return ExhaustionReport(base_point=x, directions=np.array(dirs),
-                            residuals=np.array(resid), tol=tol)
+        resid.append(float(np.arccos(np.clip(num / den, -1.0, 1.0))))
+    return ExhaustionReport(base_point=x, residuals=np.array(resid), tol=tol)
 
 
 @dataclass(frozen=True)

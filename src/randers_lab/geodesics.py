@@ -30,11 +30,11 @@ from .spaces import frame as h_frame
 _TOL = 1e-10
 
 
-class NoMatchingField(RuntimeError):
+class NoMatchingField(ValueError):
     pass
 
 
-class RootNotBracketed(RuntimeError):
+class RootNotBracketed(ValueError):
     pass
 
 

@@ -73,11 +73,18 @@ class KillingField:
     evaluate, flow, length_range (the exact (min, max) of the field's
     h-length over the space), + and scaled."""
 
-    def __rmul__(self, c):
-        return self.scaled(float(c))
 
-    def __sub__(self, other):
-        return self + other.scaled(-1.0)
+def _check_generator(field, kind: type, **generators) -> None:
+    """Refuse a field on a space that is not a `kind`, or with a
+    non-finite generator: NaN compares False, so it would pass the skew
+    and pure-imaginary checks."""
+    if not isinstance(field.space, kind):
+        raise ValueError(f"{type(field).__name__} acts on a {kind.__name__}, "
+                         f"not on {field.space!r}")
+    for name, g in generators.items():
+        if not np.all(np.isfinite(g)):
+            raise ValueError(f"{type(field).__name__} generator {name} has a non-finite "
+                             f"entry: {np.asarray(g).tolist()}")
 
 
 def _as_times(t, x):
@@ -96,6 +103,7 @@ class EuclideanKilling(KillingField):
 
     def __post_init__(self):
         v = np.asarray(self.v, dtype=float)
+        _check_generator(self, Euclidean, v=v)
         if v.shape != (self.space.n,):
             raise ValueError(f"a translation on E^{self.space.n} is a vector of "
                              f"{self.space.n} numbers, got shape {v.shape}")
@@ -132,6 +140,7 @@ class SphereKilling(KillingField):
 
     def __post_init__(self):
         A = np.asarray(self.A, dtype=float)
+        _check_generator(self, Sphere, A=A)
         d = self.space.ambient_dim
         if A.shape != (d, d):
             raise ValueError(f"a generator on S^{self.space.dim} is a {d}x{d} matrix, "
@@ -186,6 +195,7 @@ class GroupKilling(KillingField):
     def __post_init__(self):
         l = np.asarray(self.l, dtype=float)
         r = np.asarray(self.r, dtype=float)
+        _check_generator(self, CompactGroup, l=l, r=r)
         if l.shape != (4,) or r.shape != (4,):
             raise ValueError(f"group generators are quaternions of 4 numbers, got shapes "
                              f"{l.shape} and {r.shape}")
@@ -324,7 +334,7 @@ class SphereFamily:
         M = to_real_matrix(1j * S)
         return SphereKilling(self.space, (speed / R) * (Q @ M @ Q.T))
 
-    def random_member(self, rng, length: float = 1.0) -> SphereKilling:
+    def random_member(self, rng, length: float) -> SphereKilling:
         k = self.space.ambient_dim // 2
         g = rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k))
         U, _ = np.linalg.qr(g)
@@ -342,7 +352,7 @@ class EuclideanFamily:
     def match(self, x, v) -> EuclideanKilling:
         return EuclideanKilling(self.space, np.asarray(v, dtype=float))
 
-    def random_member(self, rng, length: float = 1.0) -> EuclideanKilling:
+    def random_member(self, rng, length: float) -> EuclideanKilling:
         g = rng.normal(size=self.space.n)
         return EuclideanKilling(self.space, length * g / np.linalg.norm(g))
 
@@ -366,7 +376,7 @@ class GroupFamily:
         l[0] = 0.0
         return GroupKilling(self.space, l, np.zeros(4))
 
-    def random_member(self, rng, length: float = 1.0) -> GroupKilling:
+    def random_member(self, rng, length: float) -> GroupKilling:
         g = rng.normal(size=3)
         a = quat.pure(length / self.space.scale * g / np.linalg.norm(g))
         if self.side == "right":
@@ -384,7 +394,7 @@ class ProductFamily:
         vs = self.space.split(v)
         return ProductKilling(self.space, tuple(p.match(xf, vf) for p, xf, vf in zip(self.parts, xs, vs)))
 
-    def random_member(self, rng, length: float = 1.0) -> ProductKilling:
+    def random_member(self, rng, length: float) -> ProductKilling:
         w = rng.normal(size=len(self.parts))
         w = np.abs(w) / np.linalg.norm(w)
         return ProductKilling(self.space, tuple(p.random_member(rng, length * wi)

@@ -119,7 +119,7 @@ _N_LANDMARKS = 8
 _CHUNK = 1_000_000
 
 
-class GraphDisconnected(RuntimeError):
+class GraphDisconnected(ValueError):
     pass
 
 

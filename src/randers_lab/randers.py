@@ -138,10 +138,9 @@ def from_navigation(nav: NavigationData, x) -> DefiningForm:
 
 
 def to_navigation(df: DefiningForm):
-    """Back out (h_ij, W^i) in df's frame, plus the ambient wind vector."""
+    """Back out h_ij in df's frame and the wind as an ambient vector."""
     h, Wc = defining_to_nav_matrices(df.a, df.b)
-    W_ambient = Wc @ df.frame
-    return h, Wc, W_ambient
+    return h, Wc @ df.frame
 
 
 # ---------------------------------------------------------------------------

@@ -78,7 +78,7 @@ def criterion_1() -> dict:
         xs = nav.space.sample(np.random.default_rng(2), 5)
         for x in xs:
             df = from_navigation(nav, x)
-            h2, wc, wamb = to_navigation(df)
+            h2, wamb = to_navigation(df)
             nav_err = max(nav_err, float(np.max(np.abs(h2 - np.eye(len(h2))))),
                           float(np.max(np.abs(wamb - nav.wind.evaluate(x)))))
     passed = worst < 1e-10 and fix < 1e-14 and nav_err < 1e-10
@@ -192,8 +192,9 @@ def criterion_5() -> dict:
                         "control_rel_spread": control.rel_spread}}
 
 
-def criterion_6(cache_dir=None) -> dict:
-    """Distance oracle agreement on the three primitive spaces, 2e4 nodes each."""
+def criterion_6() -> dict:
+    """Distance oracle agreement on the three primitive spaces, 2e4 nodes
+    each; `build_graph` caches the graphs in $RANDERS_LAB_CACHE when set."""
     t0 = time.perf_counter()
     navs = fixture_navs()
     runs = [("euclidean", 64, 20), ("sphere-hopf", 256, 21), ("su2-left", 256, 22)]
@@ -201,7 +202,7 @@ def criterion_6(cache_dir=None) -> dict:
     worst = 0.0
     for key, k, seed in runs:
         nav = navs[key]
-        g = build_graph(nav, 20000, k, seed=seed, cache_dir=cache_dir)
+        g = build_graph(nav, 20000, k, seed=seed)
         rng = np.random.default_rng(seed + 100)
         xs = nav.space.sample(rng, 20)
         ys = nav.space.sample(rng, 20)
@@ -313,8 +314,3 @@ CRITERIA = {
     8: criterion_8,
     9: criterion_9,
 }
-
-
-def run_criterion(i: int, cache_dir=None) -> dict:
-    """Criterion i's verdict; only the oracle criterion uses cache_dir."""
-    return CRITERIA[i](cache_dir=cache_dir) if i == 6 else CRITERIA[i]()

@@ -181,17 +181,15 @@ class Sphere:
         theta = np.arctan2(pn, R + dr)
         deg = (pn < 1e-14) & (R + dr < 0.0)
         if np.any(deg):
+            # an antipode's direction: the axis x is smallest along, made tangent
             perp = np.array(perp, copy=True)
-            perp[deg] = self._fallback_dir(np.broadcast_to(x, perp.shape)[deg])
+            xd = np.broadcast_to(x, perp.shape)[deg]
+            e = np.zeros_like(xd)
+            np.put_along_axis(e, np.argmin(np.abs(xd), axis=-1)[..., None], 1.0, axis=-1)
+            perp[deg] = self.tangent_project(xd, e)
             pn = np.where(deg, _norm(perp), pn)
         # antipodes keep theta = pi, coincident points give theta = 0
         return (R * theta / np.where(pn < 1e-300, 1.0, pn))[..., None] * perp
-
-    def _fallback_dir(self, x):
-        i = np.argmin(np.abs(x), axis=-1)
-        e = np.zeros_like(x)
-        np.put_along_axis(e, i[..., None], 1.0, axis=-1)
-        return e - (_dot(e, x) / self.radius**2)[..., None] * x
 
     def h_dexp(self, x, v, u):
         """Differential of the great-circle exponential map.
@@ -237,8 +235,7 @@ class Sphere:
         return self.radius * p / _norm(p)[..., None]
 
     def sample(self, rng, m):
-        g = rng.normal(size=(m, self.ambient_dim))
-        return self.radius * g / np.linalg.norm(g, axis=-1, keepdims=True)
+        return self.retract(rng.normal(size=(m, self.ambient_dim)))
 
     def embed(self, pts):
         return np.asarray(pts, dtype=float)
@@ -322,8 +319,6 @@ class CompactGroup:
 def _concat_parts(parts):
     """Concatenate per-factor blocks along the last axis, broadcasting the
     batch dimensions (the trailing ambient dims generally differ)."""
-    if len(parts) == 1:
-        return np.asarray(parts[0], dtype=float)
     parts = [np.asarray(p, dtype=float) for p in parts]
     batch = np.broadcast_shapes(*(p.shape[:-1] for p in parts))
     parts = [np.broadcast_to(p, batch + p.shape[-1:]) for p in parts]
@@ -490,6 +485,8 @@ def space_from_config(cfg: dict):
     if kind == "group":
         return CompactGroup(name=cfg.get("name", "SU2"), scale=json_number(cfg, "scale", 1.0))
     if kind == "product":
+        if "factors" not in cfg:
+            raise SpaceError('a product\'s "factors" is missing')
         factors = cfg["factors"]
         if not isinstance(factors, list):
             raise SpaceError(f'a product\'s "factors" is a list of spaces, got {factors!r}')

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +11,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import randers_lab
 from randers_lab.cli import main
+from randers_lab.cw import SearchFailed
 
 from conftest import ANTI_HOPF
 
@@ -400,7 +404,8 @@ DEAD_OPTIONS = [
     *[(verb, opt) for verb in ("oracle build", "oracle query")
       for opt in (["--tol", "1e-3"], ["--format", "json"])],
     *[("selftest", opt) for opt in (["--space", E2], ["--wind", WIND], ["--seed", "1"],
-                                    ["--tol", "1e-3"], ["--format", "json"])],
+                                    ["--tol", "1e-3"], ["--format", "json"],
+                                    ["--cache", "cache"])],
     ("cw-check", ["--format", "csv"]),
 ]
 
@@ -469,24 +474,87 @@ def test_geodesic_ode_refuses_a_negative_time(capsys):
 
 def test_nan_field_is_refused_not_cw(capsys):
     # the flow of a NaN generator moves every sample to NaN, and a NaN
-    # displacement would read as 0 and pass as CW
+    # displacement would read as 0 and pass as CW: the field is refused
+    # where it is built
     field = '{"type": "euclidean-const", "v": [NaN, 0.0]}'
     rc = main(["cw-check", "--space", E2, "--wind", WIND, "--field", field, "--samples", "3"])
     assert rc == 2
     err = capsys.readouterr().err
-    assert err == ("error: f_distance needs finite points at a finite h-distance; "
-                   "3 of 3 rows are not, the first [0, 1, 2]\n")
+    assert err == "error: EuclideanKilling generator v has a non-finite entry: [nan, 0.0]\n"
 
 
 def test_report_with_a_non_finite_number_exits_two(tmp_path, capsys):
-    # strict JSON has no NaN: the report is refused, and no file is written
-    field = '{"type": "euclidean-const", "v": [NaN, 0.0]}'
-    rc = main(["flow", "--space", E2, "--field", field, "--point", "[0,0]",
+    # strict JSON has no Infinity: the report of an overflowing flow is
+    # refused, and no file is written
+    field = '{"type": "euclidean-const", "v": [1e308, 0.0]}'
+    rc = main(["flow", "--space", E2, "--field", field, "--point", "[0,0]", "--t", "10",
                "--out", str(tmp_path)])
     assert rc == 2
     assert capsys.readouterr() == ("", "error: Out of range float values are not JSON "
-                                   "compliant: nan\n")
+                                   "compliant: inf\n")
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("space, wind, says", [
+    (S3, '{"type": "hopf", "c": NaN}', "SphereKilling generator A has a non-finite entry"),
+    (S3, '{"type": "sphere-skew", "matrix": [[0, -Infinity, 0, 0], [Infinity, 0, 0, 0], '
+         '[0, 0, 0, 0], [0, 0, 0, 0]]}', "SphereKilling generator A has a non-finite entry"),
+    (SU2, '{"type": "group-left", "l": [0, NaN, 0, 0]}',
+     "GroupKilling generator l has a non-finite entry: [0.0, nan, 0.0, 0.0]"),
+    (SU2, '{"type": "group-pair", "l": [0, 0.1, 0, 0], "r": [0, 0, Infinity, 0]}',
+     "GroupKilling generator r has a non-finite entry: [0.0, 0.0, inf, 0.0]"),
+], ids=["hopf-nan", "skew-inf", "left-nan", "pair-inf"])
+def test_non_finite_generators_exit_two(capsys, space, wind, says):
+    # NaN passes the skew and pure-imaginary checks, as it compares False
+    rc = main(["distance", "--space", space, "--wind", wind,
+               "--x", "[1,0,0,0]", "--y", "[0,1,0,0]"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {says}") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("space, wind, says", [
+    (E2, HOPF, "SphereKilling acts on a Sphere, not on Euclidean(n=2, box=5.0)"),
+    (E2, '{"type": "sphere-skew", "matrix": [[0, -0.3], [0.3, 0]]}',
+     "SphereKilling acts on a Sphere, not on Euclidean(n=2, box=5.0)"),
+    (E2, '{"type": "group-left", "l": [0, 0.3, 0, 0]}',
+     "GroupKilling acts on a CompactGroup, not on Euclidean(n=2, box=5.0)"),
+    (S3, '{"type": "euclidean-const", "v": [0.3, 0, 0, 0]}',
+     "EuclideanKilling acts on a Euclidean, not on Sphere(dim=3, radius=1.0)"),
+    (SU2, HOPF, "SphereKilling acts on a Sphere, not on CompactGroup(name='SU2', scale=1.0)"),
+], ids=["hopf-E2", "skew-E2", "group-E2", "const-S3", "hopf-SU2"])
+def test_field_on_a_space_of_another_kind_exits_two(capsys, space, wind, says):
+    x, y = ("[0,0]", "[1,0]") if space == E2 else ("[1,0,0,0]", "[0,1,0,0]")
+    rc = main(["distance", "--space", space, "--wind", wind, "--x", x, "--y", y])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {says}\n"
+
+
+def test_overflowing_flow_prints_one_error_line(capsys):
+    # numpy's overflow warnings would precede the error that refuses the rows
+    rc = main(["cw-check", "--space", E2, "--wind", WIND, "--t", "1.7e308"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: f_distance needs finite points") and err.count("\n") == 1
+
+
+def test_cw_check_on_a_right_wind(capsys):
+    # a right wind's family acts on the left
+    rc = main(["cw-check", "--space", SU2, "--wind", '{"type": "group-right", "r": [0, 0, 0.3, 0]}',
+               "--samples", "20"])
+    assert rc == 0
+    assert _report(capsys.readouterr().out)["result"]["verdict"] == "CW"
+
+
+def test_every_library_error_is_a_value_error():
+    # the CLI exits 2 on a ValueError; SearchFailed is a verdict (exit 1)
+    errors = set()
+    for info in pkgutil.iter_modules(randers_lab.__path__):
+        mod = importlib.import_module(f"randers_lab.{info.name}")
+        errors |= {obj for obj in vars(mod).values() if isinstance(obj, type)
+                   and issubclass(obj, BaseException) and obj.__module__ == mod.__name__}
+    assert len(errors) >= 10
+    assert {e for e in errors if not issubclass(e, ValueError)} == {SearchFailed}
 
 
 PRODUCT = json.dumps({"kind": "product", "factors": [json.loads(S3), json.loads(E2)]})
@@ -495,13 +563,14 @@ PRODUCT = json.dumps({"kind": "product", "factors": [json.loads(S3), json.loads(
 @pytest.mark.parametrize("args, says", [
     (["--space", "[1]"], 'a space is a JSON object with a "kind", got [1]'),
     (["--space", '{"kind": "product", "factors": [1]}'], "a space is a JSON object"),
+    (["--space", '{"kind": "product"}'], 'a product\'s "factors" is missing'),
     (["--space", S3, "--wind", '"hopf"'], "a field on Sphere is one JSON object"),
     (["--space", S3, "--wind", f"[{HOPF}]"], "a field on Sphere is one JSON object"),
     (["--space", PRODUCT, "--wind", "[1]"], 'a product field is a JSON object with a "type"'),
     (["--space", S3, "--x", "{}"], "a point is a flat JSON array of numbers, got {}"),
     (["--space", S3, "--x", "[[1,0,0,0]]"], "a point is a flat JSON array of numbers"),
-], ids=["space-list", "factor-number", "wind-string", "wind-list", "product-wind-number",
-        "point-object", "point-nested"])
+], ids=["space-list", "factor-number", "product-no-factors", "wind-string", "wind-list",
+        "product-wind-number", "point-object", "point-nested"])
 def test_json_of_the_wrong_shape_exits_two(capsys, args, says):
     argv = ["distance", "--x", "[1,0,0,0]", "--y", "[0,1,0,0]"] + args
     rc = main(argv)

@@ -80,6 +80,22 @@ def test_generators_have_the_space_s_shape(s3, su2):
         GroupKilling(su2, np.zeros((2, 4)), np.zeros(4))
 
 
+def test_group_generators_are_pure_imaginary(su2):
+    with pytest.raises(ValueError, match="must be pure imaginary quaternions"):
+        GroupKilling(su2, np.array([0.1, 0.3, 0.0, 0.0]), np.zeros(4))
+    with pytest.raises(ValueError, match="must be pure imaginary quaternions"):
+        GroupKilling(su2, np.zeros(4), np.array([-0.1, 0.0, 0.0, 0.0]))
+
+
+def test_field_specs_of_unknown_and_zero_type(s3):
+    with pytest.raises(ValueError, match="unknown field spec {'type': 'nope'}"):
+        killing_from_config(s3, {"type": "nope"})
+    assert not killing_from_config(s3, {"type": "zero"}).A.any()
+    p = Product((s3, Euclidean(2)))
+    Z = killing_from_config(p, {"type": "zero", "factor": 1})
+    assert not Z.parts[0].A.any() and not Z.parts[1].v.any()
+
+
 @pytest.mark.parametrize("cfg", [
     {"type": "group-left", "l": [0.0, 0.3, 0.0, 0.0]},
     {"type": "group-right", "r": [0.0, 0.0, -0.2, 0.1]},
@@ -406,6 +422,12 @@ def test_conjugated_family_commutes_with_wind(dim, A):
         np.testing.assert_allclose(M @ A - A @ M, 0.0, atol=1e-12)
         v = random_tangent(s, rng, x)
         np.testing.assert_allclose(fam.match(x, v).evaluate(x), v, atol=1e-12)
+
+
+def test_sphere_family_match_at_zero_speed(hopf_nav):
+    fam = constant_length_family(hopf_nav)
+    X = fam.match(np.array([1.0, 0, 0, 0]), np.zeros(4))
+    assert isinstance(X, SphereKilling) and not X.A.any()
 
 
 def test_zero_field_flow_is_identity(rng):

@@ -138,7 +138,7 @@ def test_norm_agrees_across_representations(navs, rng):
 def test_manifold_round_trip(hopf_nav, rng):
     x = hopf_nav.space.sample(rng, 1)[0]
     df = from_navigation(hopf_nav, x)
-    h, wc, wamb = to_navigation(df)
+    h, wamb = to_navigation(df)
     np.testing.assert_allclose(h, np.eye(3), atol=1e-10)
     np.testing.assert_allclose(wamb, hopf_nav.wind.evaluate(x), atol=1e-10)
 

@@ -232,6 +232,32 @@ def test_even_sphere_rejected():
         Sphere(2, 1.0)
 
 
+@pytest.mark.parametrize("space, bad, says", [
+    (Euclidean(2), [0.0, 0.0, 0.0], "expected ambient dim 2, got 3"),
+    (Sphere(3, 1.0), [1.0, 0.0], "expected ambient dim 4, got 2"),
+    (CompactGroup("SU2", 1.0), [1.0, 0.0, 0.0], r"SU2 points are quaternions of shape \(..., 4\)"),
+], ids=["E2", "S3", "SU2"])
+def test_point_needs_the_ambient_dim(space, bad, says):
+    with pytest.raises(SpaceError, match=says):
+        space.check_point(bad)
+
+
+@pytest.mark.parametrize("cfg, says", [
+    ({"kind": "sphere", "dim": 3, "radius": 0}, "sphere radius must be positive"),
+    ({"kind": "sphere", "dim": 3, "radius": -1.0}, "sphere radius must be positive"),
+    ({"kind": "group", "name": "SU3"}, "unsupported group 'SU3'; only SU2 is implemented"),
+    ({"kind": "group", "scale": 0.0}, "group scale must be positive"),
+    ({"kind": "product"}, 'a product\'s "factors" is missing'),
+    ({"kind": "product", "factors": []}, "product needs at least one factor"),
+    ({"kind": "product", "factors": {"kind": "euclidean", "n": 2}},
+     'a product\'s "factors" is a list of spaces'),
+], ids=["radius-0", "radius-neg", "group-SU3", "scale-0", "factors-missing", "factors-empty",
+        "factors-object"])
+def test_space_configs_are_refused_where_built(cfg, says):
+    with pytest.raises(SpaceError, match=says):
+        space_from_config(cfg)
+
+
 def test_su2_scale_antipodal_distance():
     g = CompactGroup("SU2", 0.5)
     one = np.array([1.0, 0, 0, 0])
