@@ -12,8 +12,16 @@ Two independent geodesic routes are kept deliberately separate:
 smallest root of g(t) = d_h(x, phi_{W;-t}(y)) - t. Since d_h is
 1-Lipschitz and the target moves with h-speed ||W|| < 1, g is strictly
 decreasing, so the root is unique and [0, d_h(x, y)/(1 - ||W||)] brackets
-it, with ||W|| the exact maximum from `wind.length_range()`; bisection
-starts on that interval directly, its end padded by 1e-5 relative.
+it, with ||W|| the exact maximum from `wind.length_range()`; the end is
+padded by 1e-5 relative. Inside that bracket a safeguarded Newton
+iteration finds the root, starting at t = d_h(x, y). The derivative is
+exact: with y_t = phi_{W;-t}(y), the first variation of distance along
+the flow gives g'(t) = h(log_{y_t} x, W(y_t)) / d_h(x, y_t) - 1, which
+lies in [-1 - ||W||, -1 + ||W||]. Every evaluation moves one end of the
+bracket. Each step lands _TOL/4 past the Newton point, towards the far
+end but at most half way there, so the bracket closes from both sides.
+A step that leaves the bracket, or is NaN, takes the midpoint instead;
+that covers the cut locus, where h_log is degenerate.
 """
 from __future__ import annotations
 
@@ -26,7 +34,8 @@ from .randers import NavigationData, mixed_second_differences
 from .spaces import frame as h_frame
 
 
-# bisection stops at a bracket this wide; pairs this close in h are at distance 0
+# a row's root is the midpoint of its bracket once the bracket is this
+# narrow; pairs this close in h are at distance 0
 _TOL = 1e-10
 
 
@@ -161,6 +170,15 @@ def f_geodesic_ode(nav: NavigationData, x, y, T: float = 1.0,
 # ---------------------------------------------------------------------------
 
 
+def _slope(nav: NavigationData, x, yt, d) -> np.ndarray:
+    """g'(t) for g(t) = d_h(x, y_t) - t, y_t = phi_{W;-t}(y) and d =
+    d_h(x, y_t): the first variation of distance along the flow,
+    h(log_{y_t} x, W(y_t)) / d - 1. A row with d = 0 gets NaN."""
+    space = nav.space
+    return space.h_inner(yt, space.h_log(yt, x), nav.wind.evaluate(yt)) \
+        / np.where(d > 0.0, d, np.nan) - 1.0
+
+
 def f_distance_batch(nav: NavigationData, xs, ys) -> np.ndarray:
     """Vectorized f_distance over row-aligned point arrays; a row with a
     non-finite point or h-distance is a ValueError naming it."""
@@ -177,10 +195,9 @@ def f_distance_batch(nav: NavigationData, xs, ys) -> np.ndarray:
         raise ValueError(f"f_distance needs finite points at a finite h-distance; "
                          f"{bad.size} of {m} rows are not, the first {bad[:5].tolist()}")
     out = np.zeros(m)
-    active = g0 > _TOL
-    if not np.any(active):
+    rows = np.flatnonzero(g0 > _TOL)
+    if not rows.size:
         return out
-    rows = np.flatnonzero(active)
     xa, ya = xs[rows], ys[rows]
     lo = np.zeros(rows.size)
     # g falls by at least (1 - |W|) per unit t, so the relative pad puts
@@ -190,23 +207,36 @@ def f_distance_batch(nav: NavigationData, xs, ys) -> np.ndarray:
     # above the check's 1e-9.
     hi = g0[rows] * (1.0 + 1e-5) / (1.0 - wmax) + 1e-12
 
-    def g_of(t):
-        return space.h_distance(xa, nav.wind.flow(ya, -t)) - t
-
     # g is strictly decreasing, so g(hi) <= 0 brackets the root; a
     # length_range that under-reports the wind breaks that (a NaN fails
     # the check too)
-    chk = g_of(hi)
+    chk = space.h_distance(xa, nav.wind.flow(ya, -hi)) - hi
     if not np.all(chk <= 1e-9):
         raise RootNotBracketed(f"g(hi) = {np.max(chk):.3e} > 0; does length_range "
                                "under-report the wind?")
+    t = g0[rows]
     for _ in range(200):
-        if np.max(hi - lo) < _TOL:
-            break
-        mid = 0.5 * (lo + hi)
-        pos = g_of(mid) > 0.0
-        lo = np.where(pos, mid, lo)
-        hi = np.where(pos, hi, mid)
+        yt = nav.wind.flow(ya, -t)
+        d = space.h_distance(xa, yt)
+        g = d - t
+        pos = g > 0.0
+        lo = np.where(pos, t, lo)
+        hi = np.where(pos, hi, t)
+        done = hi - lo < _TOL
+        if done.any():
+            out[rows[done]] = 0.5 * (lo[done] + hi[done])
+            keep = ~done
+            rows, xa, ya, yt, d, g, pos, lo, hi, t = (
+                a[keep] for a in (rows, xa, ya, yt, d, g, pos, lo, hi, t))
+            if not rows.size:
+                break
+        newton = t - g / _slope(nav, xa, yt, d)
+        # past the Newton point by _TOL/4 towards the far end of the
+        # bracket, at most half way there, so the next point lands beyond
+        # the root and the bracket closes from both ends; a step outside
+        # (lo, hi), or NaN, takes the midpoint
+        tn = newton + np.clip(0.5 * (np.where(pos, hi, lo) - newton), -0.25 * _TOL, 0.25 * _TOL)
+        t = np.where((lo < tn) & (tn < hi), tn, 0.5 * (lo + hi))
     out[rows] = 0.5 * (lo + hi)
     return out
 

@@ -55,7 +55,13 @@ def histogram_svg(values) -> str:
     """Bar histogram of sampled values (displacement reports)."""
     bins, width, height, margin = 24, 480, 320, 24.0
     vals = np.asarray(values, dtype=float)
-    counts, edges = np.histogram(vals, bins=bins)
+    lo, hi = float(vals.min()), float(vals.max())
+    # samples that agree to rounding (a Clifford-Wolf flow's displacements)
+    # fit no finite-sized bins, so their range is widened to 1e-9 of its size
+    pad = 1e-9 * max(abs(lo), abs(hi))
+    if hi - lo < pad:
+        lo, hi = lo - pad, hi + pad
+    counts, edges = np.histogram(vals, bins=bins, range=(lo, hi))
     top = max(int(counts.max()), 1)
     bw = (width - 2 * margin) / bins
     bars = []

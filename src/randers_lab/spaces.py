@@ -69,6 +69,10 @@ class Euclidean:
 
     compact: ClassVar[bool] = False
 
+    def __post_init__(self):
+        if not 0 < self.box < np.inf:
+            raise SpaceError(f"euclidean box must be positive and finite, got {self.box}")
+
     @property
     def ambient_dim(self) -> int:
         return self.n
@@ -130,8 +134,8 @@ class Sphere:
     def __post_init__(self):
         if self.dim < 1 or self.dim % 2 == 0:
             raise SpaceError(f"sphere dimension must be odd and >= 1, got {self.dim}")
-        if self.radius <= 0:
-            raise SpaceError("sphere radius must be positive")
+        if not 0 < self.radius < np.inf:
+            raise SpaceError(f"sphere radius must be positive and finite, got {self.radius}")
 
     @property
     def ambient_dim(self) -> int:
@@ -259,8 +263,8 @@ class CompactGroup:
     def __post_init__(self):
         if self.name != "SU2":
             raise SpaceError(f"unsupported group {self.name!r}; only SU2 is implemented")
-        if self.scale <= 0:
-            raise SpaceError("group scale must be positive")
+        if not 0 < self.scale < np.inf:
+            raise SpaceError(f"group scale must be positive and finite, got {self.scale}")
 
     @property
     def ambient_dim(self) -> int:

@@ -621,6 +621,33 @@ def test_cw_check_writes_the_displacement_histogram(tmp_path, capsys):
     assert _report((tmp_path / "cw-check.json").read_text())["result"]["verdict"] == "CW"
 
 
+def test_cw_check_histogram_of_displacements_equal_to_rounding(tmp_path, capsys):
+    # a Hopf flow moves every sample by 0.4 to within 1e-15, a range too
+    # narrow for 24 finite-sized bins unless it is widened
+    rc = main(["cw-check", "--space", S3, "--wind", HOPF, "--seed", "3", "--t", "0.4",
+               "--samples", "30", "--format", "svg", "--out", str(tmp_path)])
+    assert rc == 0
+    svg = (tmp_path / "cw-displacements.svg").read_text()
+    assert svg.startswith("<svg") and "<rect" in svg
+    assert "range [0.4, 0.4]" in svg
+
+
+@pytest.mark.parametrize("verb, space, wind, says", [
+    ("exhaust", '{"kind": "euclidean", "n": 2, "box": NaN}', None,
+     "euclidean box must be positive and finite, got nan"),
+    ("distance", '{"kind": "sphere", "dim": 3, "radius": NaN}', None,
+     "sphere radius must be positive and finite, got nan"),
+    ("distance", E2, '{"type": "euclidean-const", "v": [Infinity, 0]}',
+     "EuclideanKilling generator v has a non-finite entry: [inf, 0.0]"),
+], ids=["box-nan", "radius-nan", "wind-leaf-inf"])
+def test_non_finite_config_numbers_exit_two_naming_the_key(capsys, verb, space, wind, says):
+    x, y = ("[0,0]", "[1,0]") if "euclidean" in space else ("[1,0,0,0]", "[0,1,0,0]")
+    argv = [verb, "--space", space] + (["--x", x, "--y", y] if verb == "distance" else [])
+    rc = main(argv + (["--wind", wind] if wind else []))
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {says}\n"
+
+
 def test_exhaust_at_a_given_point(capsys):
     rc = main(["exhaust", "--space", S3, "--wind", HOPF, "--point", "[0,0.6,0.8,0]",
                "--directions", "10"])

@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
 from randers_lab.geodesics import (
     NoMatchingField,
     RootNotBracketed,
+    _slope,
     f_distance,
     f_distance_batch,
     f_geodesic_flowcurve,
@@ -217,3 +220,81 @@ def test_distance_batch_matches_scalar(hopf_nav, rng):
     batch = f_distance_batch(hopf_nav, xs, ys)
     singles = [f_distance(hopf_nav, x, y) for x, y in zip(xs, ys)]
     np.testing.assert_allclose(batch, singles, atol=1e-12)
+
+
+# --- the Newton solver ---------------------------------------------------------
+
+FIXTURES = ["euclidean", "sphere-hopf", "su2-left", "product"]
+
+
+def _nav(navs, name):
+    if name == "hopf-0.9":
+        s3 = Sphere(3, 1.0)
+        return NavigationData(s3, hopf_field(s3, 0.9))
+    return navs[name]
+
+
+def _bisect(nav, x, y):
+    """The root of g(t) = d_h(x, phi_{W;-t}(y)) - t by plain bisection to
+    rounding on the same bracket: a second route to f_distance_batch."""
+    space = nav.space
+    lo = np.zeros(len(x))
+    hi = space.h_distance(x, y) * (1.0 + 1e-5) / (1.0 - nav.wind.length_range()[1]) + 1e-12
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        pos = space.h_distance(x, nav.wind.flow(y, -mid)) - mid > 0.0
+        lo, hi = np.where(pos, mid, lo), np.where(pos, hi, mid)
+    return 0.5 * (lo + hi)
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_slope_is_the_derivative_of_g(navs, name):
+    # g'(t) = h(log_{y_t} x, W(y_t)) / d_h(x, y_t) - 1 against a central
+    # difference; d_h(x, y_t) stays below 2.2, away from the cut locus at
+    # pi, where d_h has a kink
+    nav = navs[name]
+    space = nav.space
+    rng = np.random.default_rng(7)
+    x = space.sample(rng, 500)
+    y = space.h_exp(x, rng.uniform(0.1, 2.0, (500, 1)) * random_tangent(space, rng, x))
+    t = rng.uniform(0.05, 0.5, 500)
+
+    def g(s):
+        return space.h_distance(x, nav.wind.flow(y, -s)) - s
+
+    yt = nav.wind.flow(y, -t)
+    d = space.h_distance(x, yt)
+    slope = _slope(nav, x, yt, d)
+    fd = 1e-5
+    central = (g(t + fd) - g(t - fd)) / (2 * fd)
+    np.testing.assert_allclose(slope, central, rtol=0, atol=1e-7)
+    wmax = nav.wind.length_range()[1]
+    assert np.all((slope >= -1 - wmax - 1e-12) & (slope <= -1 + wmax + 1e-12))
+
+
+@pytest.mark.parametrize("name", FIXTURES + ["hopf-0.9"])
+@pytest.mark.parametrize("apart", [3.1, 1e-8, None], ids=["near-antipodal", "1e-8", "random"])
+def test_distance_agrees_with_plain_bisection(navs, name, apart):
+    nav = _nav(navs, name)
+    space = nav.space
+    rng = np.random.default_rng(11)
+    x = space.sample(rng, 300)
+    y = space.sample(rng, 300) if apart is None else \
+        space.h_exp(x, apart * random_tangent(space, rng, x))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        d = f_distance_batch(nav, x, y)
+    np.testing.assert_allclose(d, _bisect(nav, x, y), rtol=0, atol=1e-10)
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_distance_takes_a_few_flows_per_batch(navs, name, monkeypatch):
+    # Newton closes every row of a 10^3-pair batch within a handful of
+    # evaluations, where bisection to 1e-10 takes 37-39
+    nav = navs[name]
+    calls = []
+    flow = type(nav.wind).flow
+    monkeypatch.setattr(type(nav.wind), "flow", lambda self, x, t: calls.append(1) or flow(self, x, t))
+    rng = np.random.default_rng(5)
+    f_distance_batch(nav, nav.space.sample(rng, 1000), nav.space.sample(rng, 1000))
+    assert len(calls) <= 10

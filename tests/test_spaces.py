@@ -247,12 +247,15 @@ def test_point_needs_the_ambient_dim(space, bad, says):
     ({"kind": "sphere", "dim": 3, "radius": -1.0}, "sphere radius must be positive"),
     ({"kind": "group", "name": "SU3"}, "unsupported group 'SU3'; only SU2 is implemented"),
     ({"kind": "group", "scale": 0.0}, "group scale must be positive"),
+    ({"kind": "group", "scale": float("inf")}, "group scale must be positive and finite, got inf"),
+    ({"kind": "euclidean", "n": 2, "box": float("nan")},
+     "euclidean box must be positive and finite, got nan"),
     ({"kind": "product"}, 'a product\'s "factors" is missing'),
     ({"kind": "product", "factors": []}, "product needs at least one factor"),
     ({"kind": "product", "factors": {"kind": "euclidean", "n": 2}},
      'a product\'s "factors" is a list of spaces'),
-], ids=["radius-0", "radius-neg", "group-SU3", "scale-0", "factors-missing", "factors-empty",
-        "factors-object"])
+], ids=["radius-0", "radius-neg", "group-SU3", "scale-0", "scale-inf", "box-nan",
+        "factors-missing", "factors-empty", "factors-object"])
 def test_space_configs_are_refused_where_built(cfg, says):
     with pytest.raises(SpaceError, match=says):
         space_from_config(cfg)
