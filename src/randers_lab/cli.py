@@ -96,7 +96,7 @@ def _vector(nav: NavigationData, x: np.ndarray, value) -> np.ndarray:
     """A tangent vector at x in ambient coordinates: ambient_dim finite
     numbers that the tangent projection at x leaves alone, to 1e-9 of |v|."""
     v = json_array(value, "a tangent vector", 1)
-    if len(v) != nav.space.ambient_dim or not np.all(np.isfinite(v)):
+    if len(v) != nav.space.ambient_dim:
         raise ConfigError(f"a tangent vector here is {nav.space.ambient_dim} finite numbers, "
                           f"got {json.dumps(value)}")
     off = np.linalg.norm(v - nav.space.tangent_project(x, v))

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -23,22 +24,24 @@ def _is_number(value) -> bool:
 
 def json_number(cfg: dict, key: str, default=None, integer: bool = False):
     """cfg[key], or default when key is absent and a default is given, as
-    a float, or as an int if integer: a JSON number, never a list, an
-    object, a string or a bool."""
+    a float, or as an int if integer: a finite JSON number, never a list,
+    an object, a string, a bool, NaN or Infinity."""
     if default is None and key not in cfg:
         raise ConfigError(f'"{key}" is missing')
     value = cfg.get(key, default)
     if not _is_number(value) or integer and isinstance(value, float) and not value.is_integer():
         kind = "an integer" if integer else "a number"
         raise ConfigError(f'"{key}" is {kind}, got {json.dumps(value)}')
+    if not math.isfinite(value):  # json.loads parses NaN and Infinity
+        raise ConfigError(f'"{key}" is a finite number, got {json.dumps(value)}')
     return int(value) if integer else float(value)
 
 
 def json_array(value, what: str, ndim: int) -> np.ndarray:
     """value as a float array: a rectangular JSON array nested ndim deep
-    (flat at ndim 1) whose leaves are numbers, never bools, strings,
-    objects or nulls; anything else is a ConfigError naming what, and a
-    missing value (None) is named as missing."""
+    (flat at ndim 1) whose leaves are finite numbers, never bools, strings,
+    objects, nulls, NaN or Infinity; anything else is a ConfigError naming
+    what, and a missing value (None) is named as missing."""
     if value is None:
         raise ConfigError(f"{what} is missing")
 
@@ -47,12 +50,16 @@ def json_array(value, what: str, ndim: int) -> np.ndarray:
             return _is_number(v)
         return isinstance(v, list) and all(numbers(u, depth - 1) for u in v)
 
+    kind = "a flat JSON array of" if ndim == 1 else "a JSON array of" + " arrays of" * (ndim - 1)
     if numbers(value, ndim):
         try:
-            return np.array(value, dtype=float)
+            array = np.array(value, dtype=float)
         except ValueError:  # ragged rows
             pass
-    kind = "a flat JSON array of" if ndim == 1 else "a JSON array of" + " arrays of" * (ndim - 1)
+        else:
+            if np.all(np.isfinite(array)):
+                return array
+            kind += " finite"
     raise ConfigError(f"{what} is {kind} numbers, got {json.dumps(value)}")
 
 

@@ -55,30 +55,38 @@ landmark nodes (node 0 alone on a compact space) by farthest-point
 sampling over the embedding, from node 0, and stores the graph distances
 from each to every node, d_land. Holding each edge both ways, the search
 graph is strongly connected exactly when node 0 reaches every node, or
-GraphDisconnected is raised. The cache is an uncompressed `.npz` of the
-nodes, the base rows' edges, mult and d_land; older compressed ones
-still load, and an unreadable file is a miss, rebuilt and replaced.
+GraphDisconnected is raised. On a compact space the build also stores
+the leg row, leg_row[v] = F(o -> v) from node 0 = o to every node. The
+cache is an uncompressed `.npz` of the nodes, the base rows' edges,
+mult, d_land and the leg row; older compressed ones still load, and an
+unreadable file, or one without a key, is a miss, rebuilt and replaced.
 
 Queries run one pipeline on every space. On a compact space (no R^n
 factor) a pre-step first carries each pair by an F-isometry to a pair
-whose source is node 0 (`_to_base_point`). Each query then takes the
-best of the direct arc and of curves through net nodes: the 2-arc
-x -> z -> y with z the best single intermediate node, and the path that
-refines both of its legs through a further node each. Those candidates
-are again lengths of actual curves, so the no-undercut guarantee
-survives while the dilation error drops by roughly an order of
-magnitude. The graph path from a snapped source that is a landmark is
-that landmark's row of d_land, so no search runs on a compact space;
-from any other source the search stops at the best curve already known,
-which leaves every estimate exactly what an unbounded search gives.
+(x', y') whose source x' lies within 1e-12 of o (`_to_base_point`).
+Each query then takes the best of the direct arc and of curves through
+net nodes: the 2-arc x -> z -> y with z the best single intermediate
+node, and the path that refines both of its legs through a further node
+each. On a compact space the leg from x' to a node v is the curve
+x' -> o -> v, of F-length F(x' -> o) + leg_row[v], so no leg from x' is
+computed per pair. Those candidates are again lengths of actual curves,
+so the no-undercut guarantee survives while the dilation error drops by
+roughly an order of magnitude. The graph path from a snapped source that
+is a landmark is that landmark's row of d_land, so no search runs on a
+compact space, where the source snaps to o; from any other source the
+search stops at the best curve already known, which leaves every
+estimate exactly what an unbounded search gives.
 
 Two certified lower bounds confine both phases to the nodes that can
 still matter, and leave every estimate bit for bit what the search over
 all nodes gives:
 * the Zermelo bound. The indicatrix is the h-unit sphere translated by
   W (Bao-Robles-Shen), so F(v) >= |v|_h / (1 + max|W|), and an arc is at
-  least its chord over 1 + max|W|. The two-arc legs run only on the
-  nodes whose chord sum allows a curve as short as one already known.
+  least its chord over 1 + max|W|. The two-arc curves run only through
+  the nodes whose chord sum (from o in place of x' on a compact space)
+  allows a curve as short as one already known; as the x-legs are known
+  before any leg to y is computed, a leg z -> y runs only where its
+  chord fits in what the x-leg leaves of that length.
 * the landmark (ALT) bound of Goldberg & Harrelson (SODA 2005): by the
   directed triangle inequality, d_G(s, t) >= d_G(l, t) - d_G(l, s) for
   every landmark l. A pair whose bound exceeds its budget runs no search;
@@ -112,7 +120,7 @@ from .killing import GroupFamily, SphereFamily, constant_length_family
 from .randers import NavigationData
 
 C_HINT = 4.0
-_CACHE_VERSION = 10
+_CACHE_VERSION = 11
 _N_LANDMARKS = 8
 # edges per block of the build's edge weights, to bound peak memory at
 # acceptance-scale edge counts
@@ -150,6 +158,7 @@ class NetGraph:
     eps: float
     d_land: np.ndarray  # (landmarks, n) graph distances from the landmarks; node 0's first
     mult: np.ndarray  # (|G|, |G|) group table: M_mult[g, h] = M_g M_h
+    leg_row: np.ndarray  # F(o -> v) from node 0 to every node on a compact space, else empty
 
     @cached_property
     def csr(self) -> csr_matrix:
@@ -164,6 +173,17 @@ class NetGraph:
 
         space = space_from_config(self.nav_config["space"])
         return cKDTree(space.embed(self.nodes))
+
+    @cached_property
+    def coords(self) -> np.ndarray:
+        """The embedded nodes one coordinate per row, shape (d, n), as
+        `_chords` reads them."""
+        return np.ascontiguousarray(self.tree.data.T)
+
+    @cached_property
+    def chords_from_o(self) -> np.ndarray:
+        """Chord lengths from node 0 to every node."""
+        return _chords(self.coords, self.coords[:, 0])
 
     @cached_property
     def graph_hash(self) -> str:
@@ -228,21 +248,27 @@ def _rows_of(csr, keep) -> csr_matrix:
     return csr_matrix((csr.data[take], csr.indices[take], indptr), shape=csr.shape)
 
 
-def _chords(emb, p):
-    """Chord lengths from the embedded point p to every row of emb."""
-    d = emb - p
-    return np.sqrt(np.einsum("ij,ij->i", d, d))
+def _chords(coords, p):
+    """Chord lengths from the embedded point p to every column of coords,
+    embedded points stored one coordinate per row, shape (d, n): each
+    pass runs over n contiguous values, where a row per point would make
+    each a loop of d."""
+    s = np.square(coords[0] - p[0])
+    for c, q in zip(coords[1:], p[1:]):
+        s += np.square(c - q)
+    return np.sqrt(s, out=s)
 
 
-def _landmarks(emb, m):
-    """m node indices by farthest-point sampling over the embedding,
-    starting at node 0: each next landmark is the node farthest in chord
-    from those already picked."""
+def _landmarks(coords, m):
+    """m node indices by farthest-point sampling over the embedding (one
+    coordinate per row, as `_chords` reads it), starting at node 0: each
+    next landmark is the node farthest in chord from those already
+    picked."""
     picks = [0]
-    gap = _chords(emb, emb[0])
+    gap = _chords(coords, coords[:, 0])
     for _ in range(m - 1):
         picks.append(int(np.argmax(gap)))
-        np.minimum(gap, _chords(emb, emb[picks[-1]]), out=gap)
+        np.minimum(gap, _chords(coords, coords[:, picks[-1]]), out=gap)
     return np.array(picks)
 
 
@@ -377,13 +403,16 @@ def build_graph(nav: NavigationData, n_nodes: int, k: int, seed: int,
     # a compact space carries every query to one from node 0 (`_to_base_point`);
     # csr holds each edge both ways: strongly connected iff node 0 reaches all
     m = 1 if space.compact else _N_LANDMARKS
-    d_land = dijkstra(csr, directed=True, indices=_landmarks(space.embed(nodes), m))
+    coords = np.ascontiguousarray(space.embed(nodes).T)
+    d_land = dijkstra(csr, directed=True, indices=_landmarks(coords, m))
     far = np.count_nonzero(np.isinf(d_land[0]))
     if far:
         raise GraphDisconnected(f"{far} nodes unreachable from node 0 at k={k}; use a larger k")
+    # the x-legs of every compact query start at node 0 (`_best_two_arc`)
+    leg_row = _arc_weights(nav, nodes[0], nodes)[0] if space.compact else np.empty(0)
     g = NetGraph(nav_config=cfg, n_nodes=n_nodes, k=k, seed=seed, nodes=nodes, rows=rows,
                  cols=cols, weights_fwd=fwd, weights_rev=rev, eps=eps, d_land=d_land,
-                 mult=mult)
+                 mult=mult, leg_row=leg_row)
     vars(g)["csr"] = csr  # the queries reuse the matrix the landmark search ran on
     if cache_path is not None:
         # write beside the cache file and rename it into place, so a failed
@@ -394,7 +423,7 @@ def build_graph(nav: NavigationData, n_nodes: int, k: int, seed: int,
         try:
             np.savez(
                 tmp, nodes=nodes, rows=rows, cols=cols, weights_fwd=fwd, weights_rev=rev,
-                eps=eps, d_land=d_land, mult=mult,
+                eps=eps, d_land=d_land, mult=mult, leg_row=leg_row,
                 meta=json.dumps({"cfg": cfg, "n": n_nodes, "k": k, "seed": seed}))
             os.replace(tmp, cache_path)
         finally:
@@ -410,7 +439,7 @@ def _load(path: Path) -> NetGraph:
                         seed=meta["seed"], nodes=z["nodes"], rows=z["rows"],
                         cols=z["cols"], weights_fwd=z["weights_fwd"],
                         weights_rev=z["weights_rev"], eps=float(z["eps"]),
-                        d_land=z["d_land"], mult=z["mult"])
+                        d_land=z["d_land"], mult=z["mult"], leg_row=z["leg_row"])
 
 
 def _check_nav(g: NetGraph, nav: NavigationData) -> None:
@@ -418,25 +447,38 @@ def _check_nav(g: NetGraph, nav: NavigationData) -> None:
         raise GraphMismatch("graph was built for different navigation data")
 
 
-def _best_two_arc(nav, g: NetGraph, x, y) -> float:
+def _best_two_arc(nav, g: NetGraph, x, y, hop) -> float:
     """F-length of the best curve from x to y through net nodes: the 2-arc
     x -> z -> y through the best node z, or x -> u -> z -> v -> y, which
     refines each of its legs through its own best node, when that is
     shorter. The arcs between a point and nodes, both ways, take one h-log
-    per node, so the legs from x, y and z take three.
+    per node.
+
+    An x-leg x -> v is the arc from x, except on a compact space, where x
+    lies at node 0 = o up to rounding (`_to_base_point`): there it is the
+    curve x -> o -> v, of F-length hop + leg_row[v] with hop = F(x -> o),
+    and no arc from x is computed (hop is read there alone).
 
     Only nodes that a chord bound leaves in play get legs. The indicatrix
     is the h-unit sphere translated by W, so F(v) >= |v|_h / (1 + w) with
     w the wind's largest length; `embed` is isometric, so an arc is at
     least its chord over 1 + w, and a curve x -> z -> y can reach a length
-    L only if chord(x, z) + chord(z, y) <= (1 + w) L. Each minimum is
-    taken over a set that holds every node reaching it, so the result is
-    the all-nodes one, bit for bit.
+    L only if chord(x, z) + chord(z, y) <= (1 + w) L, with chord(o, z) in
+    place of chord(x, z) on a compact space. As the x-legs are exact before
+    any y-leg runs, a y-leg z -> y runs only where
+    chord(z, y) <= (1 + w) (L - x-leg). Each minimum is taken over a set
+    that holds every node reaching it, so the result is the all-nodes one,
+    bit for bit.
     """
-    nodes, emb = g.nodes, g.tree.data
+    nodes, coords = g.nodes, g.coords
     space = nav.space
-    ex, ey = space.embed(x), space.embed(y)
-    cx, cy = _chords(emb, ex), _chords(emb, ey)
+    ey = space.embed(y)
+    if space.compact:
+        ex, cx = coords[:, 0], g.chords_from_o
+    else:
+        ex = space.embed(x)
+        cx = _chords(coords, ex)
+    cy = _chords(coords, ey)
     cxy = cx + cy
     # the relative margin covers the rounding of chords and lengths; the
     # absolute one the rounding of each coordinate, off the manifold and by
@@ -448,21 +490,31 @@ def _best_two_arc(nav, g: NetGraph, x, y) -> float:
     def within(c, length):  # the nodes whose chord sum c allows `length`
         return c <= grow * length + tol
 
+    def x_legs(v):
+        return hop + g.leg_row[v] if space.compact else _arc_weights(nav, x, nodes[v])[0]
+
     # the 2-arc through the node of least chord sum bounds the best one
     z0 = int(np.argmin(cxy))
-    bound = _arc_weights(nav, x, nodes[z0])[0] + _arc_weights(nav, y, nodes[z0])[1]
+    bound = x_legs(z0) + _arc_weights(nav, y, nodes[z0])[1]
     c1 = np.flatnonzero(within(cxy, bound))
-    wx, _ = _arc_weights(nav, x, nodes[c1])
-    _, wy = _arc_weights(nav, y, nodes[c1])
+    wx = x_legs(c1)
+    # y-legs where the x-leg leaves room; the absolute margin covers the
+    # rounding of bound and of bound - wx
+    room = within(cy[c1], bound - wx + 1e-9 * bound)
+    wy = np.full(len(c1), np.inf)
+    wy[room] = _arc_weights(nav, y, nodes[c1[room]])[1]
     tot = wx + wy
     j = int(np.argmin(tot))  # c1 is sorted, so ties go to the first node
     zi = c1[j]
     # each refined leg through u = z itself has the length of the 2-arc's
     # leg, and every node that ties or beats it lies in c1
-    cz = _chords(emb[c1], emb[zi])
+    cz = _chords(coords[:, c1], coords[:, zi])
     via_x_in = within(cx[c1] + cz, wx[j])
     via_y_in = within(cz + cy[c1], wy[j])
     via_x_in[j] = via_y_in[j] = True
+    more = via_y_in & ~room  # the y-legs the refinement needs besides
+    if more.any():
+        wy[more] = _arc_weights(nav, y, nodes[c1[more]])[1]
     u = via_x_in | via_y_in
     from_z, to_z = _arc_weights(nav, nodes[zi], nodes[c1[u]])
     via_x = float(np.min((wx[u] + to_z)[via_x_in[u]]))
@@ -500,7 +552,7 @@ def oracle_distance_pairs(g: NetGraph, nav: NavigationData, xs, ys) -> np.ndarra
     Each estimate is the shortest of the direct arc, the curves through
     net nodes (`_best_two_arc`) and the snap hops plus the graph path. On
     a compact space every pair is first carried to one from node 0
-    (`_to_base_point`). A graph path can only win when it is no longer
+    (`_to_base_point`), and its source snaps to node 0. A graph path can only win when it is no longer
     than the best of the others less the hops. A pair whose budget is
     negative, or below the landmark bound on its graph distance, is left
     out of the search. A pair left whose snapped source is a landmark, as
@@ -517,16 +569,19 @@ def oracle_distance_pairs(g: NetGraph, nav: NavigationData, xs, ys) -> np.ndarra
     if len(xs) != len(ys):
         raise ValueError(f"xs has {len(xs)} rows but ys has {len(ys)}; pairs are row-aligned")
     direct = _arc_weights(nav, xs, ys)[0]
-    if space.compact:
+    if space.compact:  # each source is moved onto node 0, to rounding
         xs, ys = _to_base_point(nav, g, xs, ys)
-    _, si = g.tree.query(space.embed(xs), k=1)
+        si = np.zeros(len(xs), dtype=np.intp)
+    else:
+        _, si = g.tree.query(space.embed(xs), k=1)
     _, ti = g.tree.query(space.embed(ys), k=1)
 
     # h_log(x, x) is exactly 0, so an endpoint on its node hops 0.0
     hop_out = _arc_weights(nav, xs, g.nodes[si])[0]
     hop_in = _arc_weights(nav, g.nodes[ti], ys)[0]
 
-    best = np.array([min(d, _best_two_arc(nav, g, x, y)) for d, x, y in zip(direct, xs, ys)])
+    best = np.array([min(d, _best_two_arc(nav, g, x, y, h))
+                     for d, x, y, h in zip(direct, xs, ys, hop_out)])
     # a graph path longer than best - hops cannot win; the relative margin
     # covers the rounding of hop_out + path + hop_in, and that of the
     # landmark bounds (a few 1e-16 relative), so a pair whose bound exceeds

@@ -380,7 +380,9 @@ def test_non_finite_point_exits_two(capsys, space, x, y):
     # NaN compares False with every tolerance, so it is refused on its own
     rc = main(["distance", "--space", space, "--x", x, "--y", y])
     assert rc == 2
-    assert capsys.readouterr().err == "error: point has non-finite coordinates\n"
+    bad = json.loads(x if "N" in x or "I" in x else y)
+    assert capsys.readouterr().err == ("error: a point is a flat JSON array of finite numbers, "
+                                       f"got {json.dumps(bad)}\n")
 
 
 @pytest.mark.parametrize("factor", [5, -1])
@@ -480,7 +482,7 @@ def test_nan_field_is_refused_not_cw(capsys):
     rc = main(["cw-check", "--space", E2, "--wind", WIND, "--field", field, "--samples", "3"])
     assert rc == 2
     err = capsys.readouterr().err
-    assert err == "error: EuclideanKilling generator v has a non-finite entry: [nan, 0.0]\n"
+    assert err == 'error: "v" is a flat JSON array of finite numbers, got [NaN, 0.0]\n'
 
 
 def test_report_with_a_non_finite_number_exits_two(tmp_path, capsys):
@@ -496,13 +498,14 @@ def test_report_with_a_non_finite_number_exits_two(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("space, wind, says", [
-    (S3, '{"type": "hopf", "c": NaN}', "SphereKilling generator A has a non-finite entry"),
+    (S3, '{"type": "hopf", "c": NaN}', '"c" is a finite number, got NaN'),
     (S3, '{"type": "sphere-skew", "matrix": [[0, -Infinity, 0, 0], [Infinity, 0, 0, 0], '
-         '[0, 0, 0, 0], [0, 0, 0, 0]]}', "SphereKilling generator A has a non-finite entry"),
+         '[0, 0, 0, 0], [0, 0, 0, 0]]}',
+     '"matrix" is a JSON array of arrays of finite numbers, got [[0, -Infinity, 0, 0], '),
     (SU2, '{"type": "group-left", "l": [0, NaN, 0, 0]}',
-     "GroupKilling generator l has a non-finite entry: [0.0, nan, 0.0, 0.0]"),
+     '"l" is a flat JSON array of finite numbers, got [0, NaN, 0, 0]'),
     (SU2, '{"type": "group-pair", "l": [0, 0.1, 0, 0], "r": [0, 0, Infinity, 0]}',
-     "GroupKilling generator r has a non-finite entry: [0.0, 0.0, inf, 0.0]"),
+     '"r" is a flat JSON array of finite numbers, got [0, 0, Infinity, 0]'),
 ], ids=["hopf-nan", "skew-inf", "left-nan", "pair-inf"])
 def test_non_finite_generators_exit_two(capsys, space, wind, says):
     # NaN passes the skew and pure-imaginary checks, as it compares False
@@ -579,16 +582,19 @@ def test_json_of_the_wrong_shape_exits_two(capsys, args, says):
     assert err.startswith(f"error: {says}") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("verb, args", [
-    ("norm", ["--point", "[1,0,0,0]", "--vector", "[0,1,0]"]),
-    ("geodesic", ["--x", "[1,0,0,0]", "--direction", "[0,1,0,0,0]"]),
-    ("geodesic", ["--x", "[1,0,0,0]", "--direction", "[0,NaN,0,0]"]),
-])
-def test_tangent_vectors_need_the_ambient_length(capsys, verb, args):
+@pytest.mark.parametrize("verb, args, says", [
+    ("norm", ["--point", "[1,0,0,0]", "--vector", "[0,1,0]"],
+     "a tangent vector here is 4 finite numbers"),
+    ("geodesic", ["--x", "[1,0,0,0]", "--direction", "[0,1,0,0,0]"],
+     "a tangent vector here is 4 finite numbers"),
+    ("geodesic", ["--x", "[1,0,0,0]", "--direction", "[0,NaN,0,0]"],
+     "a tangent vector is a flat JSON array of finite numbers, got [0, NaN, 0, 0]"),
+], ids=["norm-args0", "geodesic-args1", "geodesic-args2"])
+def test_tangent_vectors_need_the_ambient_length(capsys, verb, args, says):
     rc = main([verb, "--space", S3, "--wind", HOPF] + args)
     assert rc == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: a tangent vector here is 4 finite numbers")
+    assert err.startswith(f"error: {says}")
     assert err.count("\n") == 1
 
 
@@ -634,11 +640,11 @@ def test_cw_check_histogram_of_displacements_equal_to_rounding(tmp_path, capsys)
 
 @pytest.mark.parametrize("verb, space, wind, says", [
     ("exhaust", '{"kind": "euclidean", "n": 2, "box": NaN}', None,
-     "euclidean box must be positive and finite, got nan"),
+     '"box" is a finite number, got NaN'),
     ("distance", '{"kind": "sphere", "dim": 3, "radius": NaN}', None,
-     "sphere radius must be positive and finite, got nan"),
+     '"radius" is a finite number, got NaN'),
     ("distance", E2, '{"type": "euclidean-const", "v": [Infinity, 0]}',
-     "EuclideanKilling generator v has a non-finite entry: [inf, 0.0]"),
+     '"v" is a flat JSON array of finite numbers, got [Infinity, 0]'),
 ], ids=["box-nan", "radius-nan", "wind-leaf-inf"])
 def test_non_finite_config_numbers_exit_two_naming_the_key(capsys, verb, space, wind, says):
     x, y = ("[0,0]", "[1,0]") if "euclidean" in space else ("[1,0,0,0]", "[0,1,0,0]")

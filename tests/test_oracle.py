@@ -335,25 +335,27 @@ def test_compressed_cache_still_loads(tmp_path):
     assert np.array_equal(loaded.d_land, g.d_land)
 
 
-def _without_d_land(data, path):
-    # a file in an older layout, under this version's name
-    path.write_bytes(data)
-    with np.load(path) as z:
-        arrays = {key: z[key] for key in z.files if key != "d_land"}
-    np.savez(path, **arrays)
-    return path.read_bytes()
+def _without(key):
+    def spoil(data, path):
+        # a file in an older layout, under this version's name
+        path.write_bytes(data)
+        with np.load(path) as z:
+            arrays = {k: z[k] for k in z.files if k != key}
+        np.savez(path, **arrays)
+        return path.read_bytes()
+    return spoil
 
 
-@pytest.mark.parametrize("spoil", [
-    lambda data, path: data[:len(data) // 2],
-    lambda data, path: b"",
-    lambda data, path: b"not a cache file",
-    _without_d_land,
-], ids=["truncated", "empty", "garbage", "missing-key"])
-def test_unreadable_cache_is_a_miss(spoil, tmp_path):
+@pytest.mark.parametrize("space, spoil", [
+    ("E2", lambda data, path: data[:len(data) // 2]),
+    ("E2", lambda data, path: b""),
+    ("E2", lambda data, path: b"not a cache file"),
+    ("E2", _without("d_land")),
+    ("S3", _without("leg_row")),  # a compact space's row of x-legs
+], ids=["truncated", "empty", "garbage", "missing-key", "missing-leg-row"])
+def test_unreadable_cache_is_a_miss(space, spoil, tmp_path):
     # the graph is rebuilt and the file atomically replaced by a readable one
-    e = Euclidean(2)
-    nav = NavigationData(e, EuclideanKilling(e, np.array([0.5, 0.0])))
+    nav = {"E2": _e2_nav, "S3": _s3_hopf_nav}[space]()
     g = build_graph(nav, 1000, 8, seed=0, cache_dir=tmp_path)
     (path,) = tmp_path.iterdir()
     data = path.read_bytes()
@@ -480,7 +482,7 @@ def _base_point_reference(g, nav, xs, ys):
         _, t = g.tree.query(space.embed(yp))
         graph[i] = _arc_weights(nav, xp, o)[0] + D[t] + _arc_weights(nav, g.nodes[t], yp)[0]
         direct = float(_arc_weights(nav, x, y)[0])
-        curves[i] = min(direct, _all_nodes_two_arc(nav, g.nodes, xp, yp))
+        curves[i] = min(direct, _all_nodes_two_arc(nav, g, xp, yp, _arc_weights(nav, xp, o)[0]))
     return np.minimum(graph, curves), graph, curves
 
 
@@ -645,10 +647,15 @@ def test_undirected_storage_keeps_the_directed_graph(make_nav, n_edges, eps):
     assert np.array_equal(g.weights_fwd, nav.finsler_norm(a, nav.space.h_log(a, b)))
 
 
-def _all_nodes_two_arc(nav, nodes, x, y):
+def _all_nodes_two_arc(nav, g, x, y, hop):
     """`_best_two_arc` with every leg over all nodes: the search the chord
-    bound prunes."""
-    wx, _ = _arc_weights(nav, x, nodes)
+    bound prunes. On a compact space the x-legs are the curves x -> o -> v
+    through node 0, of F-length hop + F(o -> v)."""
+    nodes = g.nodes
+    if nav.space.compact:
+        wx = hop + _arc_weights(nav, nodes[0], nodes)[0]
+    else:
+        wx, _ = _arc_weights(nav, x, nodes)
     _, wy = _arc_weights(nav, y, nodes)
     tot = wx + wy
     zi = int(np.argmin(tot))
@@ -682,19 +689,77 @@ def test_pruned_two_arc_matches_all_nodes(name, monkeypatch):
     step = 1e-13 * wz / np.sqrt(space.h_inner(z, wz, wz))
     x = np.vstack([x, g.nodes[3:4], g.nodes[4:5], space.h_exp(z, -step)])
     y = np.vstack([y, y[0:1], g.nodes[4:5], space.h_exp(z, step)])
+    # on a compact space the x-legs pass through node 0, whatever x is
+    hops = _arc_weights(nav, x, g.nodes[0])[0]
     legs = []
 
     def counted(nav_, a, b):
         legs.append(len(np.atleast_2d(b)))
         return _arc_weights(nav_, a, b)
 
-    want = [_all_nodes_two_arc(nav, g.nodes, a, b) for a, b in zip(x, y)]
+    want = [_all_nodes_two_arc(nav, g, a, b, h) for a, b, h in zip(x, y, hops)]
     monkeypatch.setattr(oracle, "_arc_weights", counted)
-    got = [oracle._best_two_arc(nav, g, a, b) for a, b in zip(x, y)]
+    got = [oracle._best_two_arc(nav, g, a, b, h) for a, b, h in zip(x, y, hops)]
     assert got == want
     # the legs visit at most about half of the nodes (a quarter to a third
     # but for the strong product wind, whose 1 + w is 1.85)
     assert sum(legs) < 0.6 * 3 * len(x) * g.n_nodes
+
+
+def _compact_winds():
+    s3, su2 = Sphere(3, 1.0), CompactGroup("SU2", 0.8)
+    left = GroupKilling(su2, np.array([0.0, 0.4, 0.0, 0.0]), np.zeros(4))
+    prod = Product((s3, su2))
+    return {
+        "S3-hopf": hopf_field(s3, 0.3),
+        "SU2-left": left,
+        "S3xSU2": ProductKilling(prod, (hopf_field(s3, 0.3), left)),
+    }
+
+
+COMPACT_WINDS = _compact_winds()
+
+
+@pytest.mark.parametrize("name", COMPACT_WINDS)
+def test_compact_two_arc_starts_from_the_leg_row(name, monkeypatch):
+    # on a compact space the query moves x to x' at node 0, o, and every
+    # x-leg is the curve x' -> o -> v: the pruned search equals the one over
+    # all nodes bit for bit, computes no arc from x', and runs fewer y-legs
+    # than there are nodes in the chord ellipse of the best length
+    W = COMPACT_WINDS[name]
+    space, nav = W.space, NavigationData(W.space, W)
+    g = build_graph(nav, 2000, 32, seed=5)
+    o = g.nodes[0]
+    assert np.array_equal(g.leg_row, _arc_weights(nav, o, g.nodes)[0])
+    rng = np.random.default_rng(29)
+    x, y = oracle._to_base_point(nav, g, space.sample(rng, 30), space.sample(rng, 30))
+    assert np.max(space.h_distance(x, o)) < 1e-12
+    # x' on o and y 1e-13 past it along the wind's integral curve, x' and y
+    # 1e-13 before and after o, y on a net node, and x = y
+    wo = W.evaluate(o)
+    step = 1e-13 * wo / np.sqrt(space.h_inner(o, wo, wo))
+    x = np.vstack([x, o, space.h_exp(o, -step), x[:2]])
+    y = np.vstack([y, space.h_exp(o, step), space.h_exp(o, step), g.nodes[11], x[1]])
+    hops = _arc_weights(nav, x, o)[0]
+    want = [_all_nodes_two_arc(nav, g, a, b, h) for a, b, h in zip(x, y, hops)]
+    calls = []
+
+    def counted(nav_, a, b):
+        calls.append((a, len(np.atleast_2d(b))))
+        return _arc_weights(nav_, a, b)
+
+    monkeypatch.setattr(oracle, "_arc_weights", counted)
+    got, y_rows, ellipse = [], 0, 0
+    grow = 1.0 + W.length_range()[1]
+    for a, b, h, best in zip(x, y, hops, want):
+        calls.clear()
+        got.append(oracle._best_two_arc(nav, g, a, b, h))
+        assert not any(arg is a for arg, _ in calls)
+        y_rows += sum(n for arg, n in calls if arg is b)
+        chords = g.chords_from_o + oracle._chords(g.coords, space.embed(b))
+        ellipse += np.count_nonzero(chords <= grow * best)
+    assert got == want
+    assert y_rows < ellipse
 
 
 def test_winning_paths_lie_in_their_ellipse():
@@ -902,6 +967,7 @@ def test_orbit_net_cache_round_trips(name, tmp_path):
     assert loaded.graph_hash == g.graph_hash
     assert (loaded.csr != g.csr).nnz == 0
     assert np.array_equal(loaded.d_land, g.d_land)
+    assert np.array_equal(loaded.leg_row, g.leg_row) and len(g.leg_row) == 480
     assert _load(path).n_nodes == 480
 
 

@@ -3,6 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from randers_lab.config import ConfigError
 from randers_lab.spaces import (
     CompactGroup,
     Euclidean,
@@ -242,23 +243,38 @@ def test_point_needs_the_ambient_dim(space, bad, says):
         space.check_point(bad)
 
 
-@pytest.mark.parametrize("cfg, says", [
-    ({"kind": "sphere", "dim": 3, "radius": 0}, "sphere radius must be positive"),
-    ({"kind": "sphere", "dim": 3, "radius": -1.0}, "sphere radius must be positive"),
-    ({"kind": "group", "name": "SU3"}, "unsupported group 'SU3'; only SU2 is implemented"),
-    ({"kind": "group", "scale": 0.0}, "group scale must be positive"),
-    ({"kind": "group", "scale": float("inf")}, "group scale must be positive and finite, got inf"),
-    ({"kind": "euclidean", "n": 2, "box": float("nan")},
-     "euclidean box must be positive and finite, got nan"),
-    ({"kind": "product"}, 'a product\'s "factors" is missing'),
-    ({"kind": "product", "factors": []}, "product needs at least one factor"),
-    ({"kind": "product", "factors": {"kind": "euclidean", "n": 2}},
+@pytest.mark.parametrize("cfg, error, says", [
+    ({"kind": "sphere", "dim": 3, "radius": 0}, SpaceError, "sphere radius must be positive"),
+    ({"kind": "sphere", "dim": 3, "radius": -1.0}, SpaceError, "sphere radius must be positive"),
+    ({"kind": "group", "name": "SU3"}, SpaceError,
+     "unsupported group 'SU3'; only SU2 is implemented"),
+    ({"kind": "group", "scale": 0.0}, SpaceError, "group scale must be positive"),
+    ({"kind": "group", "scale": float("inf")}, ConfigError,
+     '"scale" is a finite number, got Infinity'),
+    ({"kind": "euclidean", "n": 2, "box": float("nan")}, ConfigError,
+     '"box" is a finite number, got NaN'),
+    ({"kind": "product"}, SpaceError, 'a product\'s "factors" is missing'),
+    ({"kind": "product", "factors": []}, SpaceError, "product needs at least one factor"),
+    ({"kind": "product", "factors": {"kind": "euclidean", "n": 2}}, SpaceError,
      'a product\'s "factors" is a list of spaces'),
 ], ids=["radius-0", "radius-neg", "group-SU3", "scale-0", "scale-inf", "box-nan",
         "factors-missing", "factors-empty", "factors-object"])
-def test_space_configs_are_refused_where_built(cfg, says):
-    with pytest.raises(SpaceError, match=says):
+def test_space_configs_are_refused_where_built(cfg, error, says):
+    with pytest.raises(error, match=says):
         space_from_config(cfg)
+
+
+@pytest.mark.parametrize("make, says", [
+    (lambda: Euclidean(2, box=float("nan")), "euclidean box must be positive and finite, got nan"),
+    (lambda: Sphere(3, radius=float("inf")), "sphere radius must be positive and finite, got inf"),
+    (lambda: CompactGroup("SU2", scale=float("inf")),
+     "group scale must be positive and finite, got inf"),
+], ids=["box-nan", "radius-inf", "scale-inf"])
+def test_constructors_refuse_non_finite_sizes(make, says):
+    # a config never gets here with NaN or Infinity (`config.json_number`);
+    # a space built in Python does
+    with pytest.raises(SpaceError, match=says):
+        make()
 
 
 def test_su2_scale_antipodal_distance():
