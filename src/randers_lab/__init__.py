@@ -22,8 +22,8 @@ _EXPORTS = {
                 "nav_to_defining_matrices", "riemannian", "to_navigation"),
     "geodesics": ("GeodesicCurve", "NoMatchingField", "RootNotBracketed", "f_distance",
                   "f_distance_batch", "f_geodesic_flowcurve", "f_geodesic_ode"),
-    "oracle": ("GraphDisconnected", "NetGraph", "build_graph", "oracle_distance",
-               "oracle_distance_pairs"),
+    "oracle": ("GraphDisconnected", "GraphMismatch", "NetGraph", "build_graph",
+               "oracle_distance", "oracle_distance_pairs"),
     "cw": ("ConnectResult", "CwReport", "ExhaustionReport", "SearchFailed", "cw_connect",
            "cw_displacement_check", "direction_exhaustion_check", "small_time_threshold"),
     "config": ("ConfigError", "ExperimentConfig"),

@@ -250,7 +250,7 @@ def cmd_oracle(args) -> int:
     g = build_graph(nav, args.nodes, args.k, seed=args.seed, cache_dir=args.cache)
     if args.oracle_cmd == "build":
         result = {"graph_hash": g.graph_hash, "eps": g.eps,
-                  "n_nodes": g.n_nodes, "k": g.k, "n_edges": g.csr.nnz}
+                  "n_nodes": len(g.nodes), "k": g.k, "n_edges": g.csr.nnz}
         _emit(args, "oracle-build", result, cfg)
         return 0
     est, hint = oracle_distance(g, nav, x, y)

@@ -180,20 +180,13 @@ def _slope(nav: NavigationData, x, yt, d) -> np.ndarray:
 
 
 def f_distance_batch(nav: NavigationData, xs, ys) -> np.ndarray:
-    """Vectorized f_distance over row-aligned point arrays; a row with a
-    non-finite point or h-distance is a ValueError naming it."""
+    """Vectorized f_distance over row-aligned point arrays, checked by
+    `NavigationData.point_pairs`: a NaN row would fail `g0 > _TOL` below
+    and read as distance 0."""
     space = nav.space
-    xs = np.atleast_2d(np.asarray(xs, dtype=float))
-    ys = np.atleast_2d(np.asarray(ys, dtype=float))
+    xs, ys, g0 = nav.point_pairs("f_distance", xs, ys)
     m = len(xs)
     wmax = nav.wind.length_range()[1]
-    g0 = np.asarray(space.h_distance(xs, ys), dtype=float)
-    # a NaN row would fail `g0 > _TOL` below and read as distance 0
-    finite = np.isfinite(g0) & np.isfinite(xs).all(axis=-1) & np.isfinite(ys).all(axis=-1)
-    if not finite.all():
-        bad = np.flatnonzero(~finite)
-        raise ValueError(f"f_distance needs finite points at a finite h-distance; "
-                         f"{bad.size} of {m} rows are not, the first {bad[:5].tolist()}")
     out = np.zeros(m)
     rows = np.flatnonzero(g0 > _TOL)
     if not rows.size:

@@ -46,9 +46,10 @@ guarantee below holds to that rounding, which the queries' 1e-9 margins
 cover. (An arc between antipodes, which h_log takes along a fixed
 direction, copies to another half great circle between the same nodes.)
 A kd-tree over `space.embed` of all nodes finds the edges: each node's k
-nearest neighbours in chord. The guarantee asks only that each edge be
-an actual arc, whichever nodes it joins; on R^n, spheres and SU(2),
-where h-distance grows with the chord, these are the h-kNN as well.
+nearest neighbours in chord; it serves the build alone. The guarantee
+asks only that each edge be an actual arc, whichever nodes it joins; on
+R^n, spheres and SU(2), where h-distance grows with the chord, these are
+the h-kNN as well.
 eps, the largest h-distance from a node to its chord-nearest
 neighbour, comes from that same query. The build picks 8
 landmark nodes (node 0 alone on a compact space) by farthest-point
@@ -71,11 +72,12 @@ each. On a compact space the leg from x' to a node v is the curve
 x' -> o -> v, of F-length F(x' -> o) + leg_row[v], so no leg from x' is
 computed per pair. Those candidates are again lengths of actual curves,
 so the no-undercut guarantee survives while the dilation error drops by
-roughly an order of magnitude. The graph path from a snapped source that
-is a landmark is that landmark's row of d_land, so no search runs on a
-compact space, where the source snaps to o; from any other source the
-search stops at the best curve already known, which leaves every
-estimate exactly what an unbounded search gives.
+roughly an order of magnitude. The graph path joins the nodes nearest x
+and y in chord, read off the chords of the bound below. From a snapped
+source that is a landmark it is that landmark's row of d_land, so no
+search runs on a compact space, where x' snaps to o; from any other
+source the search stops at the best curve already known, which leaves
+every estimate exactly what an unbounded search gives.
 
 Two certified lower bounds confine both phases to the nodes that can
 still matter, and leave every estimate bit for bit what the search over
@@ -105,7 +107,7 @@ import hashlib
 import json
 import os
 import zipfile
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from pathlib import Path
 
@@ -118,6 +120,7 @@ from scipy.spatial import cKDTree
 from . import quat
 from .killing import GroupFamily, SphereFamily, constant_length_family
 from .randers import NavigationData
+from .spaces import space_from_config
 
 C_HINT = 4.0
 _CACHE_VERSION = 11
@@ -147,7 +150,6 @@ def _arc_weights(nav, a, b):
 @dataclass(frozen=True)
 class NetGraph:
     nav_config: dict
-    n_nodes: int
     k: int
     seed: int
     nodes: np.ndarray  # node g * nb + b is M_g applied to base node b < nb
@@ -164,21 +166,19 @@ class NetGraph:
     def csr(self) -> csr_matrix:
         """The directed search graph: every edge in both orientations,
         tiled from the base rows to every orbit."""
-        return _search_graph(self.n_nodes, self.rows, self.cols,
+        return _search_graph(len(self.nodes), self.rows, self.cols,
                              self.weights_fwd, self.weights_rev, self.mult)
-
-    @cached_property
-    def tree(self) -> cKDTree:
-        from .spaces import space_from_config
-
-        space = space_from_config(self.nav_config["space"])
-        return cKDTree(space.embed(self.nodes))
 
     @cached_property
     def coords(self) -> np.ndarray:
         """The embedded nodes one coordinate per row, shape (d, n), as
         `_chords` reads them."""
-        return np.ascontiguousarray(self.tree.data.T)
+        space = space_from_config(self.nav_config["space"])
+        return np.ascontiguousarray(space.embed(self.nodes).T)
+
+    @cached_property
+    def coords_max(self) -> float:  # the scale of the chord bound's rounding
+        return float(np.abs(self.coords).max())
 
     @cached_property
     def chords_from_o(self) -> np.ndarray:
@@ -189,12 +189,9 @@ class NetGraph:
     def graph_hash(self) -> str:
         h = hashlib.sha256()
         h.update(json.dumps(self.nav_config, sort_keys=True).encode())
-        h.update(np.int64([self.n_nodes, self.k, self.seed]).tobytes())
-        h.update(self.nodes.tobytes())
-        h.update(self.rows.tobytes())
-        h.update(self.cols.tobytes())
-        h.update(self.weights_fwd.tobytes())
-        h.update(self.weights_rev.tobytes())
+        h.update(np.int64([len(self.nodes), self.k, self.seed]).tobytes())
+        for a in (self.nodes, self.rows, self.cols, self.weights_fwd, self.weights_rev):
+            h.update(a.tobytes())
         return h.hexdigest()
 
     def lower_bound(self, s, t):
@@ -206,21 +203,33 @@ class NetGraph:
         """The sorted nodes v that the landmarks leave on some graph path
         s -> v -> t of length at most budget: those with
         lower_bound(s, v) + lower_bound(v, t) <= budget."""
-        d = self.d_land
-        far = np.max(d - d[:, s, None], axis=0) + np.max(d[:, t, None] - d, axis=0)
-        return np.flatnonzero(far <= budget)
+        v = slice(None)  # every node
+        return np.flatnonzero(self.lower_bound([s], v) + self.lower_bound(v, [t]) <= budget)
+
+
+# the arrays the cache stores under their own names; its meta holds the rest
+_STORED = tuple(f.name for f in fields(NetGraph))[3:]
+
+
+def _mirrors(rows, cols, nb, mult):
+    """(c, h^-1 * nb + b) for the edges b -> (h * nb + c) = (rows, cols): each
+    one's mirror c -> (h^-1, b), its image under M_h^-1, built in place."""
+    h, c = np.divmod(cols, nb)
+    mirror = np.argmin(mult, axis=1)[h]  # mult[h, h^-1] = 0, the identity
+    mirror *= nb
+    mirror += rows
+    return c, mirror
 
 
 def _search_graph(n, rows, cols, fwd, rev, mult) -> csr_matrix:
     """The base rows hold every edge b -> (h, c), from base node b to node
-    h * nb + c, and its mirror c -> (h^-1, b), which M_h^-1 maps the arc
+    h * nb + c, and its mirror (`_mirrors`), which M_h^-1 maps the arc
     back onto (one arc when the two coincide). Row g * nb + b is then base
     row b with each column h * nb + c moved to mult[g, h] * nb + c: its
     image under M_g, with the same weights."""
     size = len(mult)
     nb = n // size
-    h, c = np.divmod(cols, nb)
-    mirror = np.argmin(mult, axis=1)[h] * nb + rows  # mult[h, h^-1] = 0, the identity
+    c, mirror = _mirrors(rows, cols, nb, mult)
     two = (c != rows) | (mirror != cols)
     base = csr_matrix((np.concatenate([fwd, rev[two]]),
                        (np.concatenate([rows, c[two]]), np.concatenate([cols, mirror[two]]))),
@@ -316,11 +325,9 @@ def _knn_edges(space, nodes, k, mult):
     nodes is an orbit net: node g * nb + b is M_g applied to base node b,
     nb = len(nodes) // len(mult), and each M_g is an isometry that maps
     the nodes onto themselves, so kNN(g * nb + b) is M_g kNN(b). An edge
-    b -> (h, c), from base node b to node h * nb + c, has the mirror
-    c -> (h^-1, b), its image under M_h^-1, out of base row c. Both take
-    one key, the lesser of b * n + h * nb + c and c * n + h^-1 * nb + b,
-    and one row (b, h * nb + c) or (c, h^-1 * nb + b) stands for the
-    edge. With the trivial group that is one row (r, c) with r < c.
+    and its mirror (`_mirrors`) take one key, the lesser of their codes
+    row * n + column, and one of the two rows stands for the edge: with
+    the trivial group, the row (r, c) with r < c.
 
     Where h-distance grows with the chord (R^n, spheres, SU(2)) these are
     the h-kNN; on a product the edges may differ from them, and each is
@@ -339,15 +346,12 @@ def _knn_edges(space, nodes, k, mult):
     # its hashing
     enc = rows * n
     enc += cols
-    h, mirror = np.divmod(cols, nb)
-    mirror *= n
-    mirror += rows
-    h = np.argmin(mult, axis=1)[h]  # mult[h, h^-1] = 0, the identity
-    h *= nb
-    mirror += h
-    del h
-    np.minimum(enc, mirror, out=enc)
+    key, mirror = _mirrors(rows, cols, nb, mult)
+    key *= n
+    key += mirror
     del mirror
+    np.minimum(enc, key, out=enc)
+    del key
     enc.sort()
     keep = np.empty(len(enc), dtype=bool)
     keep[0] = True
@@ -410,10 +414,11 @@ def build_graph(nav: NavigationData, n_nodes: int, k: int, seed: int,
         raise GraphDisconnected(f"{far} nodes unreachable from node 0 at k={k}; use a larger k")
     # the x-legs of every compact query start at node 0 (`_best_two_arc`)
     leg_row = _arc_weights(nav, nodes[0], nodes)[0] if space.compact else np.empty(0)
-    g = NetGraph(nav_config=cfg, n_nodes=n_nodes, k=k, seed=seed, nodes=nodes, rows=rows,
-                 cols=cols, weights_fwd=fwd, weights_rev=rev, eps=eps, d_land=d_land,
-                 mult=mult, leg_row=leg_row)
-    vars(g)["csr"] = csr  # the queries reuse the matrix the landmark search ran on
+    g = NetGraph(nav_config=cfg, k=k, seed=seed, nodes=nodes, rows=rows, cols=cols,
+                 weights_fwd=fwd, weights_rev=rev, eps=eps, d_land=d_land, mult=mult,
+                 leg_row=leg_row)
+    # the queries reuse the matrix the landmark search ran on, and the embedding
+    vars(g).update(csr=csr, coords=coords)
     if cache_path is not None:
         # write beside the cache file and rename it into place, so a failed
         # write leaves nothing at cache_path (numpy appends .npz if missing);
@@ -421,10 +426,8 @@ def build_graph(nav: NavigationData, n_nodes: int, k: int, seed: int,
         cache_path.parent.mkdir(parents=True, exist_ok=True)
         tmp = cache_path.with_name(f"{cache_path.stem}.{os.getpid()}.tmp.npz")
         try:
-            np.savez(
-                tmp, nodes=nodes, rows=rows, cols=cols, weights_fwd=fwd, weights_rev=rev,
-                eps=eps, d_land=d_land, mult=mult, leg_row=leg_row,
-                meta=json.dumps({"cfg": cfg, "n": n_nodes, "k": k, "seed": seed}))
+            np.savez(tmp, **{name: getattr(g, name) for name in _STORED},
+                     meta=json.dumps({"cfg": cfg, "k": k, "seed": seed}))
             os.replace(tmp, cache_path)
         finally:
             tmp.unlink(missing_ok=True)
@@ -435,24 +438,18 @@ def _load(path: Path) -> NetGraph:
     # np.load leaves a file it opened itself open when the zip is unreadable
     with open(path, "rb") as f, np.load(f, allow_pickle=False) as z:
         meta = json.loads(str(z["meta"]))
-        return NetGraph(nav_config=meta["cfg"], n_nodes=meta["n"], k=meta["k"],
-                        seed=meta["seed"], nodes=z["nodes"], rows=z["rows"],
-                        cols=z["cols"], weights_fwd=z["weights_fwd"],
-                        weights_rev=z["weights_rev"], eps=float(z["eps"]),
-                        d_land=z["d_land"], mult=z["mult"], leg_row=z["leg_row"])
+        stored = {name: z[name] for name in _STORED}
+    stored["eps"] = float(stored["eps"])
+    return NetGraph(nav_config=meta["cfg"], k=meta["k"], seed=meta["seed"], **stored)
 
 
-def _check_nav(g: NetGraph, nav: NavigationData) -> None:
-    if json.dumps(g.nav_config, sort_keys=True) != json.dumps(nav.to_config(), sort_keys=True):
-        raise GraphMismatch("graph was built for different navigation data")
-
-
-def _best_two_arc(nav, g: NetGraph, x, y, hop) -> float:
-    """F-length of the best curve from x to y through net nodes: the 2-arc
-    x -> z -> y through the best node z, or x -> u -> z -> v -> y, which
-    refines each of its legs through its own best node, when that is
-    shorter. The arcs between a point and nodes, both ways, take one h-log
-    per node.
+def _best_two_arc(nav, g: NetGraph, x, y, hop):
+    """(F-length, s, t) of the best curve from x to y through net nodes:
+    the 2-arc x -> z -> y through the best node z, or x -> u -> z -> v -> y,
+    which refines each of its legs through its own best node, when that is
+    shorter; s and t are the nodes nearest x and y in chord (o = node 0
+    for x on a compact space). The arcs between a point and nodes, both ways, take
+    one h-log per node.
 
     An x-leg x -> v is the arc from x, except on a compact space, where x
     lies at node 0 = o up to rounding (`_to_base_point`): there it is the
@@ -472,12 +469,9 @@ def _best_two_arc(nav, g: NetGraph, x, y, hop) -> float:
     """
     nodes, coords = g.nodes, g.coords
     space = nav.space
+    ex = coords[:, 0] if space.compact else space.embed(x)
     ey = space.embed(y)
-    if space.compact:
-        ex, cx = coords[:, 0], g.chords_from_o
-    else:
-        ex = space.embed(x)
-        cx = _chords(coords, ex)
+    cx = g.chords_from_o if space.compact else _chords(coords, ex)
     cy = _chords(coords, ey)
     cxy = cx + cy
     # the relative margin covers the rounding of chords and lengths; the
@@ -485,7 +479,7 @@ def _best_two_arc(nav, g: NetGraph, x, y, hop) -> float:
     # the embedding, which can make the chord between nearly coincident
     # points exceed their h-distance (by 1e-6 relative at 1e-13 apart)
     grow = (1.0 + nav.wind.length_range()[1]) * (1.0 + 1e-9)
-    tol = 1e-12 * np.abs(np.concatenate([g.tree.maxes, g.tree.mins, ex, ey])).max()
+    tol = 1e-12 * max(g.coords_max, np.abs(ex).max(), np.abs(ey).max())
 
     def within(c, length):  # the nodes whose chord sum c allows `length`
         return c <= grow * length + tol
@@ -519,7 +513,7 @@ def _best_two_arc(nav, g: NetGraph, x, y, hop) -> float:
     from_z, to_z = _arc_weights(nav, nodes[zi], nodes[c1[u]])
     via_x = float(np.min((wx[u] + to_z)[via_x_in[u]]))
     via_y = float(np.min((from_z + wy[u])[via_y_in[u]]))
-    return min(float(tot[j]), via_x + via_y)
+    return min(float(tot[j]), via_x + via_y), int(np.argmin(cx)), int(np.argmin(cy))
 
 
 def _to_base_point(nav: NavigationData, g: NetGraph, xs, ys):
@@ -542,46 +536,42 @@ def oracle_distance(g: NetGraph, nav: NavigationData, x, y):
     the direct arc, and 2-arc relaxations through net nodes.
     error_hint = C_HINT * eps.
     """
-    est = oracle_distance_pairs(g, nav, np.asarray(x)[None, :], np.asarray(y)[None, :])[0]
-    return float(est), C_HINT * g.eps
+    return float(oracle_distance_pairs(g, nav, [x], [y])[0]), C_HINT * g.eps
 
 
 def oracle_distance_pairs(g: NetGraph, nav: NavigationData, xs, ys) -> np.ndarray:
     """Vectorized oracle estimates for row-aligned point arrays.
 
     Each estimate is the shortest of the direct arc, the curves through
-    net nodes (`_best_two_arc`) and the snap hops plus the graph path. On
-    a compact space every pair is first carried to one from node 0
-    (`_to_base_point`), and its source snaps to node 0. A graph path can only win when it is no longer
-    than the best of the others less the hops. A pair whose budget is
-    negative, or below the landmark bound on its graph distance, is left
-    out of the search. A pair left whose snapped source is a landmark, as
-    node 0 is, reads that landmark's row of d_land; every other one runs
-    one Dijkstra limited to its budget, over the rows of the nodes in its
-    landmark ellipse (`NetGraph.ellipse`): every graph path within the
-    budget keeps all its arcs there. The estimates equal those of
-    unbounded searches over all nodes bit for bit.
+    net nodes and the snap hops plus the graph path, `_best_two_arc`
+    giving the curves and the snaps, the nodes nearest in chord. On a
+    compact space every pair is first carried to one from node 0
+    (`_to_base_point`), and its source snaps to node 0. A graph path can
+    only win when it is no longer than the best of the others less the
+    hops. A pair whose budget is negative, or below the landmark bound on
+    its graph distance, is left out of the search. A pair left whose
+    snapped source is a landmark, as node 0 is, reads that landmark's row
+    of d_land; every other one runs one Dijkstra limited to its budget,
+    over the rows of the nodes in its landmark ellipse (`NetGraph.ellipse`):
+    every graph path within the budget keeps all its arcs there. The
+    estimates equal those of unbounded searches over all nodes bit for bit.
     """
-    _check_nav(g, nav)
-    space = nav.space
-    xs = np.atleast_2d(np.asarray(xs, dtype=float))
-    ys = np.atleast_2d(np.asarray(ys, dtype=float))
-    if len(xs) != len(ys):
-        raise ValueError(f"xs has {len(xs)} rows but ys has {len(ys)}; pairs are row-aligned")
+    if json.dumps(g.nav_config, sort_keys=True) != json.dumps(nav.to_config(), sort_keys=True):
+        raise GraphMismatch("graph was built for different navigation data")
+    xs, ys, _ = nav.point_pairs("the oracle", xs, ys)
     direct = _arc_weights(nav, xs, ys)[0]
-    if space.compact:  # each source is moved onto node 0, to rounding
-        xs, ys = _to_base_point(nav, g, xs, ys)
-        si = np.zeros(len(xs), dtype=np.intp)
-    else:
-        _, si = g.tree.query(space.embed(xs), k=1)
-    _, ti = g.tree.query(space.embed(ys), k=1)
-
     # h_log(x, x) is exactly 0, so an endpoint on its node hops 0.0
-    hop_out = _arc_weights(nav, xs, g.nodes[si])[0]
+    hop_out = np.full(len(xs), np.nan)  # read by `_best_two_arc` on a compact space alone
+    if nav.space.compact:  # each source is moved onto node 0, to rounding, and snaps there
+        xs, ys = _to_base_point(nav, g, xs, ys)
+        hop_out = _arc_weights(nav, xs, g.nodes[np.zeros(len(xs), dtype=np.intp)])[0]
+    two_arc = np.array([_best_two_arc(nav, g, x, y, h)
+                        for x, y, h in zip(xs, ys, hop_out)]).reshape(-1, 3)
+    best = np.minimum(direct, two_arc[:, 0])
+    si, ti = two_arc[:, 1:].astype(np.intp).T
+    if not nav.space.compact:
+        hop_out = _arc_weights(nav, xs, g.nodes[si])[0]
     hop_in = _arc_weights(nav, g.nodes[ti], ys)[0]
-
-    best = np.array([min(d, _best_two_arc(nav, g, x, y, h))
-                     for d, x, y, h in zip(direct, xs, ys, hop_out)])
     # a graph path longer than best - hops cannot win; the relative margin
     # covers the rounding of hop_out + path + hop_in, and that of the
     # landmark bounds (a few 1e-16 relative), so a pair whose bound exceeds

@@ -97,6 +97,22 @@ class NavigationData:
             return (root - hyW) / lam, (root + hyW) / lam
         return (root - hyW) / lam
 
+    def point_pairs(self, who: str, xs, ys):
+        """(xs, ys, h_distance(xs, ys)) for row-aligned points; a ValueError
+        led by who names a misaligned batch, or the rows whose points or
+        h-distance are not finite (finite points can overflow it)."""
+        xs, ys = (np.atleast_2d(np.asarray(a, dtype=float)) for a in (xs, ys))
+        if len(xs) != len(ys):
+            raise ValueError(f"{who}: xs has {len(xs)} rows but ys has {len(ys)}; "
+                             "pairs are row-aligned")
+        d = np.asarray(self.space.h_distance(xs, ys), dtype=float)
+        bad = np.flatnonzero(~(np.isfinite(d) & np.isfinite(xs).all(axis=1)
+                               & np.isfinite(ys).all(axis=1)))
+        if bad.size:
+            raise ValueError(f"{who} needs finite points at a finite h-distance; {bad.size} "
+                             f"of {len(xs)} rows are not, the first {bad[:5].tolist()}")
+        return xs, ys, d
+
     def to_config(self) -> dict:
         return {"space": self.space.to_config(), "wind": self.wind.to_config()}
 

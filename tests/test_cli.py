@@ -558,6 +558,8 @@ def test_every_library_error_is_a_value_error():
                    and issubclass(obj, BaseException) and obj.__module__ == mod.__name__}
     assert len(errors) >= 10
     assert {e for e in errors if not issubclass(e, ValueError)} == {SearchFailed}
+    # and each is exported, so a caller can catch it by name
+    assert {e.__name__ for e in errors} <= set(randers_lab.__all__)
 
 
 PRODUCT = json.dumps({"kind": "product", "factors": [json.loads(S3), json.loads(E2)]})

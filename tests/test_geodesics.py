@@ -121,6 +121,25 @@ def test_distance_refuses_non_finite_rows(nav, request):
         f_distance_batch(nav, x, y)
 
 
+@pytest.mark.parametrize("nav", ["e2_nav", "hopf_nav"])
+def test_distance_refuses_misaligned_pairs(nav, request):
+    # 3 rows against 1 used to index out of bounds, and 2 against 3 to fail
+    # in numpy's broadcasting
+    nav = request.getfixturevalue(nav)
+    x = nav.space.sample(np.random.default_rng(0), 3)
+    with pytest.raises(ValueError, match="^f_distance: xs has 3 rows but ys has 1; pairs are"):
+        f_distance_batch(nav, x, x[:1])
+    with pytest.raises(ValueError, match="xs has 2 rows but ys has 3"):
+        f_distance_batch(nav, x[:2], x)
+
+
+def test_distance_refuses_an_infinite_h_distance(e2_nav):
+    # finite points whose difference overflows
+    says = r"finite h-distance; 1 of 2 rows are not, the first \[1\]"
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match=says):
+        f_distance_batch(e2_nav, [[0.0, 0.0], [1e308, 0.0]], [[1.0, 0.0], [-1e308, 0.0]])
+
+
 def test_distance_brackets_with_the_exact_wind_maximum(s3):
     # rotation blocks (0.6, 0.05): against the 0.6 block the net angular
     # speed is 0.4, so the angle 0.1 takes 0.25, and the root sits at the

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components, dijkstra
+from scipy.spatial import cKDTree
 
 from randers_lab import oracle
 from randers_lab.geodesics import f_distance, f_distance_batch
@@ -52,11 +53,11 @@ def s3_windless_graph():
 
 def test_build_reports_connectivity_and_eps(e2_graph):
     nav, g, _ = e2_graph
-    assert g.n_nodes == 10_000
+    assert len(g.nodes) == 10_000
     assert g.eps > 0
     # row/col arrays describe an undirected edge list over all nodes,
     # weighted in both directions
-    assert g.rows.min() >= 0 and g.cols.max() < g.n_nodes
+    assert g.rows.min() >= 0 and g.cols.max() < len(g.nodes)
     assert (g.rows < g.cols).all()
     assert (g.weights_fwd > 0).all() and (g.weights_rev > 0).all()
 
@@ -420,13 +421,28 @@ def test_build_keeps_its_csr(monkeypatch):
     assert g.csr.shape == (1000, 1000) and g.csr.nnz == 2 * len(g.rows)
 
 
-def test_batches_must_align(hopf_nav):
-    g = build_graph(hopf_nav, 500, 16, seed=0)
-    xs = hopf_nav.space.sample(np.random.default_rng(1), 3)
-    with pytest.raises(ValueError, match="3 rows but ys has 1"):
-        oracle_distance_pairs(g, hopf_nav, xs, xs[:1])
-    est = oracle_distance_pairs(g, hopf_nav, np.empty((0, 4)), np.empty((0, 4)))
-    assert est.shape == (0,)
+def test_batches_must_align(e2_nav, hopf_nav):
+    # a NaN source used to fail deep inside the move to node 0 on S^3, and
+    # in the snap's kd-tree on E^2
+    for nav in (e2_nav, hopf_nav):
+        g = build_graph(nav, 500, 16, seed=0)
+        xs = nav.space.sample(np.random.default_rng(1), 3)
+        with pytest.raises(ValueError, match="3 rows but ys has 1"):
+            oracle_distance_pairs(g, nav, xs, xs[:1])
+        bad = xs.copy()
+        bad[1, 0] = np.nan
+        with pytest.raises(ValueError, match=r"^the oracle needs finite points at a finite "
+                                             r"h-distance; 1 of 3 rows are not, the first \[1\]$"):
+            oracle_distance_pairs(g, nav, bad, xs)
+        d = nav.space.ambient_dim
+        est = oracle_distance_pairs(g, nav, np.empty((0, d)), np.empty((0, d)))
+        assert est.shape == (0,)
+
+
+def _nearest_nodes(g, space, pts):
+    """The node nearest each point in chord, by a kd-tree of its own: the
+    reference for the queries' snaps."""
+    return cKDTree(space.embed(g.nodes)).query(space.embed(pts), k=1)[1]
 
 
 def _reference_pairs(g, nav, xs, ys):
@@ -444,9 +460,7 @@ def _reference_pairs(g, nav, xs, ys):
             best = min(best, two_arc(x, z, depth - 1) + two_arc(z, y, depth - 1))
         return best
 
-    space = nav.space
-    _, si = g.tree.query(space.embed(xs), k=1)
-    _, ti = g.tree.query(space.embed(ys), k=1)
+    si, ti = _nearest_nodes(g, nav.space, xs), _nearest_nodes(g, nav.space, ys)
     hop_out = _arc_weights(nav, xs, g.nodes[si])[0]
     hop_in = _arc_weights(nav, g.nodes[ti], ys)[0]
     srcs = np.unique(si)
@@ -479,7 +493,7 @@ def _base_point_reference(g, nav, xs, ys):
         # a copy, as in the oracle: the flow returns a strided real part, and
         # numpy's sums can round differently over a strided operand
         xp, yp = np.array(family.match(x, space.h_log(x, o)).flow(np.stack([x, y]), 1.0))
-        _, t = g.tree.query(space.embed(yp))
+        t = _nearest_nodes(g, space, yp)
         graph[i] = _arc_weights(nav, xp, o)[0] + D[t] + _arc_weights(nav, g.nodes[t], yp)[0]
         direct = float(_arc_weights(nav, x, y)[0])
         curves[i] = min(direct, _all_nodes_two_arc(nav, g, xp, yp, _arc_weights(nav, xp, o)[0]))
@@ -522,7 +536,7 @@ def test_landmark_bound_is_below_the_graph_distance(make_nav):
     g = build_graph(nav, 2000, 32, seed=5)
     if nav.space.compact:
         # queries run from node 0 alone, and the one row is its full search
-        assert g.d_land.shape == (1, g.n_nodes)
+        assert g.d_land.shape == (1, len(g.nodes))
         assert np.array_equal(g.d_land, dijkstra(g.csr, directed=True, indices=[0]))
         return
     # each row is a full search from its landmark, the one node at distance
@@ -531,7 +545,7 @@ def test_landmark_bound_is_below_the_graph_distance(make_nav):
     assert land[0] == 0 and len(set(land.tolist())) == len(land) == 8
     assert np.array_equal(g.d_land, dijkstra(g.csr, directed=True, indices=land))
     rng = np.random.default_rng(11)
-    s, t = rng.integers(0, g.n_nodes, size=(2, 200))
+    s, t = rng.integers(0, len(g.nodes), size=(2, 200))
     d = dijkstra(g.csr, directed=True, indices=s)[np.arange(200), t]
     lb = g.lower_bound(s, t)
     # up to rounding, far inside the queries' 1e-9 relative margin
@@ -699,11 +713,11 @@ def test_pruned_two_arc_matches_all_nodes(name, monkeypatch):
 
     want = [_all_nodes_two_arc(nav, g, a, b, h) for a, b, h in zip(x, y, hops)]
     monkeypatch.setattr(oracle, "_arc_weights", counted)
-    got = [oracle._best_two_arc(nav, g, a, b, h) for a, b, h in zip(x, y, hops)]
+    got = [oracle._best_two_arc(nav, g, a, b, h)[0] for a, b, h in zip(x, y, hops)]
     assert got == want
     # the legs visit at most about half of the nodes (a quarter to a third
     # but for the strong product wind, whose 1 + w is 1.85)
-    assert sum(legs) < 0.6 * 3 * len(x) * g.n_nodes
+    assert sum(legs) < 0.6 * 3 * len(x) * len(g.nodes)
 
 
 def _compact_winds():
@@ -753,7 +767,7 @@ def test_compact_two_arc_starts_from_the_leg_row(name, monkeypatch):
     grow = 1.0 + W.length_range()[1]
     for a, b, h, best in zip(x, y, hops, want):
         calls.clear()
-        got.append(oracle._best_two_arc(nav, g, a, b, h))
+        got.append(oracle._best_two_arc(nav, g, a, b, h)[0])
         assert not any(arg is a for arg, _ in calls)
         y_rows += sum(n for arg, n in calls if arg is b)
         chords = g.chords_from_o + oracle._chords(g.coords, space.embed(b))
@@ -771,9 +785,7 @@ def test_winning_paths_lie_in_their_ellipse():
     xs = nav.space.sample(rng, 100)
     ys = nav.space.sample(rng, 100)
     _, graph, curves, _ = _reference_pairs(g, nav, xs, ys)
-    space = nav.space
-    _, si = g.tree.query(space.embed(xs), k=1)
-    _, ti = g.tree.query(space.embed(ys), k=1)
+    si, ti = _nearest_nodes(g, nav.space, xs), _nearest_nodes(g, nav.space, ys)
     hops = _arc_weights(nav, xs, g.nodes[si])[0] + _arc_weights(nav, g.nodes[ti], ys)[0]
     wins = np.flatnonzero(graph < curves)
     assert len(wins) > 0
@@ -787,7 +799,7 @@ def test_winning_paths_lie_in_their_ellipse():
             v = pred[v]
         assert path[-1] == si[i]
         assert set(path) <= inside
-        assert len(inside) < g.n_nodes
+        assert len(inside) < len(g.nodes)
 
 
 def test_ellipse_searches_keep_the_estimates(monkeypatch):
@@ -846,7 +858,7 @@ def test_compact_spaces_answer_from_the_base_point(monkeypatch):
     nav = NavigationData(prod, ProductKilling(prod, (
         hopf_field(s3, 0.3), GroupKilling(su2, np.array([0.0, 0.4, 0.0, 0.0]), np.zeros(4)))))
     g = build_graph(nav, 2000, 32, seed=5)
-    assert g.d_land.shape == (1, g.n_nodes)
+    assert g.d_land.shape == (1, len(g.nodes))
     strong = _strong_product_nav()
     g_strong = build_graph(strong, 2000, 32, seed=5)
     searched = []
@@ -864,6 +876,48 @@ def test_compact_spaces_answer_from_the_base_point(monkeypatch):
     xs, ys = strong.space.sample(rng, 20), strong.space.sample(rng, 20)
     oracle_distance_pairs(g_strong, strong, xs, ys)
     assert len(searched) > 0
+
+
+@pytest.mark.parametrize("name", ["E2", "S3-hopf", "SU2-left", "S3xR2"])
+def test_snaps_are_the_chord_nearest_nodes(name):
+    # the snaps `_best_two_arc` reads off its chords are the nodes an
+    # independent kd-tree finds, for random points, points on nodes and
+    # x = y; on a compact space x' lies at node 0 (`_to_base_point`)
+    W = NOETHER_WINDS[name]
+    space, nav = W.space, NavigationData(W.space, W)
+    g = build_graph(nav, 2000, 16, seed=5)
+    rng = np.random.default_rng(31)
+    ys = np.vstack([space.sample(rng, 30), g.nodes[[0, 3, 500, len(g.nodes) - 1]]])
+    if space.compact:
+        ys = np.vstack([ys, g.nodes[:1]])  # x = y = o
+        xs = np.broadcast_to(g.nodes[0], ys.shape)
+    else:
+        xs = np.vstack([space.sample(rng, 30), g.nodes[[9, 3, 1, 2]]])
+        ys = np.vstack([ys, xs[:2]])  # x = y, at random and on node 9
+        xs = np.vstack([xs, xs[:2]])
+    hops = _arc_weights(nav, xs, g.nodes[0])[0]
+    snaps = np.array([oracle._best_two_arc(nav, g, x, y, h)[1:] for x, y, h in zip(xs, ys, hops)])
+    assert np.array_equal(snaps[:, 0], _nearest_nodes(g, space, xs))
+    assert np.array_equal(snaps[:, 1], _nearest_nodes(g, space, ys))
+
+
+def test_compact_query_on_a_cached_graph_calls_no_scipy(tmp_path, monkeypatch):
+    # the source is node 0, a landmark, and the snaps come from the chords:
+    # a graph read from the cache answers with no kd-tree and no search
+    nav = _s3_hopf_nav()
+    g = build_graph(nav, 2000, 16, seed=5, cache_dir=tmp_path)
+    rng = np.random.default_rng(37)
+    xs, ys = nav.space.sample(rng, 20), nav.space.sample(rng, 20)
+    want = oracle_distance_pairs(g, nav, xs, ys)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a compact query called scipy")
+
+    for name in ("cKDTree", "dijkstra", "csr_matrix"):
+        monkeypatch.setattr(oracle, name, refuse)
+    loaded = build_graph(nav, 2000, 16, seed=5, cache_dir=tmp_path)
+    assert "csr" not in vars(loaded) and "coords" not in vars(loaded)
+    assert np.array_equal(oracle_distance_pairs(loaded, nav, xs, ys), want)
 
 
 def _orbit_winds():
@@ -914,7 +968,7 @@ def test_orbit_net_edges_are_the_brute_force_knn(name, orbit_graphs):
     # the tiled graph holds every arc of the h-kNN graph of all 480 nodes
     # (both orientations), up to ties at the k-th distance within 1e-12
     nav, g = orbit_graphs[name]
-    n, k = g.n_nodes, g.k
+    n, k = len(g.nodes), g.k
     assert n == 480 and len(g.mult) == 120 and g.rows.max() < 4
     i, j = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
     d = nav.space.h_distance(g.nodes[i.ravel()], g.nodes[j.ravel()]).reshape(n, n)
@@ -947,7 +1001,7 @@ def test_antipodal_edge_is_one_arc():
     # the same nodes, of F-length at most pi R / (1 - |W|)
     nav = _s3_hopf_nav()
     g = build_graph(nav, 240, 239, seed=7)
-    assert g.n_nodes == 240 and g.csr.nnz == 240 * 239
+    assert len(g.nodes) == 240 and g.csr.nnz == 240 * 239
     coo = g.csr.tocoo()
     anti = nav.space.h_distance(g.nodes[coo.row], g.nodes[coo.col]) > np.pi - 1e-6
     assert anti.sum() == 240
@@ -968,7 +1022,7 @@ def test_orbit_net_cache_round_trips(name, tmp_path):
     assert (loaded.csr != g.csr).nnz == 0
     assert np.array_equal(loaded.d_land, g.d_land)
     assert np.array_equal(loaded.leg_row, g.leg_row) and len(g.leg_row) == 480
-    assert _load(path).n_nodes == 480
+    assert len(_load(path).nodes) == 480
 
 
 def test_orbit_net_cache_is_small(tmp_path):
@@ -976,7 +1030,7 @@ def test_orbit_net_cache_is_small(tmp_path):
     # is 2.6 million edges, and its file stays under 2 MiB
     g = build_graph(_s3_hopf_nav(), 20_000, 256, seed=61, cache_dir=tmp_path)
     (path,) = tmp_path.iterdir()
-    assert g.n_nodes == 20_040 and g.csr.nnz > 5_000_000
+    assert len(g.nodes) == 20_040 and g.csr.nnz > 5_000_000
     assert path.stat().st_size < 2 * 2**20
 
 
@@ -1002,7 +1056,7 @@ def test_trivial_group_keeps_the_graph(name, make_nav, n, k, seed, digest):
     # spaces outside S^3 and SU(2) take the trivial group: n random nodes,
     # the chord kNN of their embedding, pinned bit for bit
     g = build_graph(make_nav(), n, k, seed=seed)
-    assert len(g.mult) == 1 and g.n_nodes == n
+    assert len(g.mult) == 1 and len(g.nodes) == n
     assert g.graph_hash == digest
 
 
@@ -1047,7 +1101,7 @@ def test_trivial_group_search_graph_is_the_base_rows():
     nav = _product_nav(Euclidean(2), EuclideanKilling(Euclidean(2), [0.3, 0.0]))
     g = build_graph(nav, 1000, 16, seed=61)
     assert len(g.mult) == 1
-    want = _generic_tiling(g.n_nodes, g.rows, g.cols, g.weights_fwd, g.weights_rev, g.mult)
+    want = _generic_tiling(len(g.nodes), g.rows, g.cols, g.weights_fwd, g.weights_rev, g.mult)
     for part in ("data", "indices", "indptr"):
         got, ref = getattr(g.csr, part), getattr(want, part)
         assert got.dtype == ref.dtype and np.array_equal(got, ref)
