@@ -27,7 +27,7 @@ from .cw import (
 from .geodesics import f_distance, f_geodesic_flowcurve, f_geodesic_ode
 from .killing import constant_length_family, killing_from_config, zero_field
 from .randers import NavigationData, from_navigation, to_navigation
-from .reports import geodesic_rows, polyline_svg, histogram_svg, render_json, write_csv
+from .reports import geodesic_csv, histogram_svg, polyline_svg, render_json
 from .spaces import space_from_config
 
 
@@ -78,14 +78,6 @@ def _config(args) -> ExperimentConfig:
                             wind=getattr(args, "wind", None), params=params)
 
 
-def _nav_from_args(args) -> tuple[NavigationData, ExperimentConfig]:
-    if args.space is None:
-        raise ConfigError("--space is required")
-    space = space_from_config(args.space)
-    wind = killing_from_config(space, args.wind) if args.wind is not None else zero_field(space)
-    return NavigationData(space, wind), _config(args)
-
-
 def _point(nav: NavigationData, value) -> np.ndarray:
     x = json_array(value, "a point", 1)
     nav.space.check_point(x)
@@ -106,17 +98,31 @@ def _vector(nav: NavigationData, x: np.ndarray, value) -> np.ndarray:
     return v
 
 
-def _emit(args, name: str, result: dict, cfg: ExperimentConfig) -> None:
-    text = render_json(result, cfg)
+def _write(out, files: dict) -> None:
+    """Write files, a dict of file name -> text, into the directory out."""
+    Path(out).mkdir(parents=True, exist_ok=True)
+    for name, text in files.items():
+        (Path(out) / name).write_text(text)
+
+
+def _run(args) -> int:
+    """Every verb but selftest: cmd_x(nav, args) -> (result, exit code,
+    artifacts) on the navigation data of --space and --wind; the report goes
+    to stdout and, with --out, to NAME.json beside the artifacts (name -> text)."""
+    if args.space is None:
+        raise ConfigError("--space is required")
+    space = space_from_config(args.space)
+    wind = killing_from_config(space, args.wind) if args.wind is not None else zero_field(space)
+    result, code, artifacts = args.func(NavigationData(space, wind), args)
+    text = render_json(result, _config(args))
     sys.stdout.write(text)
     if args.out:
-        outdir = Path(args.out)
-        outdir.mkdir(parents=True, exist_ok=True)
-        (outdir / f"{name}.json").write_text(text)
+        name = f"oracle-{args.oracle_cmd}" if args.command == "oracle" else args.command
+        _write(args.out, {f"{name}.json": text, **artifacts})
+    return code
 
 
-def cmd_convert(args) -> int:
-    nav, cfg = _nav_from_args(args)
+def cmd_convert(nav, args):
     x = _point(nav, args.point)
     df = from_navigation(nav, x)
     h, wamb = to_navigation(df)
@@ -128,12 +134,10 @@ def cmd_convert(args) -> int:
         "lambda": float(nav.lam(x)),
         "frame": df.frame.tolist(),
     }
-    _emit(args, "convert", result, cfg)
-    return 0
+    return result, 0, {}
 
 
-def cmd_norm(args) -> int:
-    nav, cfg = _nav_from_args(args)
+def cmd_norm(nav, args):
     x = _point(nav, args.point)
     y = _vector(nav, x, args.vector)
     df = from_navigation(nav, x)
@@ -142,21 +146,16 @@ def cmd_norm(args) -> int:
         "F_defining": df.norm_defining(nav.space, y),
         "lambda": float(nav.lam(x)),
     }
-    _emit(args, "norm", result, cfg)
-    return 0
+    return result, 0, {}
 
 
-def cmd_distance(args) -> int:
-    nav, cfg = _nav_from_args(args)
+def cmd_distance(nav, args):
     x = _point(nav, args.x)
     y = _point(nav, args.y)
-    result = {"d_xy": f_distance(nav, x, y), "d_yx": f_distance(nav, y, x)}
-    _emit(args, "distance", result, cfg)
-    return 0
+    return {"d_xy": f_distance(nav, x, y), "d_yx": f_distance(nav, y, x)}, 0, {}
 
 
-def cmd_geodesic(args) -> int:
-    nav, cfg = _nav_from_args(args)
+def cmd_geodesic(nav, args):
     x = _point(nav, args.x)
     y = _vector(nav, x, args.direction)
     y = y / nav.finsler_norm(x, y)  # normalize to unit F-speed
@@ -171,29 +170,21 @@ def cmd_geodesic(args) -> int:
         "endpoint": curve.points[-1].tolist(),
         "diverged": bool(curve.diverged),
     }
-    _emit(args, "geodesic", result, cfg)
-    if args.out:
-        outdir = Path(args.out)
-        if args.format == "csv":
-            dim = curve.points.shape[1]
-            write_csv(outdir / "geodesic.csv", ["t"] + [f"x{i}" for i in range(dim)],
-                      geodesic_rows(curve))
-        if args.format == "svg":
-            (outdir / "geodesic.svg").write_text(polyline_svg(curve.points))
-    return 0
+    artifacts = {}
+    if args.format == "csv":
+        artifacts["geodesic.csv"] = geodesic_csv(curve)
+    if args.format == "svg":
+        artifacts["geodesic.svg"] = polyline_svg(curve.points)
+    return result, 0, artifacts
 
 
-def cmd_flow(args) -> int:
-    nav, cfg = _nav_from_args(args)
+def cmd_flow(nav, args):
     X = killing_from_config(nav.space, args.field) if args.field is not None else nav.wind
     x = _point(nav, args.point)
-    result = {"point": X.flow(x, args.t).tolist(), "t": args.t}
-    _emit(args, "flow", result, cfg)
-    return 0
+    return {"point": X.flow(x, args.t).tolist(), "t": args.t}, 0, {}
 
 
-def cmd_cw_check(args) -> int:
-    nav, cfg = _nav_from_args(args)
+def cmd_cw_check(nav, args):
     if args.field is not None:
         Y = killing_from_config(nav.space, args.field)
     else:
@@ -202,60 +193,51 @@ def cmd_cw_check(args) -> int:
         Y = family.random_member(rng, 1.0) + nav.wind
     rep = cw_displacement_check(nav, (Y, args.t), n_samples=args.samples,
                                 tol=args.tol, seed=args.seed)
-    _emit(args, "cw-check", rep.to_dict(), cfg)
-    if args.out and args.format == "svg":
-        (Path(args.out) / "cw-displacements.svg").write_text(
-            histogram_svg(rep.displacements))
-    return 0 if rep.is_cw else 1
+    artifacts = {}
+    if args.format == "svg":
+        artifacts["cw-displacements.svg"] = histogram_svg(rep.displacements)
+    return rep.to_dict(), 0 if rep.is_cw else 1, artifacts
 
 
-def cmd_exhaust(args) -> int:
-    nav, cfg = _nav_from_args(args)
+def cmd_exhaust(nav, args):
     if args.point is not None:
         x = _point(nav, args.point)
     else:
         x = nav.space.sample(np.random.default_rng(args.seed), 1)[0]
     rep = direction_exhaustion_check(nav, x, n_directions=args.directions,
                                      tol=args.tol, seed=args.seed)
-    _emit(args, "exhaust", rep.to_dict(), cfg)
-    return 0 if rep.passed else 1
+    return rep.to_dict(), 0 if rep.passed else 1, {}
 
 
-def cmd_connect(args) -> int:
-    nav, cfg = _nav_from_args(args)
+def cmd_connect(nav, args):
     x0 = _point(nav, args.x0)
     x1 = _point(nav, args.x1)
     try:
         res = cw_connect(nav, x0, x1, tol=args.tol)
     except SearchFailed as e:
-        _emit(args, "connect", {"failed": True, "best_residual": e.best_residual}, cfg)
-        return 1
+        return {"failed": True, "best_residual": e.best_residual}, 1, {}
     result = {
         "t": res.t,
         "residual": res.residual,
         "method": res.method,
         "member": res.member.to_config(),
     }
-    _emit(args, "connect", result, cfg)
-    return 0
+    return result, 0, {}
 
 
-def cmd_oracle(args) -> int:
+def cmd_oracle(nav, args):
     # oracle and selftest are the modules that load scipy, imported by their verbs alone
     from .oracle import build_graph, oracle_distance
 
-    nav, cfg = _nav_from_args(args)
     if args.oracle_cmd == "query":  # check the points before paying for a build
         x, y = _point(nav, args.x), _point(nav, args.y)
     g = build_graph(nav, args.nodes, args.k, seed=args.seed, cache_dir=args.cache)
     if args.oracle_cmd == "build":
         result = {"graph_hash": g.graph_hash, "eps": g.eps,
                   "n_nodes": len(g.nodes), "k": g.k, "n_edges": g.csr.nnz}
-        _emit(args, "oracle-build", result, cfg)
-        return 0
+        return result, 0, {}
     est, hint = oracle_distance(g, nav, x, y)
-    _emit(args, "oracle-query", {"estimate": est, "error_hint": hint}, cfg)
-    return 0
+    return {"estimate": est, "error_hint": hint}, 0, {}
 
 
 def _criteria(text: str) -> list[int]:
@@ -286,10 +268,7 @@ def cmd_selftest(args) -> int:
         # wall times vary run to run, so they stay out of selftest.json
         print(f"criterion {i}: {time.perf_counter() - t0:.2f} s", file=sys.stderr)
     if args.out:
-        text = render_json({"results": results}, _config(args))
-        outdir = Path(args.out)
-        outdir.mkdir(parents=True, exist_ok=True)
-        (outdir / "selftest.json").write_text(text)
+        _write(args.out, {"selftest.json": render_json({"results": results}, _config(args))})
     return 0 if all(r["passed"] for r in results) else 1
 
 
@@ -382,7 +361,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("selftest", help="run the acceptance criteria")
     sp.add_argument("--out", help="output directory")
     sp.add_argument("--criteria", help="comma-separated subset, e.g. 1,2,5")
-    sp.set_defaults(func=cmd_selftest)
 
     return p
 
@@ -394,7 +372,7 @@ def main(argv=None) -> int:
         # a non-finite result is refused where it is used, so numpy's
         # overflow warnings would only precede that one error line
         with np.errstate(over="ignore", invalid="ignore"):
-            return args.func(args)
+            return cmd_selftest(args) if args.command == "selftest" else _run(args)
     except (ValueError, OSError) as e:  # every library error is a ValueError
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -169,7 +169,9 @@ def cw_connect(nav: NavigationData, x0, x1, tol: float = 1e-6) -> ConnectResult:
         residual = float(np.linalg.norm(x1 - x0))
     else:
         z = nav.wind.flow(x1, -t)
-        v = space.h_log(x0, z)
+        # next to the antipode rounding leaves part of the h-log radial,
+        # which match would drop from the member's unit length
+        v = space.tangent_project(x0, space.h_log(x0, z))
         vn = float(np.sqrt(space.h_inner(x0, v, v)))  # family members are h-unit
         X = family.match(x0, v / vn) if vn > 0 else zero_field(space)
         Y = X + nav.wind

@@ -99,9 +99,14 @@ class NavigationData:
 
     def point_pairs(self, who: str, xs, ys):
         """(xs, ys, h_distance(xs, ys)) for row-aligned points; a ValueError
-        led by who names a misaligned batch, or the rows whose points or
-        h-distance are not finite (finite points can overflow it)."""
+        led by who names points that are not rows of ambient_dim numbers, a
+        misaligned batch, or the rows whose points or h-distance are not
+        finite (finite points can overflow it)."""
         xs, ys = (np.atleast_2d(np.asarray(a, dtype=float)) for a in (xs, ys))
+        n = self.space.ambient_dim
+        if xs.shape[1:] != (n,) or ys.shape[1:] != (n,):
+            raise ValueError(f"{who}: points here are {n} coordinates (ambient_dim), got "
+                             f"points of shape {xs.shape[1:]} and {ys.shape[1:]}")
         if len(xs) != len(ys):
             raise ValueError(f"{who}: xs has {len(xs)} rows but ys has {len(ys)}; "
                              "pairs are row-aligned")

@@ -6,7 +6,6 @@ so rerunning the same config yields byte-identical files.
 from __future__ import annotations
 
 import json
-from pathlib import Path
 
 import numpy as np
 
@@ -21,16 +20,12 @@ def render_json(result: dict, config) -> str:
     return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
-def write_csv(path, header, rows) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in row))
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def geodesic_rows(curve):
-    """(t, coordinates...) rows for CSV export."""
-    return [(float(t),) + tuple(float(c) for c in p) for t, p in zip(curve.ts, curve.points)]
+def geodesic_csv(curve) -> str:
+    """The curve as CSV: a header t,x0,x1,... and a row per sample, every
+    number to 17 significant digits."""
+    lines = [",".join(["t"] + [f"x{i}" for i in range(curve.points.shape[1])])]
+    lines += [",".join(f"{float(v):.17g}" for v in (t, *p)) for t, p in zip(curve.ts, curve.points)]
+    return "\n".join(lines) + "\n"
 
 
 def polyline_svg(points_2d) -> str:

@@ -37,11 +37,6 @@ def _dot(u, v):
     return np.einsum("...i,...i->...", u, v)
 
 
-def _check_finite(x) -> None:
-    if not np.all(np.isfinite(x)):
-        raise SpaceError("point has non-finite coordinates")
-
-
 def _norm(v):
     """np.linalg.norm(v, axis=-1), bit for bit, at a third of its cost on
     the few coordinates of these spaces. Under 8 entries numpy adds the
@@ -57,13 +52,31 @@ def _norm(v):
     return np.sqrt(s)
 
 
+class _Space:
+    """The rule every space keeps for its points."""
+
+    def check_point(self, x) -> None:
+        """Refuse x unless its rows are ambient_dim finite coordinates on the
+        space: retract(x) within 1e-12 of x, to the size of x when above 1."""
+        x = np.asarray(x, dtype=float)
+        if x.shape[-1] != self.ambient_dim:
+            raise SpaceError(f"expected ambient dim {self.ambient_dim}, got {x.shape[-1]}")
+        if not np.all(np.isfinite(x)):
+            raise SpaceError("point has non-finite coordinates")
+        with np.errstate(invalid="ignore", divide="ignore"):  # the origin has no retraction
+            off = _norm(self.retract(x) - x)
+        bad = ~(off <= 1e-12 * np.maximum(1.0, _norm(x)))
+        if np.any(bad):
+            raise SpaceError(f"point off the {self.to_config()['kind']} by {np.max(off[bad]):.3e}")
+
+
 # ---------------------------------------------------------------------------
 # factor spaces
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class Euclidean:
+class Euclidean(_Space):
     n: int
     box: float = 5.0
 
@@ -84,12 +97,6 @@ class Euclidean:
     @property
     def injectivity_radius(self) -> float:
         return np.inf
-
-    def check_point(self, x) -> None:
-        x = np.asarray(x)
-        if x.shape[-1] != self.n:
-            raise SpaceError(f"expected ambient dim {self.n}, got {x.shape[-1]}")
-        _check_finite(x)
 
     def h_inner(self, x, u, v):
         return _dot(u, v)
@@ -123,7 +130,7 @@ class Euclidean:
 
 
 @dataclass(frozen=True)
-class Sphere:
+class Sphere(_Space):
     """Odd-dimensional round sphere S^{2k-1} of radius R, ambient R^{2k}."""
 
     dim: int
@@ -144,15 +151,6 @@ class Sphere:
     @property
     def injectivity_radius(self) -> float:
         return np.pi * self.radius
-
-    def check_point(self, x) -> None:
-        x = np.asarray(x)
-        if x.shape[-1] != self.ambient_dim:
-            raise SpaceError(f"expected ambient dim {self.ambient_dim}, got {x.shape[-1]}")
-        _check_finite(x)
-        err = np.max(np.abs(np.linalg.norm(x, axis=-1) - self.radius))
-        if err > 1e-12:
-            raise SpaceError(f"point off the sphere by {err:.3e}")
 
     def h_inner(self, x, u, v):
         return _dot(u, v)
@@ -183,7 +181,7 @@ class Sphere:
         perp = d - (dr / R)[..., None] * x
         pn = _norm(perp)
         theta = np.arctan2(pn, R + dr)
-        deg = (pn < 1e-14) & (R + dr < 0.0)
+        deg = (pn < 1e-14 * R) & (R + dr < 0.0)
         if np.any(deg):
             # an antipode's direction: the axis x is smallest along, made tangent
             perp = np.array(perp, copy=True)
@@ -252,7 +250,7 @@ _UNIT_S3 = Sphere(3, 1.0)
 
 
 @dataclass(frozen=True)
-class CompactGroup:
+class CompactGroup(_Space):
     """SU(2) as unit quaternions with the bi-invariant metric s^2 * dot."""
 
     name: str = "SU2"
@@ -277,15 +275,6 @@ class CompactGroup:
     @property
     def injectivity_radius(self) -> float:
         return np.pi * self.scale
-
-    def check_point(self, x) -> None:
-        x = np.asarray(x)
-        if x.shape[-1] != 4:
-            raise SpaceError("SU2 points are quaternions of shape (..., 4)")
-        _check_finite(x)
-        err = np.max(np.abs(np.linalg.norm(x, axis=-1) - 1.0))
-        if err > 1e-12:
-            raise SpaceError(f"quaternion norm off by {err:.3e}")
 
     def h_inner(self, x, u, v):
         return self.scale**2 * _dot(u, v)
@@ -330,7 +319,7 @@ def _concat_parts(parts):
 
 
 @dataclass(frozen=True)
-class Product:
+class Product(_Space):
     factors: tuple
 
     def __post_init__(self):
@@ -371,13 +360,6 @@ class Product:
     def split(self, x):
         x = np.asarray(x, dtype=float)
         return [x[..., s] for s in self.slices]
-
-    def check_point(self, x) -> None:
-        n = np.shape(x)[-1]
-        if n != self.ambient_dim:
-            raise SpaceError(f"expected ambient dim {self.ambient_dim}, got {n}")
-        for f, xf in zip(self.factors, self.split(x)):
-            f.check_point(xf)
 
     def h_inner(self, x, u, v):
         parts = zip(self.factors, self.split(x), self.split(u), self.split(v))

@@ -617,7 +617,43 @@ def test_off_group_point_exits_two(capsys):
     rc = main(["distance", "--space", SU2, "--x", "[1,0,0,0.1]", "--y", "[0,1,0,0]"])
     assert rc == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: quaternion norm off by") and err.count("\n") == 1
+    assert err == "error: point off the group by 4.988e-03\n"
+
+
+def test_flow_then_distance_on_a_large_sphere(capsys):
+    # the flowed point is off |x| = 1e4 by about 2e-12, which an absolute
+    # tolerance refused
+    space = '{"kind": "sphere", "dim": 3, "radius": 10000.0}'
+    assert main(["flow", "--space", space, "--field", BLOCKS, "--point", "[6000,0,0,8000]"]) == 0
+    p = json.dumps(_report(capsys.readouterr().out)["result"]["point"])
+    assert main(["distance", "--space", space, "--x", p, "--y", "[6000,0,0,8000]"]) == 0
+
+
+@pytest.mark.parametrize("argv, files", [
+    (["convert", "--space", S3, "--wind", HOPF, "--point", "[1,0,0,0]"], []),
+    (["norm", "--space", S3, "--wind", HOPF, "--point", "[1,0,0,0]", "--vector", "[0,1,0,0]"], []),
+    (["distance", "--space", E2, "--wind", WIND, "--x", "[0,0]", "--y", "[1,0]"], []),
+    (["geodesic", "--space", E2, "--x", "[0,0]", "--direction", "[1,0]", "--format", "csv"],
+     ["geodesic.csv"]),
+    (["geodesic", "--space", E2, "--x", "[0,0]", "--direction", "[1,0]", "--format", "svg"],
+     ["geodesic.svg"]),
+    (["flow", "--space", S3, "--wind", HOPF, "--point", "[1,0,0,0]"], []),
+    (["cw-check", "--space", S3, "--wind", HOPF, "--samples", "10", "--format", "svg"],
+     ["cw-displacements.svg"]),
+    (["exhaust", "--space", S3, "--wind", HOPF, "--directions", "5"], []),
+    (["connect", "--space", E2, "--wind", WIND, "--x0", "[0,0]", "--x1", "[2,1]"], []),
+    (["oracle", "build", "--space", E2, "--nodes", "300", "--k", "8"], []),
+    (["oracle", "query", "--space", E2, "--nodes", "300", "--k", "8", "--x", "[0,0]",
+      "--y", "[1,1]"], []),
+], ids=["convert", "norm", "distance", "geodesic-csv", "geodesic-svg", "flow", "cw-check",
+        "exhaust", "connect", "oracle-build", "oracle-query"])
+def test_out_holds_the_report_and_the_artifact(tmp_path, monkeypatch, capsys, argv, files):
+    monkeypatch.setenv("RANDERS_LAB_CACHE", str(tmp_path / "cache"))
+    name = "-".join(argv[:2]) if argv[0] == "oracle" else argv[0]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 0
+    out = capsys.readouterr().out
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == sorted([f"{name}.json"] + files)
+    assert (tmp_path / "out" / f"{name}.json").read_text() == out
 
 
 def test_cw_check_writes_the_displacement_histogram(tmp_path, capsys):

@@ -133,6 +133,20 @@ def test_distance_refuses_misaligned_pairs(nav, request):
         f_distance_batch(nav, x[:2], x)
 
 
+def test_distance_refuses_points_of_another_shape(hopf_nav):
+    # 3-coordinate rows on S^3 used to end in numpy's matmul error, and a
+    # 2-row x in f_distance in a broadcast error
+    x = hopf_nav.space.sample(np.random.default_rng(0), 2)
+    says = (r"^f_distance: points here are 4 coordinates \(ambient_dim\), "
+            r"got points of shape \(3,\) and \(3,\)$")
+    with pytest.raises(ValueError, match=says):
+        f_distance_batch(hopf_nav, x[:, :3], x[:, :3])
+    with pytest.raises(ValueError, match=r"shape \(4,\) and \(5,\)$"):
+        f_distance_batch(hopf_nav, x, np.hstack([x, x[:, :1]]))
+    with pytest.raises(ValueError, match=r"shape \(2, 4\) and \(4,\)$"):
+        f_distance(hopf_nav, x, x[0])
+
+
 def test_distance_refuses_an_infinite_h_distance(e2_nav):
     # finite points whose difference overflows
     says = r"finite h-distance; 1 of 2 rows are not, the first \[1\]"

@@ -435,6 +435,12 @@ def test_batches_must_align(e2_nav, hopf_nav):
                                              r"h-distance; 1 of 3 rows are not, the first \[1\]$"):
             oracle_distance_pairs(g, nav, bad, xs)
         d = nav.space.ambient_dim
+        with pytest.raises(ValueError, match=rf"^the oracle: points here are {d} coordinates "
+                                             rf"\(ambient_dim\), got points of shape "
+                                             rf"\({d},\) and \({d + 1},\)$"):
+            oracle_distance_pairs(g, nav, xs, np.hstack([xs, xs[:, :1]]))
+        with pytest.raises(ValueError, match=rf"shape \(3, {d}\) and \({d},\)$"):
+            oracle_distance(g, nav, xs, xs[0])
         est = oracle_distance_pairs(g, nav, np.empty((0, d)), np.empty((0, d)))
         assert est.shape == (0,)
 

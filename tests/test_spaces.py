@@ -228,6 +228,49 @@ def test_product_point_needs_its_ambient_dim():
             p.check_point(bad)
 
 
+@pytest.mark.parametrize("R", [1e4, 1e8])
+def test_sampled_points_on_large_spheres_are_points(R):
+    # an absolute 1e-12 on | |x| - R | refused 36 and 92 of these 200
+    s = Sphere(3, R)
+    xs = s.sample(np.random.default_rng(0), 200)
+    s.check_point(xs)
+    for x in xs:
+        s.check_point(x)
+
+
+def test_point_rule_at_radius_one():
+    s = Sphere(3, 1.0)
+    s.check_point([1.0 + 5e-13, 0.0, 0.0, 0.0])
+    with pytest.raises(SpaceError, match="^point off the sphere by 2.000e-12$"):
+        s.check_point([1.0 + 2e-12, 0.0, 0.0, 0.0])
+    with pytest.raises(SpaceError, match="^point off the sphere by"):
+        s.check_point([0.0, 0.0, 0.0, 0.0])  # the origin has no retraction
+
+
+def test_off_factor_product_point_names_the_product():
+    p = Product((Sphere(3, 1.0), Euclidean(2)))
+    with pytest.raises(SpaceError, match="^point off the product by 1.000e-01$"):
+        p.check_point([1.1, 0, 0, 0, 0, 0])
+    with pytest.raises(SpaceError, match="non-finite"):
+        p.check_point([1, 0, 0, 0, 0, np.inf])
+
+
+def test_one_point_rule_for_every_space():
+    for cls in (Euclidean, Sphere, CompactGroup, Product):
+        assert "check_point" not in vars(cls)
+
+
+def test_antipode_log_on_a_large_sphere_is_tangent():
+    # an absolute 1e-14 on |perp| left it almost radial at R = 1e4
+    R = 1e4
+    s = Sphere(3, R)
+    xs = s.sample(np.random.default_rng(0), 200)
+    v = s.h_log(xs, -xs)
+    vn = np.linalg.norm(v, axis=1)
+    assert np.max(np.abs(_dot(v, xs)) / (vn * R)) <= 1e-12
+    np.testing.assert_allclose(vn, np.pi * R, rtol=1e-12)
+
+
 def test_even_sphere_rejected():
     with pytest.raises(SpaceError):
         Sphere(2, 1.0)
@@ -236,7 +279,7 @@ def test_even_sphere_rejected():
 @pytest.mark.parametrize("space, bad, says", [
     (Euclidean(2), [0.0, 0.0, 0.0], "expected ambient dim 2, got 3"),
     (Sphere(3, 1.0), [1.0, 0.0], "expected ambient dim 4, got 2"),
-    (CompactGroup("SU2", 1.0), [1.0, 0.0, 0.0], r"SU2 points are quaternions of shape \(..., 4\)"),
+    (CompactGroup("SU2", 1.0), [1.0, 0.0, 0.0], "expected ambient dim 4, got 3"),
 ], ids=["E2", "S3", "SU2"])
 def test_point_needs_the_ambient_dim(space, bad, says):
     with pytest.raises(SpaceError, match=says):
