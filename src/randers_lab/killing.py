@@ -2,9 +2,9 @@
 rule, and the commuting constant-length families.
 
 Generators are stored exactly (skew matrix / algebra pair / constant
-vector / tuple) and flows are evaluated by matrix or quaternion
-exponentials. `flow(x, t)` broadcasts over a batch of points with a
-per-point time array, which the distance code relies on.
+vector / tuple); sphere and SU(2) fields are skew maps, whose flows turn
+planes at fixed rates (`_rotate`). `flow(x, t)` broadcasts over a batch
+of points with a per-point time array, which the distance code relies on.
 `length_range()` reads the (min, max) of the field's h-length off the
 generator; it is the only place the length of a field is known, and
 `require_constant_length` is the one rule that decides from it whether
@@ -17,6 +17,7 @@ complex k x k matrix C acts on R^{2k} through `to_real_matrix(C)`.
 """
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -87,11 +88,34 @@ def _check_generator(field, kind: type, **generators) -> None:
                              f"entry: {np.asarray(g).tolist()}")
 
 
-def _as_times(t, x):
-    """Broadcast t against the batch shape of x."""
-    t = np.asarray(t, dtype=float)
+def _rotation_planes(A: np.ndarray):
+    """Rates mu > 0 of a skew A and V with rows (p_1, q_1, p_2, ...) /
+    sqrt(2), orthonormal p, q with A p = mu q, A q = -mu p: Re z, Im z of
+    eigenvectors z of the Hermitian iA. Kernel rates (eigh gives +-1e-16,
+    with vectors that need not pair as z, z-bar) are dropped, and rates
+    that agree to rounding, as in a constant-length field, kept as one."""
+    iA = np.zeros(A.shape, dtype=complex)
+    iA.imag = A  # half the cost of 1j * A, paid once per field
+    mu, Z = np.linalg.eigh(iA)
+    rates = mu.tolist()  # ascending
+    n = bisect_right(rates, 1e-13 * rates[-1])
+    one = n < len(rates) and rates[-1] - rates[n] <= 1e-14 * rates[-1]
+    return mu[-1:] if one else mu[n:], Z.view(float)[:, 2 * n:].T
+
+
+def _rotate(planes, x, t):
+    """exp(tA) x, t a scalar or one time per row: x plus the turn of (a, b) =
+    (p.x, q.x) in each plane, exactly 0 at t = 0 and on the kernel; V x is
+    (a, b) / sqrt(2), so its turn is doubled. Planes run along the first
+    axis, for numpy's long inner loops over rows."""
+    mu, V = planes
     x = np.asarray(x, dtype=float)
-    return np.broadcast_to(t, x.shape[:-1]) if x.ndim > 1 else t
+    theta = mu[:, None] * t if x.ndim > 1 else mu * t
+    c, s = np.cos(theta) - 1.0, np.sin(theta)
+    ab = V @ x.T
+    a, b = ab[0::2], ab[1::2]
+    ab[0::2], ab[1::2] = a * c - b * s, a * s + b * c
+    return x + 2.0 * (ab.T @ V)
 
 
 @dataclass(frozen=True)
@@ -114,8 +138,7 @@ class EuclideanKilling(KillingField):
         return np.broadcast_to(self.v, x.shape).copy()
 
     def flow(self, x, t):
-        t = _as_times(t, x)
-        return np.asarray(x, dtype=float) + t[..., None] * self.v
+        return np.asarray(x, dtype=float) + np.multiply.outer(np.asarray(t, dtype=float), self.v)
 
     def length_range(self):
         n = float(np.linalg.norm(self.v))
@@ -133,7 +156,7 @@ class EuclideanKilling(KillingField):
 
 @dataclass(frozen=True)
 class SphereKilling(KillingField):
-    """Rotation field x -> A x with A skew."""
+    """Rotation field x -> A x with A skew; its flow turns A's planes."""
 
     space: Sphere
     A: np.ndarray
@@ -150,28 +173,20 @@ class SphereKilling(KillingField):
         object.__setattr__(self, "A", A)
 
     @cached_property
-    def _eig(self):
-        # iA is Hermitian: iA = Z diag(mu) Z^H, so A = Z diag(lam) Z^H with lam = -i mu
-        mu, Z = np.linalg.eigh(1j * self.A)
-        return -1j * mu, Z
+    def _planes(self):
+        return _rotation_planes(self.A)
 
     def evaluate(self, x):
         return np.asarray(x, dtype=float) @ self.A.T
 
     def flow(self, x, t):
-        x = np.asarray(x, dtype=float)
-        t = _as_times(t, x)
-        lam, Z = self._eig
-        c = x @ Z.conj()
-        e = np.exp(np.multiply.outer(t, lam))
-        # contiguous: numpy's sums over a strided real part can round
-        # differently from those over a copy of the same values
-        return np.ascontiguousarray(np.real((c * e) @ Z.T))
+        return _rotate(self._planes, x, t)
 
     def length_range(self):
-        # R times the extreme singular values of A, |eigenvalues| as A is normal
-        s = self.space.radius * np.abs(self._eig[0])
-        return float(s.min()), float(s.max())
+        # R times A's extreme singular values: its rates, and 0 on a kernel
+        mu, V = self._planes
+        lo = mu[0] if len(V) == self.space.ambient_dim else 0.0
+        return float(self.space.radius * lo), float(self.space.radius * mu.max(initial=0.0))
 
     def __add__(self, other):
         return SphereKilling(self.space, self.A + other.A)
@@ -185,8 +200,8 @@ class SphereKilling(KillingField):
 
 @dataclass(frozen=True)
 class GroupKilling(KillingField):
-    """x -> l*x - x*r with l, r pure imaginary quaternions; flow
-    x -> exp(t l) * x * exp(-t r)."""
+    """x -> l*x - x*r with l, r pure imaginary quaternions, the skew 4x4
+    matrix `_A`; its flow x -> exp(t l) * x * exp(-t r) turns _A's planes."""
 
     space: CompactGroup
     l: np.ndarray
@@ -204,16 +219,20 @@ class GroupKilling(KillingField):
         object.__setattr__(self, "l", l)
         object.__setattr__(self, "r", r)
 
+    @cached_property
+    def _A(self):
+        # column j is l e_j - e_j r: both products are linear maps of R^4
+        return (quat.qmul(self.l, np.eye(4)) - quat.qmul(np.eye(4), self.r)).T
+
+    @cached_property
+    def _planes(self):
+        return _rotation_planes(self._A)
+
     def evaluate(self, x):
-        x = np.asarray(x, dtype=float)
-        return quat.qmul(self.l, x) - quat.qmul(x, self.r)
+        return np.asarray(x, dtype=float) @ self._A.T
 
     def flow(self, x, t):
-        x = np.asarray(x, dtype=float)
-        t = _as_times(t, x)
-        el = quat.qexp_pure(np.multiply.outer(t, self.l[1:]))
-        er = quat.qexp_pure(np.multiply.outer(t, -self.r[1:]))
-        return quat.qmul(quat.qmul(el, x), er)
+        return _rotate(self._planes, x, t)
 
     def length_range(self):
         # |l x - x r| = |l - x r x̄|, and x r x̄ runs over every pure
@@ -378,7 +397,7 @@ class GroupFamily:
 
     def random_member(self, rng, length: float) -> GroupKilling:
         g = rng.normal(size=3)
-        a = quat.pure(length / self.space.scale * g / np.linalg.norm(g))
+        a = np.r_[0.0, length / self.space.scale * g / np.linalg.norm(g)]
         if self.side == "right":
             return GroupKilling(self.space, np.zeros(4), a)
         return GroupKilling(self.space, a, np.zeros(4))

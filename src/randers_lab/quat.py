@@ -32,28 +32,6 @@ def qconj(q: np.ndarray) -> np.ndarray:
     return q * np.array([1.0, -1.0, -1.0, -1.0])
 
 
-def qexp_pure(v: np.ndarray) -> np.ndarray:
-    """exp of the pure imaginary quaternion (0, v), v a 3-vector; axis-angle
-    closed form."""
-    v = np.asarray(v, dtype=float)
-    theta = np.linalg.norm(v, axis=-1, keepdims=True)
-    small = theta < 1e-300
-    safe = np.where(small, 1.0, theta)
-    sinc = np.where(small, 1.0, np.sin(safe) / safe)
-    out = np.empty(v.shape[:-1] + (4,))
-    out[..., 0] = np.cos(theta[..., 0])
-    out[..., 1:] = sinc * v
-    return out
-
-
-def pure(v3) -> np.ndarray:
-    """Embed a 3-vector as the pure imaginary quaternion (0, v)."""
-    v3 = np.asarray(v3, dtype=float)
-    out = np.zeros(v3.shape[:-1] + (4,))
-    out[..., 1:] = v3
-    return out
-
-
 def binary_icosahedral() -> np.ndarray:
     """The 120 unit quaternions of the binary icosahedral group 2I, shape
     (120, 4), the identity first: the 8 units +-1, +-i, +-j, +-k, the 16

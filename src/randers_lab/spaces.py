@@ -22,6 +22,8 @@ exactly when there is an R^n factor.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import accumulate
 from typing import ClassVar
 
 import numpy as np
@@ -57,15 +59,16 @@ class _Space:
 
     def check_point(self, x) -> None:
         """Refuse x unless its rows are ambient_dim finite coordinates on the
-        space: retract(x) within 1e-12 of x, to the size of x when above 1."""
+        space: retract(x_f) within 1e-12 of x_f, to |x_f| when above 1, on each factor."""
         x = np.asarray(x, dtype=float)
         if x.shape[-1] != self.ambient_dim:
             raise SpaceError(f"expected ambient dim {self.ambient_dim}, got {x.shape[-1]}")
         if not np.all(np.isfinite(x)):
             raise SpaceError("point has non-finite coordinates")
+        parts = zip(self.factors, self.split(x)) if isinstance(self, Product) else [(self, x)]
         with np.errstate(invalid="ignore", divide="ignore"):  # the origin has no retraction
-            off = _norm(self.retract(x) - x)
-        bad = ~(off <= 1e-12 * np.maximum(1.0, _norm(x)))
+            off, size = np.array([(_norm(f.retract(xf) - xf), _norm(xf)) for f, xf in parts]).swapaxes(0, 1)
+        bad = ~(off <= 1e-12 * np.maximum(1.0, size))
         if np.any(bad):
             raise SpaceError(f"point off the {self.to_config()['kind']} by {np.max(off[bad]):.3e}")
 
@@ -333,7 +336,7 @@ class Product(_Space):
                 flat.append(f)
         object.__setattr__(self, "factors", tuple(flat))
 
-    @property
+    @cached_property
     def ambient_dim(self) -> int:
         return sum(f.ambient_dim for f in self.factors)
 
@@ -349,13 +352,10 @@ class Product(_Space):
     def compact(self) -> bool:
         return all(f.compact for f in self.factors)
 
-    @property
+    @cached_property
     def slices(self) -> tuple:
-        out, off = [], 0
-        for f in self.factors:
-            out.append(slice(off, off + f.ambient_dim))
-            off += f.ambient_dim
-        return tuple(out)
+        ends = list(accumulate((f.ambient_dim for f in self.factors), initial=0))
+        return tuple(slice(a, b) for a, b in zip(ends, ends[1:]))
 
     def split(self, x):
         x = np.asarray(x, dtype=float)

@@ -3,6 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from randers_lab import quat
 from randers_lab.killing import (
     EuclideanKilling,
     GroupKilling,
@@ -484,9 +485,9 @@ def test_family_flow_carries_any_point_to_the_base_point(name):
 
 
 def test_sphere_flow_is_contiguous():
-    # the real part of the complex product is copied out: numpy's sums over
-    # a strided view round differently, which moved the oracle's arc weights
-    # from a flowed point by a few 1e-16 on some pairs
+    # the flow is x plus the turn of its planes, a fresh contiguous array:
+    # numpy's sums over a strided view round differently, which moved the
+    # oracle's arc weights from a flowed point by a few 1e-16 on some pairs
     from randers_lab.oracle import _arc_weights
 
     s3 = Sphere(3, 1.0)
@@ -517,29 +518,84 @@ def _random_skew(d, seed):
     return g - g.T
 
 
-@pytest.mark.parametrize("dim, A", [
-    (3, _random_skew(4, 0)),
-    (5, _random_skew(6, 1)),
-    (3, np.zeros((4, 4))),
-    (3, 0.3 * standard_J(2)),
-    (3, -0.3 * standard_J(2)),
-    (3, ANTI_HOPF),
-    (5, conjugated_hopf(3, 0.3, seed=1)),
-    (7, conjugated_hopf(4, -0.4, seed=2)),
-], ids=["skew-S3", "skew-S5", "zero", "hopf+", "hopf-", "anti-hopf", "qjq-S5", "qjq-S7"])
-def test_sphere_flow_and_length_match_the_matrix_exponential(dim, A):
-    # eigh of the Hermitian iA against scipy's expm, for generators of
-    # constant length and not; the length range is R times A's extreme
-    # singular values
-    s = Sphere(dim, 1.7)
-    X = SphereKilling(s, A)
-    rng = np.random.default_rng(dim)
-    xs = s.sample(rng, 5)
-    for t in (0.0, 0.37, -2.5):
+def _rank2_s5():
+    """0.4 times the turn of one plane of a seeded orthonormal frame of R^6,
+    and a basis of its kernel: eigh returns rates of about +-1e-16 there,
+    three of them positive."""
+    Q, _ = np.linalg.qr(np.random.default_rng(4).normal(size=(6, 6)))
+    return 0.4 * Q[:, :2] @ _rot_blocks([1.0]) @ Q[:, :2].T, Q[:, 2:]
+
+
+S7_ZERO_BLOCK = _rot_blocks([0.25, 0.5, 1.5, 0.0])
+S5_RANK2, S5_RANK2_KERNEL = _rank2_s5()
+
+
+def _sphere_case(dim, A):
+    return SphereKilling(Sphere(dim, 1.7), A), A
+
+
+def _group_case(l, r):
+    # x -> l x - x r is the linear map of R^4 whose column j is l e_j - e_j r
+    X = GroupKilling(CompactGroup("SU2", 1.7), np.array(l), np.array(r))
+    return X, np.column_stack([quat.qmul(X.l, e) - quat.qmul(e, X.r) for e in np.eye(4)])
+
+
+@pytest.mark.parametrize("X, A", [
+    _sphere_case(3, _random_skew(4, 0)),
+    _sphere_case(5, _random_skew(6, 1)),
+    _sphere_case(3, np.zeros((4, 4))),
+    _sphere_case(3, 0.3 * standard_J(2)),
+    _sphere_case(3, -0.3 * standard_J(2)),
+    _sphere_case(3, ANTI_HOPF),
+    _sphere_case(5, conjugated_hopf(3, 0.3, seed=1)),
+    _sphere_case(7, conjugated_hopf(4, -0.4, seed=2)),
+    _sphere_case(7, S7_ZERO_BLOCK),
+    _sphere_case(5, S5_RANK2),
+    _group_case([0.0, 0.3, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]),
+    _group_case([0.0, 0.0, 0.0, 0.0], [0.0, 0.1, -0.4, 0.2]),
+    _group_case([0.0, 0.3, -0.2, 0.5], [0.0, 0.1, -0.4, 0.2]),
+], ids=["skew-S3", "skew-S5", "zero", "hopf+", "hopf-", "anti-hopf", "qjq-S5", "qjq-S7",
+        "zero-block-S7", "rank2-S5", "SU2-left", "SU2-right", "SU2-two-sided"])
+def test_sphere_flow_and_length_match_the_matrix_exponential(X, A):
+    # the field is x -> A x and its flow, the turn of A's planes, is expm(tA),
+    # for generators of constant length and not, of full rank and not, and
+    # for SU(2)'s one- and two-sided fields; exactly x at t = 0, for one point
+    # with one time and a batch with a time per row. The length range is R
+    # (or the group's scale) times A's extreme singular values
+    rng = np.random.default_rng(X.space.dim)
+    xs = X.space.sample(rng, 5)
+    np.testing.assert_allclose(X.evaluate(xs), xs @ A.T, rtol=0, atol=1e-15)
+    assert np.array_equal(X.flow(xs, 0.0), xs) and np.array_equal(X.flow(xs[0], 0.0), xs[0])
+    for t in (0.37, -2.5):
         np.testing.assert_allclose(X.flow(xs, t), _expm_flow(A, xs, t), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(X.flow(xs[0], t), _expm_flow(A, xs[0], t), rtol=0, atol=1e-12)
     ts = rng.uniform(-3.0, 3.0, size=5)
     want = np.array([_expm_flow(A, x, t) for x, t in zip(xs, ts)])
     np.testing.assert_allclose(X.flow(xs, ts), want, rtol=0, atol=1e-12)
     sv = np.linalg.svd(A, compute_uv=False)
     np.testing.assert_allclose(X.length_range(), 1.7 * np.array([sv.min(), sv.max()]),
+                               rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("t", [1e3, -1e6, 1e6])
+def test_rank_deficient_flows_at_large_times(t):
+    # kept, the +-1e-16 rates of a kernel and their unpaired vectors would
+    # turn it by about 1e-16 * t. scipy's expm drifts by about |tA| * eps
+    # itself (1e-9 at t = 1e6), so the kernel is checked directly, and the
+    # block generator, whose rates and times are exact in binary, against
+    # its blocks' cos and sin
+    rng = np.random.default_rng(5)
+    s5 = Sphere(5, 1.7)
+    xs = s5.sample(rng, 5)
+    moved = SphereKilling(s5, S5_RANK2).flow(xs, t)
+    np.testing.assert_allclose((moved - xs) @ S5_RANK2_KERNEL, 0.0, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(np.linalg.norm(moved, axis=1), 1.7, rtol=1e-14, atol=0)
+    s7 = Sphere(7, 1.7)
+    ys = s7.sample(rng, 5)
+    want = ys.copy()
+    for i, mu in enumerate([0.25, 0.5, 1.5]):
+        c, sn = np.cos(mu * t), np.sin(mu * t)
+        want[:, 2 * i] = c * ys[:, 2 * i] - sn * ys[:, 2 * i + 1]
+        want[:, 2 * i + 1] = sn * ys[:, 2 * i] + c * ys[:, 2 * i + 1]
+    np.testing.assert_allclose(SphereKilling(s7, S7_ZERO_BLOCK).flow(ys, t), want,
                                rtol=0, atol=1e-12)

@@ -59,3 +59,20 @@ def test_tracer_installs_on_the_library_and_uninstalls():
     assert after.keys() == before.keys()
     changed = [key for key in before if after[key] is not before[key]]
     assert not changed
+
+
+def test_tracer_times_the_wind_flow_of_every_fixture():
+    # `patch_method` wraps only a `flow` defined on the class itself, so a
+    # flow inherited from a shared base would be skipped without a word and
+    # `killing.flow_s` would read 0
+    tr = _load_tracer().Tracer()
+    try:
+        tr.install()
+        for name, nav in fixture_navs().items():
+            before = len(tr.spans)
+            xs = nav.space.sample(np.random.default_rng(0), 4)
+            ys = nav.space.sample(np.random.default_rng(1), 4)
+            geodesics.f_distance_batch(nav, xs, ys)
+            assert "killing.flow" in {span[0] for span in tr.spans[before:]}, name
+    finally:
+        tr.uninstall()

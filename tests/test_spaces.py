@@ -251,6 +251,10 @@ def test_off_factor_product_point_names_the_product():
     p = Product((Sphere(3, 1.0), Euclidean(2)))
     with pytest.raises(SpaceError, match="^point off the product by 1.000e-01$"):
         p.check_point([1.1, 0, 0, 0, 0, 0])
+    # each factor keeps its own tolerance: a far-out Euclidean factor does
+    # not widen the sphere's to 1e-12 of the whole point's size
+    with pytest.raises(SpaceError, match="^point off the product by 1.000e-07$"):
+        p.check_point([1 + 1e-7, 0, 0, 0, 1e6, 0])
     with pytest.raises(SpaceError, match="non-finite"):
         p.check_point([1, 0, 0, 0, 0, np.inf])
 
