@@ -43,12 +43,17 @@ def _json_arg(s):
         raise argparse.ArgumentTypeError(f"invalid JSON: {e}") from None
 
 
-def _count(s):
-    """A count of at least 1 (an argparse type)."""
+def _count(s, least=1):
+    """A count of at least `least` (an argparse type)."""
     n = int(s)
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    if n < least:
+        raise argparse.ArgumentTypeError(f"must be at least {least}, got {n}")
     return n
+
+
+def _samples(s):
+    """At least 2 samples, the fewest that have a spread (an argparse type)."""
+    return _count(s, 2)
 
 
 def _finite(s):
@@ -158,6 +163,8 @@ def cmd_distance(nav, args):
 def cmd_geodesic(nav, args):
     x = _point(nav, args.x)
     y = _vector(nav, x, args.direction)
+    if not y.any():
+        raise ConfigError(f"--direction must be a nonzero tangent vector, got {json.dumps(args.direction)}")
     y = y / nav.finsler_norm(x, y)  # normalize to unit F-speed
     if args.method == "flow":
         curve = f_geodesic_flowcurve(nav, x, y, T=args.T, n_steps=args.steps)
@@ -330,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--field", type=_json_arg,
                     help="full field to flow (default: family member + wind)")
     sp.add_argument("--t", type=_finite, default=0.1)
-    sp.add_argument("--samples", type=_count, default=100)
+    sp.add_argument("--samples", type=_samples, default=100)
     sp.set_defaults(func=cmd_cw_check)
 
     sp = sub.add_parser("exhaust", help="direction exhaustion check")

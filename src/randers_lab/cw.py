@@ -98,6 +98,8 @@ def cw_displacement_check(nav: NavigationData, flow, n_samples: int = 100,
     """Sample x -> d_F(x, phi_{X;t}(x)) for the pair flow = (X, t), flowed
     exactly, and report its spread. Verdict is CW iff (max - min)/mean < tol.
     """
+    if n_samples < 2:
+        raise ValueError(f"n_samples must be at least 2 for a spread, got {n_samples}")
     X, t = flow
     xs = nav.space.sample(np.random.default_rng(seed), n_samples)
     disp = f_distance_batch(nav, xs, X.flow(xs, float(t)))

@@ -2,9 +2,12 @@
 rule, and the commuting constant-length families.
 
 Generators are stored exactly (skew matrix / algebra pair / constant
-vector / tuple); sphere and SU(2) fields are skew maps, whose flows turn
-planes at fixed rates (`_rotate`). `flow(x, t)` broadcasts over a batch
-of points with a per-point time array, which the distance code relies on.
+vector / tuple). A sphere field is a skew map, whose flow turns planes
+at fixed rates (`_rotate`); SU(2) with its bi-invariant metric is the
+round S^3, and its field x -> lx - xr is the sphere rotation of the skew
+map L_l - R_r of R^4, with the same evaluate and flow. `flow(x, t)`
+broadcasts over a batch of points with a per-point time array, which the
+distance code relies on.
 `length_range()` reads the (min, max) of the field's h-length off the
 generator; it is the only place the length of a field is known, and
 `require_constant_length` is the one rule that decides from it whether
@@ -18,7 +21,7 @@ complex k x k matrix C acts on R^{2k} through `to_real_matrix(C)`.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -75,16 +78,16 @@ class KillingField:
     h-length over the space), + and scaled."""
 
 
-def _check_generator(field, kind: type, **generators) -> None:
-    """Refuse a field on a space that is not a `kind`, or with a
+def _check_generator(X, kind: type, **generators) -> None:
+    """Refuse a field X on a space that is not a `kind`, or with a
     non-finite generator: NaN compares False, so it would pass the skew
     and pure-imaginary checks."""
-    if not isinstance(field.space, kind):
-        raise ValueError(f"{type(field).__name__} acts on a {kind.__name__}, "
-                         f"not on {field.space!r}")
+    if not isinstance(X.space, kind):
+        raise ValueError(f"{type(X).__name__} acts on a {kind.__name__}, "
+                         f"not on {X.space!r}")
     for name, g in generators.items():
         if not np.all(np.isfinite(g)):
-            raise ValueError(f"{type(field).__name__} generator {name} has a non-finite "
+            raise ValueError(f"{type(X).__name__} generator {name} has a non-finite "
                              f"entry: {np.asarray(g).tolist()}")
 
 
@@ -138,7 +141,8 @@ class EuclideanKilling(KillingField):
         return np.broadcast_to(self.v, x.shape).copy()
 
     def flow(self, x, t):
-        return np.asarray(x, dtype=float) + np.multiply.outer(np.asarray(t, dtype=float), self.v)
+        # the products laid out (values, rows): long inner loops over rows
+        return np.asarray(x, dtype=float) + np.multiply.outer(self.v, np.asarray(t, dtype=float)).T
 
     def length_range(self):
         n = float(np.linalg.norm(self.v))
@@ -199,11 +203,13 @@ class SphereKilling(KillingField):
 
 
 @dataclass(frozen=True)
-class GroupKilling(KillingField):
-    """x -> l*x - x*r with l, r pure imaginary quaternions, the skew 4x4
-    matrix `_A`; its flow x -> exp(t l) * x * exp(-t r) turns _A's planes."""
+class GroupKilling(SphereKilling):
+    """x -> l*x - x*r with l, r pure imaginary quaternions: on SU(2), the
+    round S^3, the sphere rotation of the skew map A = L_l - R_r of R^4,
+    whose flow x -> exp(t l) * x * exp(-t r) turns A's planes."""
 
     space: CompactGroup
+    A: np.ndarray = field(init=False, repr=False)
     l: np.ndarray
     r: np.ndarray
 
@@ -218,21 +224,8 @@ class GroupKilling(KillingField):
             raise ValueError("group generators must be pure imaginary quaternions")
         object.__setattr__(self, "l", l)
         object.__setattr__(self, "r", r)
-
-    @cached_property
-    def _A(self):
         # column j is l e_j - e_j r: both products are linear maps of R^4
-        return (quat.qmul(self.l, np.eye(4)) - quat.qmul(np.eye(4), self.r)).T
-
-    @cached_property
-    def _planes(self):
-        return _rotation_planes(self._A)
-
-    def evaluate(self, x):
-        return np.asarray(x, dtype=float) @ self._A.T
-
-    def flow(self, x, t):
-        return _rotate(self._planes, x, t)
+        object.__setattr__(self, "A", (quat.qmul(l, np.eye(4)) - quat.qmul(np.eye(4), r)).T)
 
     def length_range(self):
         # |l x - x r| = |l - x r x̄|, and x r x̄ runs over every pure

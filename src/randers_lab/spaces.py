@@ -432,29 +432,23 @@ def frame(space, x) -> np.ndarray:
 def random_tangent(space, rng, x) -> np.ndarray:
     """Random h-unit tangent vector(s) at x.
 
-    Draws whose projection is nearly zero (the Gaussian landed almost
-    radially) are redrawn — normalizing the projection residue would
-    produce a direction that is not actually tangent.
+    A row whose projection keeps under 1e-6 of its Gaussian draw's length
+    (the draw landed almost radially) is redrawn: normalizing the
+    projection residue would produce a direction that is not actually
+    tangent. Each round draws for every row and replaces the rows still
+    to redo; after eight redraws the rows left keep the last draw.
     """
     x = np.asarray(x, dtype=float)
-    g = rng.normal(size=x.shape)
-    v = space.tangent_project(x, g)
-    nrm = np.atleast_1d(np.sqrt(space.h_inner(x, v, v)))
-    glen = np.linalg.norm(np.atleast_2d(g), axis=-1)
-    for _ in range(8):
-        bad = nrm < 1e-6 * glen
-        if not bad.any():
+    v, nrm, redo = x, 1.0, np.True_  # every row takes the first draw
+    for _ in range(9):
+        g = rng.normal(size=x.shape)
+        w = space.tangent_project(x, g)
+        n = np.sqrt(space.h_inner(x, w, w))
+        v, nrm = np.where(redo[..., None], w, v), np.where(redo, n, nrm)
+        redo = redo & (n < 1e-6 * np.linalg.norm(g, axis=-1))
+        if not redo.any():
             break
-        g2 = rng.normal(size=x.shape)
-        v2 = space.tangent_project(x, g2)
-        if x.ndim > 1:
-            v = np.where(bad[..., None], v2, v)
-        elif bad[0]:
-            v = v2
-        nrm = np.atleast_1d(np.sqrt(space.h_inner(x, v, v)))
-        glen = np.linalg.norm(np.atleast_2d(g2), axis=-1)
-    scale = np.where(nrm < 1e-300, 1.0, nrm)
-    return v / scale[..., None] if x.ndim > 1 else v / scale[0]
+    return v / np.where(nrm < 1e-300, 1.0, nrm)[..., None]
 
 
 def space_from_config(cfg: dict):

@@ -3,10 +3,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from randers_lab.killing import EuclideanKilling, GroupKilling, hopf_field, standard_J
-from randers_lab.randers import NavigationData
+from randers_lab.killing import standard_J
 from randers_lab.selftest import fixture_navs
-from randers_lab.spaces import CompactGroup, Euclidean, Product, Sphere
+from randers_lab.spaces import CompactGroup, Euclidean, Sphere
 
 
 def conjugated_hopf(k: int, c: float, seed: int) -> np.ndarray:
@@ -42,19 +41,19 @@ def su2():
 
 
 @pytest.fixture
-def e2_nav(e2):
+def e2_nav(navs):
     """The hand-checked fixture: flat plane, wind (1/2, 0)."""
-    return NavigationData(e2, EuclideanKilling(e2, np.array([0.5, 0.0])))
+    return navs["euclidean"]
 
 
 @pytest.fixture
-def hopf_nav(s3):
-    return NavigationData(s3, hopf_field(s3, 0.3))
+def hopf_nav(navs):
+    return navs["sphere-hopf"]
 
 
 @pytest.fixture
-def su2_nav(su2):
-    return NavigationData(su2, GroupKilling(su2, np.array([0.0, 0.3, 0.0, 0.0]), np.zeros(4)))
+def su2_nav(navs):
+    return navs["su2-left"]
 
 
 @pytest.fixture

@@ -474,6 +474,25 @@ def test_geodesic_ode_refuses_a_negative_time(capsys):
     assert capsys.readouterr().err == "error: T must be finite and at least 0, got -0.01\n"
 
 
+@pytest.mark.parametrize("method", ["flow", "ode"])
+def test_geodesic_refuses_a_zero_direction(capsys, method):
+    # a zero direction has no F-unit multiple: the flow curve would end in
+    # F(y) = nan and the ODE in a failed frame
+    rc = main(["geodesic", "--space", S3, "--wind", HOPF, "--x", "[1,0,0,0]",
+               "--direction", "[0,0,0,0]", "--method", method])
+    assert rc == 2
+    assert capsys.readouterr().err == ("error: --direction must be a nonzero tangent vector, "
+                                       "got [0, 0, 0, 0]\n")
+
+
+def test_cw_check_needs_two_samples(capsys):
+    # one displacement has spread 0, which would read as CW
+    with pytest.raises(SystemExit) as exc:
+        main(["cw-check", "--space", S3, "--wind", HOPF, "--samples", "1"])
+    assert exc.value.code == 2
+    assert "argument --samples: must be at least 2, got 1" in capsys.readouterr().err
+
+
 def test_nan_field_is_refused_not_cw(capsys):
     # the flow of a NaN generator moves every sample to NaN, and a NaN
     # displacement would read as 0 and pass as CW: the field is refused

@@ -206,6 +206,13 @@ def test_nan_time_is_refused_not_cw(hopf_nav):
         cw_displacement_check(hopf_nav, (Y, np.nan), n_samples=5)
 
 
+@pytest.mark.parametrize("n", [1, 0])
+def test_displacement_check_needs_two_samples(hopf_nav, n):
+    # one displacement has spread 0, which would read as CW
+    with pytest.raises(ValueError, match=f"n_samples must be at least 2 for a spread, got {n}"):
+        cw_displacement_check(hopf_nav, (hopf_nav.wind, 0.1), n_samples=n)
+
+
 def test_connect_euclidean_exact(e2_nav, rng):
     x0, x1 = rng.uniform(-3, 3, size=(2, 2))
     res = cw_connect(e2_nav, x0, x1)

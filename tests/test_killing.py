@@ -88,6 +88,13 @@ def test_group_generators_are_pure_imaginary(su2):
         GroupKilling(su2, np.zeros(4), np.array([-0.1, 0.0, 0.0, 0.0]))
 
 
+def test_group_fields_are_sphere_rotations():
+    # SU(2) is the round S^3: a group field builds its matrix and inherits
+    # the sphere rotation's planes, evaluate and flow
+    assert issubclass(GroupKilling, SphereKilling)
+    assert not {"_A", "_planes", "evaluate", "flow"} & set(vars(GroupKilling))
+
+
 def test_field_specs_of_unknown_and_zero_type(s3):
     with pytest.raises(ValueError, match="unknown field spec {'type': 'nope'}"):
         killing_from_config(s3, {"type": "nope"})
@@ -535,7 +542,8 @@ def _sphere_case(dim, A):
 
 
 def _group_case(l, r):
-    # x -> l x - x r is the linear map of R^4 whose column j is l e_j - e_j r
+    # x -> l x - x r is the linear map of R^4 whose column j is l e_j - e_j r:
+    # the reference for the field's own matrix X.A
     X = GroupKilling(CompactGroup("SU2", 1.7), np.array(l), np.array(r))
     return X, np.column_stack([quat.qmul(X.l, e) - quat.qmul(e, X.r) for e in np.eye(4)])
 
@@ -562,6 +570,7 @@ def test_sphere_flow_and_length_match_the_matrix_exponential(X, A):
     # for SU(2)'s one- and two-sided fields; exactly x at t = 0, for one point
     # with one time and a batch with a time per row. The length range is R
     # (or the group's scale) times A's extreme singular values
+    np.testing.assert_array_equal(X.A, A)
     rng = np.random.default_rng(X.space.dim)
     xs = X.space.sample(rng, 5)
     np.testing.assert_allclose(X.evaluate(xs), xs @ A.T, rtol=0, atol=1e-15)

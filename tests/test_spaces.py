@@ -275,6 +275,45 @@ def test_antipode_log_on_a_large_sphere_is_tangent():
     np.testing.assert_allclose(vn, np.pi * R, rtol=1e-12)
 
 
+class _Draws:
+    """An rng whose normal() returns the given draws in turn."""
+
+    def __init__(self, *draws):
+        self.draws = [np.asarray(g, dtype=float) for g in draws]
+
+    def normal(self, size):
+        g = self.draws.pop(0)
+        assert g.shape == size
+        return g
+
+
+def test_random_tangent_redraws_a_radial_row_of_a_batch():
+    s = Sphere(3, 1.0)
+    x = np.eye(4)[:3]
+    first = np.array([[2.0, 0, 0, 0], [0.3, 0.1, -0.7, 0.2], [0.5, -0.4, 0.2, 0.9]])
+    # the accepted rows of a redraw are huge: measured against the first
+    # row's new draw they would look radial, but they keep their own draw
+    second = np.array([[0.5, 0.0, 0.0, 1.0], [0.0, 0.0, 0.0, 1e7], [1e7, 0.0, 0.0, 0.0]])
+    rng = _Draws(first, second)
+    u = random_tangent(s, rng, x)
+    assert not rng.draws
+    w = s.tangent_project(x[1:], first[1:])
+    np.testing.assert_array_equal(u[1:], w / np.linalg.norm(w, axis=1)[:, None])
+    np.testing.assert_array_equal(u[0], [0.0, 0.0, 0.0, 1.0])
+
+
+def test_random_tangent_redraws_a_radial_point():
+    s = Sphere(3, 1.0)
+    x = np.array([1.0, 0.0, 0.0, 0.0])
+    rng = _Draws([3.0, 0.0, 0.0, 0.0], [0.5, 1.0, 0.0, 0.0])
+    np.testing.assert_array_equal(random_tangent(s, rng, x), [0.0, 1.0, 0.0, 0.0])
+    assert not rng.draws
+    # a point radial in all nine draws keeps its last projection, here 0
+    rng = _Draws(*[[2.0, 0.0, 0.0, 0.0]] * 9)
+    np.testing.assert_array_equal(random_tangent(s, rng, x), np.zeros(4))
+    assert not rng.draws
+
+
 def test_even_sphere_rejected():
     with pytest.raises(SpaceError):
         Sphere(2, 1.0)
