@@ -2,10 +2,11 @@
 with Clifford-Wolf translation and direction-exhaustion verifiers.
 
 The names below load on first use (PEP 562): the first access to any of
-them imports every module listed and binds every name, so `import
-randers_lab` alone costs nothing, and code that imports submodules
-directly (the CLI) pays only for the modules it uses; scipy is loaded by
-`oracle` alone.
+them imports every module listed and binds every name, scipy included, so
+`import randers_lab` alone costs nothing. Code that imports submodules
+directly (the CLI) pays only for the modules it uses, and `oracle` binds
+its scipy names only where a build or a search needs them: a compact
+query on a cached graph starts on numpy alone.
 """
 
 __version__ = "0.1.0"
@@ -42,6 +43,11 @@ def __getattr__(name):
         mod = import_module(f".{module}", __name__)
         for n in names:
             globals()[n] = getattr(mod, n)
+    # and scipy, which `oracle` binds on first use, so that the API's first
+    # oracle build does not pay for the import
+    oracle = import_module(".oracle", __name__)
+    for n in oracle._SCIPY:
+        getattr(oracle, n)
     return globals()[name]
 
 

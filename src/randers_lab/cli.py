@@ -233,7 +233,8 @@ def cmd_connect(nav, args):
 
 
 def cmd_oracle(nav, args):
-    # oracle and selftest are the modules that load scipy, imported by their verbs alone
+    # imported by its verb alone; it loads scipy only for a build or a graph
+    # search, so a compact query on a cached graph starts on numpy alone
     from .oracle import build_graph, oracle_distance
 
     if args.oracle_cmd == "query":  # check the points before paying for a build

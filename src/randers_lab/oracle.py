@@ -112,10 +112,6 @@ from functools import cached_property
 from pathlib import Path
 
 import numpy as np
-from scipy.sparse import csr_matrix
-# connected_components is unused here; perfbench/tracer.py patches it by name
-from scipy.sparse.csgraph import connected_components, dijkstra  # noqa: F401
-from scipy.spatial import cKDTree
 
 from . import quat
 from .killing import GroupFamily, SphereFamily, constant_length_family
@@ -128,6 +124,29 @@ _N_LANDMARKS = 8
 # edges per block of the build's edge weights, to bound peak memory at
 # acceptance-scale edge counts
 _CHUNK = 1_000_000
+
+
+# the scipy names, bound on first use (PEP 562) by `__getattr__`: a compact
+# query on a cached graph needs none of them, so it starts on numpy alone.
+# connected_components is unused here; perfbench/tracer.py reads it by name
+# until the tracer reads spans from the library (ROADMAP item 1)
+_SCIPY = {"csr_matrix": "scipy.sparse", "connected_components": "scipy.sparse.csgraph",
+          "dijkstra": "scipy.sparse.csgraph", "cKDTree": "scipy.spatial"}
+
+
+def __getattr__(name):
+    if name not in _SCIPY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = globals()[name] = getattr(import_module(_SCIPY[name]), name)
+    return value
+
+
+def _scipy(name):
+    """The module's current binding of a scipy name, bound now if it is
+    not yet: a patch of oracle.<name> reaches every call site."""
+    return globals()[name] if name in globals() else __getattr__(name)
 
 
 class GraphDisconnected(ValueError):
@@ -163,7 +182,7 @@ class NetGraph:
     leg_row: np.ndarray  # F(o -> v) from node 0 to every node on a compact space, else empty
 
     @cached_property
-    def csr(self) -> csr_matrix:
+    def csr(self):
         """The directed search graph: every edge in both orientations,
         tiled from the base rows to every orbit."""
         return _search_graph(len(self.nodes), self.rows, self.cols,
@@ -221,7 +240,7 @@ def _mirrors(rows, cols, nb, mult):
     return c, mirror
 
 
-def _search_graph(n, rows, cols, fwd, rev, mult) -> csr_matrix:
+def _search_graph(n, rows, cols, fwd, rev, mult):
     """The base rows hold every edge b -> (h, c), from base node b to node
     h * nb + c, and its mirror (`_mirrors`), which M_h^-1 maps the arc
     back onto (one arc when the two coincide). Row g * nb + b is then base
@@ -231,6 +250,7 @@ def _search_graph(n, rows, cols, fwd, rev, mult) -> csr_matrix:
     nb = n // size
     c, mirror = _mirrors(rows, cols, nb, mult)
     two = (c != rows) | (mirror != cols)
+    csr_matrix = _scipy("csr_matrix")
     base = csr_matrix((np.concatenate([fwd, rev[two]]),
                        (np.concatenate([rows, c[two]]), np.concatenate([cols, mirror[two]]))),
                       shape=(nb, n))
@@ -245,7 +265,7 @@ def _search_graph(n, rows, cols, fwd, rev, mult) -> csr_matrix:
                        np.append(indptr.ravel(), size * base.nnz)), shape=(n, n))
 
 
-def _rows_of(csr, keep) -> csr_matrix:
+def _rows_of(csr, keep):
     """csr with every row outside the sorted node indices keep emptied:
     the same shape and node numbers, the kept rows' arcs only."""
     start = csr.indptr[keep]
@@ -254,7 +274,7 @@ def _rows_of(csr, keep) -> csr_matrix:
     indptr[keep + 1] = lens
     np.cumsum(indptr, out=indptr)
     take = np.repeat(start - indptr[keep], lens) + np.arange(indptr[-1])
-    return csr_matrix((csr.data[take], csr.indices[take], indptr), shape=csr.shape)
+    return _scipy("csr_matrix")((csr.data[take], csr.indices[take], indptr), shape=csr.shape)
 
 
 def _chords(coords, p):
@@ -336,7 +356,7 @@ def _knn_edges(space, nodes, k, mult):
     n = len(nodes)
     nb = n // len(mult)
     emb = space.embed(nodes)
-    _, jj = cKDTree(emb).query(emb[:nb], k=k + 1, workers=-1)
+    _, jj = _scipy("cKDTree")(emb).query(emb[:nb], k=k + 1, workers=-1)
     jj = jj[:, 1:]
     d_nn = space.h_distance(nodes[:nb], nodes[jj[:, 0]])
     rows = np.repeat(np.arange(nb, dtype=np.int64), k)
@@ -374,10 +394,16 @@ def build_graph(nav: NavigationData, n_nodes: int, k: int, seed: int,
         cache_dir = os.environ.get("RANDERS_LAB_CACHE")
     cache_path = None
     if cache_dir:
+        cache_dir = Path(cache_dir).expanduser()
+        try:  # before the build, so that an unusable directory fails at once
+            cache_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as e:
+            raise ValueError(f"oracle cache {str(cache_dir)!r} is not a usable directory "
+                             f"({e.strerror})") from None
         key = hashlib.sha256(json.dumps(
             {"cfg": cfg, "n": n_nodes, "k": k, "seed": seed, "v": _CACHE_VERSION},
             sort_keys=True).encode()).hexdigest()[:20]
-        cache_path = Path(cache_dir).expanduser() / f"netgraph-{key}.npz"
+        cache_path = cache_dir / f"netgraph-{key}.npz"
         if cache_path.exists():
             try:
                 return _load(cache_path)
@@ -408,7 +434,7 @@ def build_graph(nav: NavigationData, n_nodes: int, k: int, seed: int,
     # csr holds each edge both ways: strongly connected iff node 0 reaches all
     m = 1 if space.compact else _N_LANDMARKS
     coords = np.ascontiguousarray(space.embed(nodes).T)
-    d_land = dijkstra(csr, directed=True, indices=_landmarks(coords, m))
+    d_land = _scipy("dijkstra")(csr, directed=True, indices=_landmarks(coords, m))
     far = np.count_nonzero(np.isinf(d_land[0]))
     if far:
         raise GraphDisconnected(f"{far} nodes unreachable from node 0 at k={k}; use a larger k")
@@ -423,7 +449,6 @@ def build_graph(nav: NavigationData, n_nodes: int, k: int, seed: int,
         # write beside the cache file and rename it into place, so a failed
         # write leaves nothing at cache_path (numpy appends .npz if missing);
         # uncompressed, as deflate took 70x the write time to save 40% of the bytes
-        cache_path.parent.mkdir(parents=True, exist_ok=True)
         tmp = cache_path.with_name(f"{cache_path.stem}.{os.getpid()}.tmp.npz")
         try:
             np.savez(tmp, **{name: getattr(g, name) for name in _STORED},
@@ -587,6 +612,6 @@ def oracle_distance_pairs(g: NetGraph, nav: NavigationData, xs, ys) -> np.ndarra
             D = g.d_land[land[0]]
         else:
             csr = _rows_of(g.csr, g.ellipse(si[i], ti[i], budget[i]))
-            D = dijkstra(csr, directed=True, indices=si[i], limit=budget[i])
+            D = _scipy("dijkstra")(csr, directed=True, indices=si[i], limit=budget[i])
         est[i] = min(hop_out[i] + D[ti[i]] + hop_in[i], best[i])
     return est

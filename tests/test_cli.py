@@ -147,6 +147,17 @@ def test_oracle_build_and_query(tmp_path, capsys):
     assert out["result"]["estimate"] == pytest.approx(2 / 3, rel=0.10)
 
 
+def test_oracle_build_refuses_a_file_as_its_cache_directory(tmp_path, capsys):
+    blocker = tmp_path / "cache"
+    blocker.write_text("")
+    rc = main(["oracle", "build", "--space", E2, "--wind", WIND, "--nodes", "2000",
+               "--k", "10", "--cache", str(blocker)])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err.startswith(f"error: oracle cache '{blocker}' is not a usable directory")
+
+
 def test_oracle_build_reports_the_orbit_net(tmp_path, capsys):
     # on S^3 the node count rounds up to a multiple of |2I| = 120, and the
     # edge count is the tiled search graph's, not the base rows'
@@ -829,6 +840,78 @@ def test_cli_starts_without_scipy_and_the_namespace_loads_on_first_use():
         "print(randers_lab.build_graph.__module__, 'scipy' in sys.modules)\n"))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["[]", "False", "randers_lab.oracle True"]
+
+
+def _cli_imports(*argv):
+    """The report of `python -m randers_lab.cli ARGV`, and the top-level
+    packages of the modules it imported, as `-X importtime` lists them on
+    stderr (a module loaded by `importlib.import_module` is listed by the
+    modules it imports in turn)."""
+    proc = _run_python("-X", "importtime", "-m", "randers_lab.cli", *argv)
+    assert proc.returncode == 0, proc.stderr
+    return _report(proc.stdout), {line.rsplit("|", 1)[1].strip().split(".")[0] for line in
+                                  proc.stderr.splitlines() if line.startswith("import time:")}
+
+
+def test_a_compact_cached_query_starts_without_scipy(tmp_path):
+    # the build loads scipy (kd-tree, search graph); a compact query on the
+    # cached graph needs none of it: the snaps and the path come from chords
+    # and node 0's row of d_land
+    args = ["--space", S3, "--wind", HOPF, "--nodes", "2000", "--k", "16",
+            "--cache", str(tmp_path)]
+    _, imported = _cli_imports("oracle", "build", *args)
+    assert "scipy" in imported
+    report, imported = _cli_imports("oracle", "query", *args,
+                                    "--x", "[1,0,0,0]", "--y", "[0,0,1,0]")
+    assert "scipy" not in imported and "numpy" in imported
+    assert report["result"]["estimate"] > 0
+
+
+def test_a_query_that_searches_loads_scipy(tmp_path, monkeypatch, capsys):
+    # on S^3 x R^2 a pair whose graph path may win runs Dijkstra, which
+    # binds scipy on the way
+    from randers_lab import oracle
+
+    wind = ('[{"type": "hopf", "c": 0.6, "factor": 0},'
+            ' {"type": "euclidean-const", "v": [0.6, 0.0], "factor": 1}]')
+    args = ["--space", PRODUCT, "--wind", wind, "--nodes", "500", "--k", "16",
+            "--cache", str(tmp_path)]
+    assert main(["oracle", "build", *args]) == 0
+    searched = []
+    real = oracle._scipy("dijkstra")
+
+    def counted(*a, **kw):
+        searched.append(kw["indices"])
+        return real(*a, **kw)
+
+    monkeypatch.setattr(oracle, "dijkstra", counted)
+    x, y = "[0,1,0,0,0,0]", "[1,0,0,0,0,0]"
+    capsys.readouterr()
+    assert main(["oracle", "query", *args, "--x", x, "--y", y]) == 0
+    assert len(searched) == 1  # read from the cache, so the search is the query's
+    want = _report(capsys.readouterr().out)["result"]
+    report, imported = _cli_imports("oracle", "query", *args, "--x", x, "--y", y)
+    assert "scipy" in imported and report["result"] == want
+
+
+def test_the_oracle_builds_without_the_namespace():
+    # importing the module directly binds no exported name in the package,
+    # and the build binds the scipy names it needs on the way
+    proc = _run_python("-c", (
+        "import sys, randers_lab\n"
+        "from randers_lab.oracle import build_graph\n"
+        "from randers_lab.randers import NavigationData\n"
+        "from randers_lab.killing import hopf_field\n"
+        "from randers_lab.spaces import Sphere\n"
+        "s3 = Sphere(3, 1.0)\n"
+        "g = build_graph(NavigationData(s3, hopf_field(s3, 0.3)), 2000, 16, seed=5)\n"
+        "print(g.graph_hash, 'scipy' in sys.modules)\n"
+        "print([n for n in randers_lab.__all__ if n in vars(randers_lab)])\n"))
+    assert proc.returncode == 0, proc.stderr
+    s3 = randers_lab.Sphere(3, 1.0)
+    g = randers_lab.build_graph(randers_lab.NavigationData(s3, randers_lab.hopf_field(s3, 0.3)),
+                                2000, 16, seed=5)
+    assert proc.stdout.splitlines() == [f"{g.graph_hash} True", "[]"]
 
 
 def test_disconnected_net_exits_two_from_a_child_process(tmp_path):

@@ -316,6 +316,28 @@ def test_interrupted_cache_write_leaves_no_file(tmp_path, monkeypatch):
     assert build_graph(nav, 1000, 8, seed=0, cache_dir=tmp_path).graph_hash == g.graph_hash
 
 
+@pytest.mark.parametrize("via_env", [False, True], ids=["cache_dir", "RANDERS_LAB_CACHE"])
+@pytest.mark.parametrize("inside", [False, True], ids=["a-file", "below-a-file"])
+def test_unusable_cache_directory_fails_before_the_build(tmp_path, monkeypatch, via_env, inside):
+    # a regular file where the directory should be, or above it, is refused
+    # before the kd-tree runs, naming the path
+    e = Euclidean(2)
+    nav = NavigationData(e, EuclideanKilling(e, np.array([0.5, 0.0])))
+    blocker = tmp_path / "cache"
+    blocker.write_text("not a directory")
+    cache = blocker / "sub" if inside else blocker
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the build ran before the cache directory was checked")
+
+    monkeypatch.setattr(oracle, "_knn_edges", refuse)
+    if via_env:
+        monkeypatch.setenv("RANDERS_LAB_CACHE", str(cache))
+    with pytest.raises(ValueError, match=f"^oracle cache '{cache}' is not a usable directory"):
+        build_graph(nav, 1000, 8, seed=0, cache_dir=None if via_env else cache)
+    assert blocker.read_text() == "not a directory"
+
+
 def test_compressed_cache_still_loads(tmp_path):
     # caches written with np.savez_compressed under the same keys load as before
     e = Euclidean(2)

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import scipy.optimize
 
-from randers_lab import geodesics, randers
+from randers_lab import geodesics, oracle, randers
 from randers_lab.selftest import fixture_navs  # selftest loads every module the tracer patches
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
@@ -40,6 +40,10 @@ def _bindings():
 
 
 def test_tracer_installs_on_the_library_and_uninstalls():
+    # `oracle` binds its scipy names on first use, and `install()` is a
+    # first use: bind them before the snapshot, so that it holds them
+    for name in oracle._SCIPY:
+        getattr(oracle, name)
     before = _bindings()
     tr = _load_tracer().Tracer()
     try:
