@@ -234,7 +234,8 @@ def cmd_connect(nav, args):
 
 def cmd_oracle(nav, args):
     # imported by its verb alone; it loads scipy only for a build or a graph
-    # search, so a compact query on a cached graph starts on numpy alone
+    # search, so a compact query and a build on a cached graph start on numpy
+    # alone
     from .oracle import build_graph, oracle_distance
 
     if args.oracle_cmd == "query":  # check the points before paying for a build
@@ -242,7 +243,7 @@ def cmd_oracle(nav, args):
     g = build_graph(nav, args.nodes, args.k, seed=args.seed, cache_dir=args.cache)
     if args.oracle_cmd == "build":
         result = {"graph_hash": g.graph_hash, "eps": g.eps,
-                  "n_nodes": len(g.nodes), "k": g.k, "n_edges": g.csr.nnz}
+                  "n_nodes": len(g.nodes), "k": g.k, "n_edges": g.n_arcs}
         return result, 0, {}
     est, hint = oracle_distance(g, nav, x, y)
     return {"estimate": est, "error_hint": hint}, 0, {}

@@ -21,6 +21,16 @@ length to be constant, on every factor of a product: `build_graph` asks
 `killing.constant_length_family`, the one test of a supported wind, and
 so refuses exactly the winds the verifiers refuse, with `UnsupportedWind`.
 
+`_arc_weights` forms the three inner products h(v, W), h(v, v) and
+h(W, W) factor by factor, in the order `Product.h_inner` sums them, so
+a product's log and wind are never concatenated into ambient arrays:
+the lengths are the same bit for bit at about half the fixed cost of a
+call, which the queries pay several times per pair (a one-row call on
+S^3 x R^2 fell from about 110 to 60 us). The build streams its edge
+weights in blocks of `_CHUNK` = 2^16 edges, gathering each block's
+endpoints itself, so their temporaries stay a few MB whatever the net's
+size, where one block of every edge set the build's peak memory.
+
 The net is an orbit net: the orbit of nb = ceil(n / |G|) sampled base
 points under a finite group G of orthogonal ambient maps that preserve h
 and commute with the wind, so F-isometries (`_orbit_group`). Node
@@ -115,15 +125,19 @@ import numpy as np
 
 from . import quat
 from .killing import GroupFamily, SphereFamily, constant_length_family
-from .randers import NavigationData
-from .spaces import space_from_config
+from .randers import NavigationData, navigation_norm
+from .spaces import Product, space_from_config
 
 C_HINT = 4.0
 _CACHE_VERSION = 11
 _N_LANDMARKS = 8
-# edges per block of the build's edge weights, to bound peak memory at
-# acceptance-scale edge counts
-_CHUNK = 1_000_000
+# edges per block of the build's edge weights. A block's endpoints, logs,
+# winds and sums take about 230 bytes per edge on S^3 x R^2, so 2^16 edges
+# hold some 15 MB, each per-edge array 512 KiB, within a CPU's L2 or L3
+# cache. A block of 10^6 took all 688k edges of the 10^4-node, k = 128
+# S^3 x R^2 net at once and set the build's traced peak (183 MB, against
+# 84 MB for the kNN that sets it now), and it was no faster
+_CHUNK = 65_536
 
 
 # the scipy names, bound on first use (PEP 562) by `__getattr__`: a compact
@@ -161,9 +175,26 @@ def _arc_weights(nav, a, b):
     """Exact F-lengths (a[i] -> b[i], b[i] -> a[i]) of the h-geodesic arcs
     between a[i] and b[i], both from the one log v = log_a(b): the arc
     back is the same arc run backwards, of F-length F(a, -v). A single
-    point a broadcasts against b, and the wind is then evaluated once."""
-    v = nav.space.h_log(a, b)
-    return nav.finsler_norm(a, v, both=True)
+    point a broadcasts against b, and the wind is then evaluated once.
+
+    Factor by factor, a non-product being one factor: each factor's log
+    and wind enter h(v, W), h(v, v) and h(W, W) in factor order, the sums
+    `Product.h_inner` forms, so the lengths are those of
+    `finsler_norm(a, h_log(a, b))` bit for bit, with no ambient log or
+    wind built."""
+    space, wind = nav.space, nav.wind
+    if isinstance(space, Product):
+        parts = zip(space.factors, wind.parts, space.split(a), space.split(b))
+    else:
+        parts = [(space, wind, a, b)]
+    vw = vv = ww = 0
+    for f, wf, af, bf in parts:
+        v = f.h_log(af, bf)
+        w = wf.evaluate(af)
+        vw = vw + f.h_inner(af, v, w)
+        vv = vv + f.h_inner(af, v, v)
+        ww = ww + f.h_inner(af, w, w)
+    return navigation_norm(vw, vv, ww, both=True)
 
 
 @dataclass(frozen=True)
@@ -205,6 +236,14 @@ class NetGraph:
         return _chords(self.coords, self.coords[:, 0])
 
     @cached_property
+    def n_arcs(self) -> int:
+        """The search graph's arc count, csr.nnz, from numpy alone: each
+        base row's edge, and its mirror where that is another arc
+        (`_two_way`), on every orbit."""
+        two = _two_way(self.rows, self.cols, len(self.nodes) // len(self.mult), self.mult)[2]
+        return len(self.mult) * (len(self.rows) + int(np.count_nonzero(two)))
+
+    @cached_property
     def graph_hash(self) -> str:
         h = hashlib.sha256()
         h.update(json.dumps(self.nav_config, sort_keys=True).encode())
@@ -240,6 +279,13 @@ def _mirrors(rows, cols, nb, mult):
     return c, mirror
 
 
+def _two_way(rows, cols, nb, mult):
+    """(c, mirror, two): the mirrors of `_mirrors`, and the mask of the
+    edges whose mirror is another arc than the edge itself."""
+    c, mirror = _mirrors(rows, cols, nb, mult)
+    return c, mirror, (c != rows) | (mirror != cols)
+
+
 def _search_graph(n, rows, cols, fwd, rev, mult):
     """The base rows hold every edge b -> (h, c), from base node b to node
     h * nb + c, and its mirror (`_mirrors`), which M_h^-1 maps the arc
@@ -248,8 +294,7 @@ def _search_graph(n, rows, cols, fwd, rev, mult):
     image under M_g, with the same weights."""
     size = len(mult)
     nb = n // size
-    c, mirror = _mirrors(rows, cols, nb, mult)
-    two = (c != rows) | (mirror != cols)
+    c, mirror, two = _two_way(rows, cols, nb, mult)
     csr_matrix = _scipy("csr_matrix")
     base = csr_matrix((np.concatenate([fwd, rev[two]]),
                        (np.concatenate([rows, c[two]]), np.concatenate([cols, mirror[two]]))),

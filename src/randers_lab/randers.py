@@ -70,6 +70,17 @@ def defining_to_nav_matrices(a: np.ndarray, b: np.ndarray):
 # ---------------------------------------------------------------------------
 
 
+def navigation_norm(hyW, hyy, hWW, both=False):
+    """F(x, y) from the three inner products h(y,W), h(y,y) and h(W,W) at
+    x, the one place the formula is written; with both=True, the pair
+    (F(x, y), F(x, -y))."""
+    lam = 1.0 - hWW
+    root = np.sqrt(hyW**2 + lam * hyy)
+    if both:
+        return (root - hyW) / lam, (root + hyW) / lam
+    return (root - hyW) / lam
+
+
 @dataclass(frozen=True)
 class NavigationData:
     space: object
@@ -89,13 +100,8 @@ class NavigationData:
         the pair (F(x, y), F(x, -y)) from one evaluation of the wind."""
         y = np.asarray(y, dtype=float)
         W = self.wind.evaluate(x)
-        hyW = self.space.h_inner(x, y, W)
-        hyy = self.space.h_inner(x, y, y)
-        lam = 1.0 - self.space.h_inner(x, W, W)
-        root = np.sqrt(hyW**2 + lam * hyy)
-        if both:
-            return (root - hyW) / lam, (root + hyW) / lam
-        return (root - hyW) / lam
+        h = self.space.h_inner
+        return navigation_norm(h(x, y, W), h(x, y, y), h(x, W, W), both)
 
     def point_pairs(self, who: str, xs, ys):
         """(xs, ys, h_distance(xs, ys)) for row-aligned points; a ValueError

@@ -867,6 +867,19 @@ def test_a_compact_cached_query_starts_without_scipy(tmp_path):
     assert report["result"]["estimate"] > 0
 
 
+def test_a_cached_build_starts_without_scipy(tmp_path):
+    # a cache hit reports the graph without tiling it: n_edges is counted
+    # from the base rows and their mirrors, so no scipy loads, and the
+    # report is the cold build's
+    args = ["oracle", "build", "--space", S3, "--wind", HOPF, "--nodes", "2000", "--k", "16",
+            "--cache", str(tmp_path)]
+    cold, imported = _cli_imports(*args)
+    assert "scipy" in imported
+    cached, imported = _cli_imports(*args)
+    assert "scipy" not in imported and "numpy" in imported
+    assert cached["result"] == cold["result"] and cached["result"]["n_edges"] > 0
+
+
 def test_a_query_that_searches_loads_scipy(tmp_path, monkeypatch, capsys):
     # on S^3 x R^2 a pair whose graph path may win runs Dijkstra, which
     # binds scipy on the way

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +32,7 @@ from randers_lab.oracle import (
     oracle_distance_pairs,
 )
 from randers_lab.randers import NavigationData
+from randers_lab.selftest import fixture_navs
 from randers_lab.spaces import CompactGroup, Euclidean, Product, Sphere, random_tangent
 
 from conftest import ANTI_HOPF, conjugated_hopf
@@ -671,6 +673,27 @@ def test_reverse_weight_matches_the_direct_route(name):
         np.testing.assert_allclose(rev, direct, rtol=1e-12, atol=0)
 
 
+@pytest.mark.parametrize("name", ["euclidean", "sphere-hopf", "su2-left", "product", "S3xSU2"])
+def test_factor_kernel_matches_the_ambient_route(name):
+    # `_arc_weights` sums each factor's inner products; the ambient route
+    # takes the whole log and wind at once. Both give the same bits, for
+    # row-aligned batches (coincident rows among them) and for one point
+    # against a batch, in either position: on the four selftest fixtures
+    # and on S^3 x SU(2), a product of two compact factors
+    su2 = CompactGroup("SU2", 0.8)
+    nav = _product_nav(su2, GroupKilling(su2, np.array([0.0, 0.4, 0.0, 0.0]), np.zeros(4))) \
+        if name == "S3xSU2" else fixture_navs()[name]
+    space = nav.space
+    rng = np.random.default_rng(29)
+    a, b = space.sample(rng, 500), space.sample(rng, 500)
+    b[:50] = a[:50]
+    for x, y in [(a, b), (a[0], b), (a, b[0]), (a[1], b[2])]:
+        got = _arc_weights(nav, x, y)
+        want = nav.finsler_norm(x, space.h_log(x, y), both=True)
+        for u, w in zip(got, want):
+            assert np.shape(u) == np.shape(w) and np.array_equal(u, w)
+
+
 @pytest.mark.parametrize("make_nav, n_edges, eps", [
     (_e2_nav, 22946, 0.38800879236779207),
     (_s3_hopf_nav, 23520, 0.22451305959147969),
@@ -1038,6 +1061,23 @@ def test_antipodal_edge_is_one_arc():
     assert np.all(coo.data[anti] <= np.pi / (1 - 0.3))
 
 
+@pytest.mark.parametrize("which", [*ORBIT_WINDS, "antipodal", "E2", "S3xR2", "S5-qjq"])
+def test_arc_count_is_the_search_graph_size(which, orbit_graphs):
+    # the count from the base rows and their mirrors, numpy alone, is the
+    # tiled search graph's nnz: on orbit nets, with edges that are their
+    # own mirrors (antipodes), and on nets of the trivial group
+    if which in orbit_graphs:
+        g = orbit_graphs[which][1]
+    else:
+        make_nav, n, k = {"antipodal": (_s3_hopf_nav, 240, 239), "E2": (_e2_nav, 1000, 8),
+                          "S3xR2": (_strong_product_nav, 1000, 16),
+                          "S5-qjq": (lambda: NavigationData(Sphere(5, 1.3), NOETHER_WINDS["qjq-S5"]),
+                                     1000, 8)}[which]
+        g = build_graph(make_nav(), n, k, seed=7)
+    assert (len(g.mult) == 1) == (which in ("E2", "S3xR2", "S5-qjq"))
+    assert g.n_arcs == g.csr.nnz > 0
+
+
 @pytest.mark.parametrize("name", ORBIT_WINDS)
 def test_orbit_net_cache_round_trips(name, tmp_path):
     W = ORBIT_WINDS[name]
@@ -1086,6 +1126,23 @@ def test_trivial_group_keeps_the_graph(name, make_nav, n, k, seed, digest):
     g = build_graph(make_nav(), n, k, seed=seed)
     assert len(g.mult) == 1 and len(g.nodes) == n
     assert g.graph_hash == digest
+
+
+def test_cold_product_build_peak_memory():
+    # the edge weights run in blocks of 2^16 edges, factor by factor, so
+    # the traced peak of this 688k-edge build is the kNN's, about 84 MB;
+    # with every edge in one block it was about 183 MB
+    nav = _product_nav(Euclidean(2), EuclideanKilling(Euclidean(2), [0.3, 0.0]))
+    for name in ("cKDTree", "csr_matrix", "dijkstra"):
+        oracle._scipy(name)  # imported before tracing starts
+    tracemalloc.start()
+    try:
+        g = build_graph(nav, 10_000, 128, seed=61)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(g.rows) == 688_368
+    assert peak < 110e6, f"traced peak {peak / 1e6:.1f} MB"
 
 
 @pytest.mark.parametrize("which", ["E2", "S3xR2", "S3-hopf", "S3-anti-hopf", "SU2-right",
