@@ -56,6 +56,11 @@ def _samples(s):
     return _count(s, 2)
 
 
+def _seed(s):
+    """A non-negative seed, as numpy's generators take (an argparse type)."""
+    return _count(s, 0)
+
+
 def _finite(s):
     """A finite float (an argparse type)."""
     x = float(s)
@@ -294,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--wind", type=_json_arg, help="wind field JSON (inline, @file, or path)")
         sp.add_argument("--out", help="output directory")
         if seed:
-            sp.add_argument("--seed", type=int, default=0)
+            sp.add_argument("--seed", type=_seed, default=0)
         if tol is not None:
             sp.add_argument("--tol", type=_positive, default=tol)
         if formats is not None:
@@ -382,7 +387,9 @@ def main(argv=None) -> int:
         # overflow warnings would only precede that one error line
         with np.errstate(over="ignore", invalid="ignore"):
             return cmd_selftest(args) if args.command == "selftest" else _run(args)
-    except (ValueError, OSError) as e:  # every library error is a ValueError
+    # every library error is a ValueError; a size too large to allocate
+    # (--nodes, --samples) is a MemoryError
+    except (ValueError, OSError, MemoryError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

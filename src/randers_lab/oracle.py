@@ -26,9 +26,10 @@ h(W, W) factor by factor, in the order `Product.h_inner` sums them, so
 a product's log and wind are never concatenated into ambient arrays:
 the lengths are the same bit for bit at about half the fixed cost of a
 call, which the queries pay several times per pair (a one-row call on
-S^3 x R^2 fell from about 110 to 60 us). The build streams its edge
-weights in blocks of `_CHUNK` = 2^16 edges, gathering each block's
-endpoints itself, so their temporaries stay a few MB whatever the net's
+S^3 x R^2 fell from about 110 to 60 us). The build streams its kNN and
+its edge weights in blocks of `_CHUNK` = 2^16 edges: the kd-tree answers
+`_CHUNK // k` base rows at a time, and each block of weights gathers its
+own endpoints, so their temporaries stay a few MB whatever the net's
 size, where one block of every edge set the build's peak memory.
 
 The net is an orbit net: the orbit of nb = ceil(n / |G|) sampled base
@@ -50,7 +51,11 @@ c -> (h^-1, b) out of base row c shares the row (with the trivial group
 that is one row (r, c) with r < c). The search graph holds both
 orientations: its base rows are built and then tiled, row g * nb + b
 being base row b with each column h * nb + c moved to mult[g, h] * nb + c
-for the group table mult. A copied weight is the F-length of its own arc
+for the group table mult. The base rows are the edges' own arcs plus
+their mirrors, two CSR matrices summed: the edges are stored sorted by
+row, so their arrays are CSR rows as they stand and no array of every
+arc is concatenated; with rows out of order the graph would be wrong.
+A copied weight is the F-length of its own arc
 to about 1e-14 relative, as the nodes M_g b are rounded, so the
 guarantee below holds to that rounding, which the queries' 1e-9 margins
 cover. (An arc between antipodes, which h_log takes along a fixed
@@ -70,7 +75,8 @@ GraphDisconnected is raised. On a compact space the build also stores
 the leg row, leg_row[v] = F(o -> v) from node 0 = o to every node. The
 cache is an uncompressed `.npz` of the nodes, the base rows' edges,
 mult, d_land and the leg row; older compressed ones still load, and an
-unreadable file, or one without a key, is a miss, rebuilt and replaced.
+unreadable file, one without a key, or one whose edges are not sorted by
+row, is a miss, rebuilt and replaced.
 
 Queries run one pipeline on every space. On a compact space (no R^n
 factor) a pre-step first carries each pair by an F-isometry to a pair
@@ -131,12 +137,15 @@ from .spaces import Product, space_from_config
 C_HINT = 4.0
 _CACHE_VERSION = 11
 _N_LANDMARKS = 8
-# edges per block of the build's edge weights. A block's endpoints, logs,
-# winds and sums take about 230 bytes per edge on S^3 x R^2, so 2^16 edges
-# hold some 15 MB, each per-edge array 512 KiB, within a CPU's L2 or L3
-# cache. A block of 10^6 took all 688k edges of the 10^4-node, k = 128
-# S^3 x R^2 net at once and set the build's traced peak (183 MB, against
-# 84 MB for the kNN that sets it now), and it was no faster
+# edges per block of the build's kNN and edge weights. A block's
+# endpoints, logs, winds and sums take about 230 bytes per edge on
+# S^3 x R^2, so 2^16 edges hold some 15 MB, each per-edge array 512 KiB,
+# within a CPU's L2 or L3 cache. A block of 10^6 took all 688k edges of
+# the 10^4-node, k = 128 S^3 x R^2 net at once and set the build's traced
+# peak (183 MB); the kd-tree's answer for every base row then set it
+# (84 MB). In blocks of 2^16 // k base rows the kNN peaks near 31 MB, and
+# it took the same time as in one query, or in blocks of 2^17 and 2^18
+# edges, so the one constant serves both phases
 _CHUNK = 65_536
 
 
@@ -273,7 +282,8 @@ def _mirrors(rows, cols, nb, mult):
     """(c, h^-1 * nb + b) for the edges b -> (h * nb + c) = (rows, cols): each
     one's mirror c -> (h^-1, b), its image under M_h^-1, built in place."""
     h, c = np.divmod(cols, nb)
-    mirror = np.argmin(mult, axis=1)[h]  # mult[h, h^-1] = 0, the identity
+    # mult[h, h^-1] = 0, the identity; in the dtype of cols, int32 in a graph
+    mirror = np.argmin(mult, axis=1).astype(cols.dtype)[h]
     mirror *= nb
     mirror += rows
     return c, mirror
@@ -291,14 +301,19 @@ def _search_graph(n, rows, cols, fwd, rev, mult):
     h * nb + c, and its mirror (`_mirrors`), which M_h^-1 maps the arc
     back onto (one arc when the two coincide). Row g * nb + b is then base
     row b with each column h * nb + c moved to mult[g, h] * nb + c: its
-    image under M_g, with the same weights."""
+    image under M_g, with the same weights.
+
+    The base rows are the sum of two CSR matrices with no arc in common:
+    the edges' own arcs, whose arrays are CSR rows as they stand, as rows
+    is sorted (and each row's columns with it, `_knn_edges`), and the
+    mirrors that are other arcs. No array of every arc is concatenated."""
     size = len(mult)
     nb = n // size
     c, mirror, two = _two_way(rows, cols, nb, mult)
     csr_matrix = _scipy("csr_matrix")
-    base = csr_matrix((np.concatenate([fwd, rev[two]]),
-                       (np.concatenate([rows, c[two]]), np.concatenate([cols, mirror[two]]))),
-                      shape=(nb, n))
+    indptr = np.append(0, np.cumsum(np.bincount(rows, minlength=nb)))
+    base = (csr_matrix((fwd, cols, indptr), shape=(nb, n))
+            + csr_matrix((rev[two], (c[two], mirror[two])), shape=(nb, n)))
     if size == 1:  # the trivial group: the base rows are every row
         return base
     h, c = np.divmod(base.indices, nb)
@@ -318,7 +333,9 @@ def _rows_of(csr, keep):
     indptr = np.zeros(csr.shape[0] + 1, dtype=csr.indptr.dtype)
     indptr[keep + 1] = lens
     np.cumsum(indptr, out=indptr)
-    take = np.repeat(start - indptr[keep], lens) + np.arange(indptr[-1])
+    # in indptr's dtype: the offsets of every kept arc, int64 would double them
+    take = np.repeat(start - indptr[keep], lens)
+    take += np.arange(indptr[-1], dtype=indptr.dtype)
     return _scipy("csr_matrix")((csr.data[take], csr.indices[take], indptr), shape=csr.shape)
 
 
@@ -394,6 +411,11 @@ def _knn_edges(space, nodes, k, mult):
     row * n + column, and one of the two rows stands for the edge: with
     the trivial group, the row (r, c) with r < c.
 
+    The tree answers blocks of `_CHUNK // k` base rows, so each answer
+    holds about `_CHUNK` edges; only the keys of every edge are kept whole.
+    The edges come out sorted by row, and each row's by column, the order
+    in which `_search_graph` reads them as CSR rows.
+
     Where h-distance grows with the chord (R^n, spheres, SU(2)) these are
     the h-kNN; on a product the edges may differ from them, and each is
     still an actual arc.
@@ -401,22 +423,28 @@ def _knn_edges(space, nodes, k, mult):
     n = len(nodes)
     nb = n // len(mult)
     emb = space.embed(nodes)
-    _, jj = _scipy("cKDTree")(emb).query(emb[:nb], k=k + 1, workers=-1)
-    jj = jj[:, 1:]
-    d_nn = space.h_distance(nodes[:nb], nodes[jj[:, 0]])
-    rows = np.repeat(np.arange(nb, dtype=np.int64), k)
-    cols = jj.ravel()
-    # code each edge by its key, then dedupe (duplicate entries would be
-    # summed by CSR); sorting the codes gives np.unique's result without
-    # its hashing
-    enc = rows * n
-    enc += cols
-    key, mirror = _mirrors(rows, cols, nb, mult)
-    key *= n
-    key += mirror
-    del mirror
-    np.minimum(enc, key, out=enc)
-    del key
+    tree = _scipy("cKDTree")(emb)
+    # each block of base rows keys its k edges into enc, an edge and its
+    # mirror taking the lesser of their codes row * n + column; sorting the
+    # codes gives np.unique's result without its hashing, and duplicate
+    # entries would be summed by CSR
+    enc = np.empty(nb * k, dtype=np.int64)
+    d_nn = np.empty(nb)
+    step = max(1, _CHUNK // k)
+    for lo in range(0, nb, step):
+        hi = min(lo + step, nb)
+        _, jj = tree.query(emb[lo:hi], k=k + 1, workers=-1)
+        jj = jj[:, 1:]
+        d_nn[lo:hi] = space.h_distance(nodes[lo:hi], nodes[jj[:, 0]])
+        rows = np.repeat(np.arange(lo, hi, dtype=np.int64), k)
+        cols = jj.ravel()
+        out = enc[lo * k:hi * k]
+        np.multiply(rows, n, out=out)
+        out += cols
+        key, mirror = _mirrors(rows, cols, nb, mult)
+        key *= n
+        key += mirror
+        np.minimum(out, key, out=out)
     enc.sort()
     keep = np.empty(len(enc), dtype=bool)
     keep[0] = True
@@ -509,6 +537,9 @@ def _load(path: Path) -> NetGraph:
     with open(path, "rb") as f, np.load(f, allow_pickle=False) as z:
         meta = json.loads(str(z["meta"]))
         stored = {name: z[name] for name in _STORED}
+    if np.any(stored["rows"][1:] < stored["rows"][:-1]):
+        # the search graph reads rows as CSR row runs (`_search_graph`)
+        raise ValueError(f"oracle cache {str(path)!r} holds unsorted edges")
     stored["eps"] = float(stored["eps"])
     return NetGraph(nav_config=meta["cfg"], k=meta["k"], seed=meta["seed"], **stored)
 

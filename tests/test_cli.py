@@ -12,8 +12,10 @@ import numpy as np
 import pytest
 
 import randers_lab
+from randers_lab import oracle
 from randers_lab.cli import main
 from randers_lab.cw import SearchFailed
+from randers_lab.spaces import Sphere
 
 from conftest import ANTI_HOPF
 
@@ -220,6 +222,44 @@ def test_library_error_exits_two_with_one_line(capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+def _no_memory(*args, **kwargs):
+    raise MemoryError("Unable to allocate 29.1 TiB for an array with shape (1000000000000, 4)")
+
+
+@pytest.mark.parametrize("argv, patch", [
+    (["oracle", "build", "--nodes", "1000000000000"], (oracle, "build_graph")),
+    (["cw-check", "--samples", "1000000000000"], (Sphere, "sample")),
+], ids=["oracle-build", "cw-check"])
+def test_memory_error_exits_two_with_one_line(capsys, monkeypatch, argv, patch):
+    # a size too large to allocate is refused as a library error is; the
+    # library call raises it here, as a real allocation of that size could
+    # page the machine out under memory overcommit
+    monkeypatch.setattr(*patch, _no_memory)
+    rc = main(argv + ["--space", S3, "--wind", HOPF])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "error: Unable to allocate 29.1 TiB for an array with shape (1000000000000, 4)\n")
+
+
+@pytest.mark.parametrize("verb", [
+    ["cw-check"], ["exhaust"], ["oracle", "build"],
+    ["oracle", "query", "--x", "[1,0,0,0]", "--y", "[0,1,0,0]"],
+], ids=["cw-check", "exhaust", "oracle-build", "oracle-query"])
+def test_a_negative_seed_names_its_option(capsys, verb):
+    with pytest.raises(SystemExit) as exc:
+        main(verb + ["--space", S3, "--wind", HOPF, "--seed", "-1"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith("error: argument --seed: must be at least 0, got -1\n")
+
+
+def test_seed_parsing_keeps_the_config_hash(capsys):
+    # the seed is still the int it was when argparse read it with int()
+    h, cfg = _config_of(capsys, ["cw-check", "--space", S3, "--wind", HOPF, "--seed", "3",
+                                 "--samples", "10"])
+    assert cfg["params"]["seed"] == 3
+    assert h == "1c9e69d973d7eb79"
 
 
 def _config_of(capsys, argv):
