@@ -69,14 +69,18 @@ eps, the largest h-distance from a node to its chord-nearest
 neighbour, comes from that same query. The build picks 8
 landmark nodes (node 0 alone on a compact space) by farthest-point
 sampling over the embedding, from node 0, and stores the graph distances
-from each to every node, d_land. Holding each edge both ways, the search
-graph is strongly connected exactly when node 0 reaches every node, or
-GraphDisconnected is raised. On a compact space the build also stores
-the leg row, leg_row[v] = F(o -> v) from node 0 = o to every node. The
-cache is an uncompressed `.npz` of the nodes, the base rows' edges,
-mult, d_land and the leg row; older compressed ones still load, and an
-unreadable file, one without a key, or one whose edges are not sorted by
-row, is a miss, rebuilt and replaced.
+from each to every node, d_land. On an orbit net (S^3 and SU(2), both
+compact) the one search, from node 0, runs on the base rows alone
+(`_orbit_distances`), and the tiled graph is never built: no compact
+query reads it either, as each reads node 0's row of d_land. Holding
+each edge both ways, the search graph is strongly connected exactly when
+node 0 reaches every node, or GraphDisconnected is raised. On a compact
+space the build also stores the leg row, leg_row[v] = F(o -> v) from
+node 0 = o to every node. The cache is an uncompressed `.npz` of the
+nodes, the base rows' edges, mult, d_land and the leg row; older
+compressed ones still load, and an unreadable file, one without a key,
+or one whose edges are not sorted by row, is a miss, rebuilt and
+replaced.
 
 Queries run one pipeline on every space. On a compact space (no R^n
 factor) a pre-step first carries each pair by an F-isometry to a pair
@@ -224,7 +228,9 @@ class NetGraph:
     @cached_property
     def csr(self):
         """The directed search graph: every edge in both orientations,
-        tiled from the base rows to every orbit."""
+        tiled from the base rows to every orbit. The build keeps the one
+        its landmark search ran on, with the trivial group; an orbit net
+        searches its base rows, and no query of a compact space reads this."""
         return _search_graph(len(self.nodes), self.rows, self.cols,
                              self.weights_fwd, self.weights_rev, self.mult)
 
@@ -296,26 +302,32 @@ def _two_way(rows, cols, nb, mult):
     return c, mirror, (c != rows) | (mirror != cols)
 
 
-def _search_graph(n, rows, cols, fwd, rev, mult):
-    """The base rows hold every edge b -> (h, c), from base node b to node
-    h * nb + c, and its mirror (`_mirrors`), which M_h^-1 maps the arc
-    back onto (one arc when the two coincide). Row g * nb + b is then base
-    row b with each column h * nb + c moved to mult[g, h] * nb + c: its
-    image under M_g, with the same weights.
+def _base_rows(n, rows, cols, fwd, rev, mult):
+    """The search graph's base rows, shape (nb, n): every edge b -> (h, c),
+    from base node b to node h * nb + c, and its mirror (`_mirrors`), which
+    M_h^-1 maps the arc back onto (one arc when the two coincide).
 
-    The base rows are the sum of two CSR matrices with no arc in common:
-    the edges' own arcs, whose arrays are CSR rows as they stand, as rows
-    is sorted (and each row's columns with it, `_knn_edges`), and the
-    mirrors that are other arcs. No array of every arc is concatenated."""
-    size = len(mult)
-    nb = n // size
+    They are the sum of two CSR matrices with no arc in common: the edges'
+    own arcs, whose arrays are CSR rows as they stand, as rows is sorted
+    (and each row's columns with it, `_knn_edges`), and the mirrors that
+    are other arcs. No array of every arc is concatenated."""
+    nb = n // len(mult)
     c, mirror, two = _two_way(rows, cols, nb, mult)
     csr_matrix = _scipy("csr_matrix")
     indptr = np.append(0, np.cumsum(np.bincount(rows, minlength=nb)))
-    base = (csr_matrix((fwd, cols, indptr), shape=(nb, n))
+    return (csr_matrix((fwd, cols, indptr), shape=(nb, n))
             + csr_matrix((rev[two], (c[two], mirror[two])), shape=(nb, n)))
+
+
+def _search_graph(n, rows, cols, fwd, rev, mult):
+    """The directed search graph, `_base_rows` tiled to every orbit: row
+    g * nb + b is base row b with each column h * nb + c moved to
+    mult[g, h] * nb + c, its image under M_g, with the same weights."""
+    base = _base_rows(n, rows, cols, fwd, rev, mult)
+    size = len(mult)
     if size == 1:  # the trivial group: the base rows are every row
         return base
+    nb = n // size
     h, c = np.divmod(base.indices, nb)
     indices = np.take(mult, h, axis=1)  # C-ordered, so ravel() below copies nothing
     indices *= nb
@@ -323,6 +335,67 @@ def _search_graph(n, rows, cols, fwd, rev, mult):
     indptr = base.indptr[:-1] + base.nnz * np.arange(size)[:, None]
     return csr_matrix((np.tile(base.data, size), indices.ravel(),
                        np.append(indptr.ravel(), size * base.nnz)), shape=(n, n))
+
+
+def _orbit_distances(base, mult, n):
+    """Graph distances from node 0 to every node of an orbit net's search
+    graph, from its base rows (`_base_rows`) alone: node (g, b) = g * nb + b
+    takes base row b's arcs, each column h * nb + c moved to
+    mult[g, h] * nb + c, so no tiled graph is built. An unreachable node
+    keeps inf.
+
+    The search settles nodes in rounds, by the criteria of Crauser,
+    Mehlhorn, Meyer & Sanders (MFCS 1998): a queued node v is final when
+    D[v] <= m + min_in[v], m the least queued distance, as every path
+    still to come into v ends in an arc from a node at m or beyond; or
+    when D[v] <= D[u] + min_out[u] for every queued u, as every such path
+    leaves the queue through an arc. Each M_g is an F-isometry, so both
+    least weights depend on the base node alone. Then the settled nodes'
+    arcs are relaxed, `_CHUNK` at a time. Each arc is relaxed once from a
+    final distance, and float addition is monotone, so every distance is
+    the least left-fold sum over paths, scipy's `dijkstra` bit for bit.
+
+    The base rows are laid out as (nb, longest row) arrays, a shorter row
+    padded with arcs of weight inf, which never improve a distance: a
+    block of rows is then read row by row, not arc by arc."""
+    size = len(mult)
+    nb = n // size
+    lens = np.diff(base.indptr)
+    fill = np.arange(lens.max()) < lens[:, None]
+    w = np.full(fill.shape, np.inf)
+    w[fill] = base.data
+    h = np.zeros(fill.shape, dtype=np.int32)
+    c = np.zeros(fill.shape, dtype=np.int32)
+    h[fill], c[fill] = np.divmod(base.indices, nb)
+    # an arc b -> (h, c) is M_h's image of an arc into base node c
+    min_in = np.full(nb, np.inf)
+    np.minimum.at(min_in, c[fill], base.data)
+    min_out = w.min(axis=1)  # inf on a row with no arcs, which is all padding
+    mult_nb = (mult * nb).ravel()  # node (g, b)'s arc to (h, c) ends at mult_nb[g * size + h] + c
+    D = np.full(n, np.inf)
+    D[0] = 0.0
+    queued = np.zeros(n, dtype=bool)
+    queued[0] = True
+    final = np.zeros(n, dtype=bool)
+    step = max(1, _CHUNK // w.shape[1])  # rows per block of at most _CHUNK arcs
+    while queued.any():
+        q = np.flatnonzero(queued)
+        dq, bq = D[q], q % nb
+        settle = q[(dq <= dq.min() + min_in[bq]) | (dq <= np.min(dq + min_out[bq]))]
+        final[settle] = True
+        for lo in range(0, len(settle), step):
+            s = settle[lo:lo + step]
+            g, b = np.divmod(s, nb)
+            to = mult_nb.take(h[b] + (g * size).astype(np.int32)[:, None])
+            to += c[b]
+            d = w[b]
+            d += D[s][:, None]
+            better = np.flatnonzero(d < D.take(to))
+            to, d = to.take(better), d.take(better)
+            np.minimum.at(D, to, d)
+            queued[to] = True
+        queued &= ~final  # a settled node is never queued again
+    return D
 
 
 def _rows_of(csr, keep):
@@ -434,6 +507,9 @@ def _knn_edges(space, nodes, k, mult):
     for lo in range(0, nb, step):
         hi = min(lo + step, nb)
         _, jj = tree.query(emb[lo:hi], k=k + 1, workers=-1)
+        if np.any(jj == n):  # the tree's mark of a neighbour it did not find
+            raise ValueError(f"the kd-tree found fewer than {k} neighbours of a node, as "
+                             "chord lengths overflow: the space is too large for the oracle")
         jj = jj[:, 1:]
         d_nn[lo:hi] = space.h_distance(nodes[lo:hi], nodes[jj[:, 0]])
         rows = np.repeat(np.arange(lo, hi, dtype=np.int64), k)
@@ -502,12 +578,20 @@ def build_graph(nav: NavigationData, n_nodes: int, k: int, seed: int,
     # eps = max over nodes of the h-distance to the chord-nearest neighbour
     eps = float(np.max(d_nn))
 
-    csr = _search_graph(n_nodes, rows, cols, fwd, rev, mult)
     # a compact space carries every query to one from node 0 (`_to_base_point`);
-    # csr holds each edge both ways: strongly connected iff node 0 reaches all
-    m = 1 if space.compact else _N_LANDMARKS
+    # the search graph holds each edge both ways: strongly connected iff
+    # node 0 reaches all
     coords = np.ascontiguousarray(space.embed(nodes).T)
-    d_land = _scipy("dijkstra")(csr, directed=True, indices=_landmarks(coords, m))
+    if len(mult) > 1:
+        # an orbit net, on S^3 or SU(2): compact, so node 0 is the one
+        # landmark, and its queries never search the tiled graph
+        csr = None
+        d_land = _orbit_distances(_base_rows(n_nodes, rows, cols, fwd, rev, mult),
+                                  mult, n_nodes)[None]
+    else:
+        csr = _search_graph(n_nodes, rows, cols, fwd, rev, mult)
+        m = 1 if space.compact else _N_LANDMARKS
+        d_land = _scipy("dijkstra")(csr, directed=True, indices=_landmarks(coords, m))
     far = np.count_nonzero(np.isinf(d_land[0]))
     if far:
         raise GraphDisconnected(f"{far} nodes unreachable from node 0 at k={k}; use a larger k")
@@ -516,8 +600,11 @@ def build_graph(nav: NavigationData, n_nodes: int, k: int, seed: int,
     g = NetGraph(nav_config=cfg, k=k, seed=seed, nodes=nodes, rows=rows, cols=cols,
                  weights_fwd=fwd, weights_rev=rev, eps=eps, d_land=d_land, mult=mult,
                  leg_row=leg_row)
-    # the queries reuse the matrix the landmark search ran on, and the embedding
-    vars(g).update(csr=csr, coords=coords)
+    # the queries reuse the embedding, and the matrix the landmark search
+    # ran on where there is one
+    vars(g)["coords"] = coords
+    if csr is not None:
+        vars(g)["csr"] = csr
     if cache_path is not None:
         # write beside the cache file and rename it into place, so a failed
         # write leaves nothing at cache_path (numpy appends .npz if missing);

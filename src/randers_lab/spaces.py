@@ -86,6 +86,8 @@ class Euclidean(_Space):
     compact: ClassVar[bool] = False
 
     def __post_init__(self):
+        if self.n < 1:
+            raise SpaceError(f"euclidean dimension must be >= 1, got {self.n}")
         if not 0 < self.box < np.inf:
             raise SpaceError(f"euclidean box must be positive and finite, got {self.box}")
 

@@ -762,6 +762,26 @@ def test_non_finite_config_numbers_exit_two_naming_the_key(capsys, verb, space, 
     assert capsys.readouterr().err == f"error: {says}\n"
 
 
+@pytest.mark.parametrize("argv, says", [
+    (["oracle", "query", "--space", '{"kind": "euclidean", "n": 2, "box": 1e160}',
+      "--wind", '{"type": "zero"}', "--nodes", "200", "--k", "8", "--x", "[0,0]",
+      "--y", "[1,0]"],
+     "the kd-tree found fewer than 8 neighbours of a node, as chord lengths overflow"),
+    (["distance", "--space", '{"kind": "euclidean", "n": 0}', "--wind", '{"type": "zero"}',
+      "--x", "[]", "--y", "[]"], "euclidean dimension must be >= 1, got 0"),
+    (["distance", "--space", '{"kind": "euclidean", "n": -1}', "--wind", '{"type": "zero"}',
+      "--x", "[]", "--y", "[]"], "euclidean dimension must be >= 1, got -1"),
+], ids=["oracle-box-1e160", "euclidean-n0", "euclidean-n-neg"])
+def test_unusable_euclidean_spaces_exit_two_with_one_line(capsys, argv, says):
+    # squared chords of a 1e160 box overflow, and the kd-tree marks the
+    # neighbours it cannot find with index n
+    rc = main(argv)
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err.startswith(f"error: {says}")
+
+
 def test_exhaust_at_a_given_point(capsys):
     rc = main(["exhaust", "--space", S3, "--wind", HOPF, "--point", "[0,0.6,0.8,0]",
                "--directions", "10"])

@@ -1135,6 +1135,63 @@ def test_orbit_net_cache_is_small(tmp_path):
     assert path.stat().st_size < 2 * 2**20
 
 
+@pytest.mark.parametrize("chunk", [oracle._CHUNK, 1000])
+@pytest.mark.parametrize("which", [*ORBIT_WINDS, "antipodal"])
+def test_orbit_distances_are_the_tiled_dijkstra(which, chunk, orbit_graphs, monkeypatch):
+    # the search on the base rows gives scipy's distances on the tiled
+    # graph bit for bit, whatever the size of its blocks of arcs
+    if which in orbit_graphs:
+        g = orbit_graphs[which][1]
+    else:
+        g = build_graph(_s3_hopf_nav(), 240, 239, seed=7)
+    monkeypatch.setattr(oracle, "_CHUNK", chunk)
+    base = oracle._base_rows(len(g.nodes), g.rows, g.cols, g.weights_fwd, g.weights_rev, g.mult)
+    D = oracle._orbit_distances(base, g.mult, len(g.nodes))
+    assert np.array_equal(D, dijkstra(g.csr, directed=True, indices=[0])[0])
+    assert np.array_equal(g.d_land, D[None])
+
+
+def test_disconnected_orbit_net_counts_the_tiled_graphs_unreachable_nodes(monkeypatch):
+    # the search on the base rows leaves inf where scipy does on the tiled
+    # graph, so the error counts the same nodes
+    args = []
+    base_rows = oracle._base_rows
+
+    def keep(*a):
+        args.append(a)
+        return base_rows(*a)
+
+    monkeypatch.setattr(oracle, "_base_rows", keep)
+    with pytest.raises(GraphDisconnected) as refused:
+        build_graph(_s3_hopf_nav(), 240, 2, seed=7)
+    far = np.count_nonzero(np.isinf(
+        dijkstra(oracle._search_graph(*args[0]), directed=True, indices=0)))
+    assert far > 0
+    assert str(refused.value).startswith(f"{far} nodes unreachable from node 0 at k=2")
+
+
+def test_cold_orbit_build_peak_memory():
+    # the landmark search runs on the 167 base rows, so no tiled search
+    # graph of 5.2 million arcs (63 MB) is built: the traced peak of this
+    # build was 70 MB with it, and is about 16 MB without; nor do compact
+    # queries build it, as they read node 0's row of d_land
+    nav = _s3_hopf_nav()
+    for name in ("cKDTree", "csr_matrix", "dijkstra"):
+        oracle._scipy(name)  # imported before tracing starts
+    tracemalloc.start()
+    try:
+        g = build_graph(nav, 20_000, 256, seed=61)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(g.nodes) == 20_040 and len(g.mult) == 120
+    assert peak < 25e6, f"traced peak {peak / 1e6:.1f} MB"
+    rng = np.random.default_rng(3)
+    est = oracle_distance_pairs(g, nav, nav.space.sample(rng, 20), nav.space.sample(rng, 20))
+    assert np.isfinite(est).all()
+    assert "csr" not in vars(g)
+
+
 def _product_nav(factor, wind):
     """S^3 (Hopf wind 0.3) times factor with wind."""
     s3 = Sphere(3, 1.0)

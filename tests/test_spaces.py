@@ -339,12 +339,14 @@ def test_point_needs_the_ambient_dim(space, bad, says):
      '"scale" is a finite number, got Infinity'),
     ({"kind": "euclidean", "n": 2, "box": float("nan")}, ConfigError,
      '"box" is a finite number, got NaN'),
+    ({"kind": "euclidean", "n": 0}, SpaceError, "euclidean dimension must be >= 1, got 0"),
+    ({"kind": "euclidean", "n": -1}, SpaceError, "euclidean dimension must be >= 1, got -1"),
     ({"kind": "product"}, SpaceError, 'a product\'s "factors" is missing'),
     ({"kind": "product", "factors": []}, SpaceError, "product needs at least one factor"),
     ({"kind": "product", "factors": {"kind": "euclidean", "n": 2}}, SpaceError,
      'a product\'s "factors" is a list of spaces'),
 ], ids=["radius-0", "radius-neg", "group-SU3", "scale-0", "scale-inf", "box-nan",
-        "factors-missing", "factors-empty", "factors-object"])
+        "euclidean-n0", "euclidean-n-neg", "factors-missing", "factors-empty", "factors-object"])
 def test_space_configs_are_refused_where_built(cfg, error, says):
     with pytest.raises(error, match=says):
         space_from_config(cfg)
