@@ -42,7 +42,10 @@ multiplication by the 120 quaternions of the binary icosahedral group
 opposite a one-sided wind; elsewhere G is trivial and the net is n
 random points. Each M_g permutes the nodes, so kNN(M_g u) = M_g kNN(u)
 and F(M_g u -> M_g v) = F(u -> v): only the nb base rows take a kNN
-query, a dedupe and edge weights.
+query, a dedupe and edge weights. The group table mult, M_mult[g, h] =
+M_g M_h, is formed one row g at a time (`_multiplication_table`), so
+the build holds no (|G|^2, |G|) array of the traces of every product
+against every map, which for 2I would be 13.8 MB, most of its peak.
 
 The net's edges join each node to its k nearest neighbours. They are
 stored undirected from the base rows, one row (b, h * nb + c) per
@@ -357,27 +360,47 @@ def _orbit_distances(base, mult, n):
 
     The base rows are laid out as (nb, longest row) arrays, a shorter row
     padded with arcs of weight inf, which never improve a distance: a
-    block of rows is then read row by row, not arc by arc."""
+    block of rows is then read row by row, not arc by arc. Each block is
+    gathered with `np.take` into slices of buffers made once per search,
+    of a whole block's size: the four planes of one 2 MiB scratch block
+    (at _CHUNK arcs) and a mask. The indices are intp, which `take` reads
+    as they stand rather than converting a copy. glibc maps an array
+    above its mmap threshold afresh, and the threshold rises only to the
+    largest mapped block freed so far (the heap is trimmed above twice
+    it): arrays of a few hundred KB made afresh each block were paged in
+    anew, and in a fresh process the search of a cold 2 * 10^4-node S^3
+    build made some 23k minor faults and took 0.09-0.12 s, against 0.8k
+    and 0.055-0.065 s with the buffers. Freed, the one block also leaves
+    the threshold at 2 MiB, above the queries' temporaries: as five
+    buffers of at most 0.5 MiB it stayed below 0.8 MiB, and 100 queries
+    that follow made 6k minor faults, not 0.6k."""
     size = len(mult)
     nb = n // size
     lens = np.diff(base.indptr)
     fill = np.arange(lens.max()) < lens[:, None]
     w = np.full(fill.shape, np.inf)
     w[fill] = base.data
-    h = np.zeros(fill.shape, dtype=np.int32)
-    c = np.zeros(fill.shape, dtype=np.int32)
+    h = np.zeros(fill.shape, dtype=np.intp)
+    c = np.zeros(fill.shape, dtype=np.intp)
     h[fill], c[fill] = np.divmod(base.indices, nb)
     # an arc b -> (h, c) is M_h's image of an arc into base node c
     min_in = np.full(nb, np.inf)
     np.minimum.at(min_in, c[fill], base.data)
     min_out = w.min(axis=1)  # inf on a row with no arcs, which is all padding
-    mult_nb = (mult * nb).ravel()  # node (g, b)'s arc to (h, c) ends at mult_nb[g * size + h] + c
+    # node (g, b)'s arc to (h, c) ends at mult_nb[g * size + h] + c
+    mult_nb = (mult.astype(np.intp) * nb).ravel()
     D = np.full(n, np.inf)
     D[0] = 0.0
     queued = np.zeros(n, dtype=bool)
     queued[0] = True
     final = np.zeros(n, dtype=bool)
     step = max(1, _CHUNK // w.shape[1])  # rows per block of at most _CHUNK arcs
+    # one scratch block per search, its planes each block's candidate and
+    # current distances, group-table indices and targets
+    scratch = np.empty((4, min(step, n), w.shape[1]))
+    d_buf, cur_buf = scratch[0], scratch[1]
+    idx_buf, to_buf = scratch[2].view(np.intp), scratch[3].view(np.intp)
+    mask_buf = np.empty(scratch.shape[1:], dtype=bool)
     while queued.any():
         q = np.flatnonzero(queued)
         dq, bq = D[q], q % nb
@@ -385,12 +408,19 @@ def _orbit_distances(base, mult, n):
         final[settle] = True
         for lo in range(0, len(settle), step):
             s = settle[lo:lo + step]
+            m = len(s)
+            idx, to, d, cur, mask = idx_buf[:m], to_buf[:m], d_buf[:m], cur_buf[:m], mask_buf[:m]
             g, b = np.divmod(s, nb)
-            to = mult_nb.take(h[b] + (g * size).astype(np.int32)[:, None])
-            to += c[b]
-            d = w[b]
+            # every index is in range, and mode="clip" writes into out unbuffered
+            np.take(h, b, axis=0, out=idx, mode="clip")
+            idx += (g * size)[:, None]
+            np.take(mult_nb, idx, out=to, mode="clip")
+            np.take(c, b, axis=0, out=idx, mode="clip")
+            to += idx
+            np.take(w, b, axis=0, out=d, mode="clip")
             d += D[s][:, None]
-            better = np.flatnonzero(d < D.take(to))
+            np.take(D, to, out=cur, mode="clip")
+            better = np.flatnonzero(np.less(d, cur, out=mask))
             to, d = to.take(better), d.take(better)
             np.minimum.at(D, to, d)
             queued[to] = True
@@ -465,11 +495,15 @@ def _orbit_group(space, family) -> np.ndarray:
 
 def _multiplication_table(mats) -> np.ndarray:
     """mult[g, h] = the index of M_g M_h among mats: the k at which the
-    trace of M_k^T M_g M_h peaks, at d, as the maps are orthogonal."""
+    trace of M_k^T M_g M_h peaks, at d, as the maps are orthogonal. One
+    row g at a time, each one (|G|, d^2) @ (d^2, |G|) product, so that no
+    (|G|^2, |G|) array of traces is made, 13.8 MB for 2I."""
     size = len(mats)
-    prods = np.matmul(mats[:, None], mats[None]).reshape(size * size, -1)
-    match = np.argmax(prods @ mats.reshape(size, -1).T, axis=1)
-    return match.reshape(size, size).astype(np.int32)
+    flat = mats.reshape(size, -1).T
+    mult = np.empty((size, size), dtype=np.int32)
+    for g, m in enumerate(mats):
+        mult[g] = np.argmax((m @ mats).reshape(size, -1) @ flat, axis=1)
+    return mult
 
 
 def _knn_edges(space, nodes, k, mult):

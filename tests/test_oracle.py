@@ -1048,6 +1048,19 @@ def test_orbit_group_closes_and_commutes_with_the_wind(name):
 
 
 @pytest.mark.parametrize("name", ORBIT_WINDS)
+def test_multiplication_table_is_the_whole_matrix_formula(name):
+    # formed one row at a time, the table is the argmax of the traces of
+    # every product M_g M_h against every map at once, the second route
+    W = ORBIT_WINDS[name]
+    mats = oracle._orbit_group(W.space, constant_length_family(NavigationData(W.space, W)))
+    size = len(mats)
+    prods = np.matmul(mats[:, None], mats[None]).reshape(size * size, -1)
+    whole = np.argmax(prods @ mats.reshape(size, -1).T, axis=1).reshape(size, size)
+    mult = oracle._multiplication_table(mats)
+    assert mult.dtype == np.int32 and np.array_equal(mult, whole)
+
+
+@pytest.mark.parametrize("name", ORBIT_WINDS)
 def test_orbit_net_edges_are_the_brute_force_knn(name, orbit_graphs):
     # the tiled graph holds every arc of the h-kNN graph of all 480 nodes
     # (both orientations), up to ties at the k-th distance within 1e-12
@@ -1135,11 +1148,12 @@ def test_orbit_net_cache_is_small(tmp_path):
     assert path.stat().st_size < 2 * 2**20
 
 
-@pytest.mark.parametrize("chunk", [oracle._CHUNK, 1000])
+@pytest.mark.parametrize("chunk", [oracle._CHUNK, 1000, 1])
 @pytest.mark.parametrize("which", [*ORBIT_WINDS, "antipodal"])
 def test_orbit_distances_are_the_tiled_dijkstra(which, chunk, orbit_graphs, monkeypatch):
     # the search on the base rows gives scipy's distances on the tiled
-    # graph bit for bit, whatever the size of its blocks of arcs
+    # graph bit for bit, whatever the size of its blocks of arcs, down to
+    # one row per block when _CHUNK is below the longest row
     if which in orbit_graphs:
         g = orbit_graphs[which][1]
     else:
@@ -1173,8 +1187,10 @@ def test_disconnected_orbit_net_counts_the_tiled_graphs_unreachable_nodes(monkey
 def test_cold_orbit_build_peak_memory():
     # the landmark search runs on the 167 base rows, so no tiled search
     # graph of 5.2 million arcs (63 MB) is built: the traced peak of this
-    # build was 70 MB with it, and is about 16 MB without; nor do compact
-    # queries build it, as they read node 0's row of d_land
+    # build was 70 MB with it, and 15.8 MB without, of which 13.8 MB were
+    # the traces of the whole group table at once; formed row by row, the
+    # table leaves a peak of about 6 MB. Nor do compact queries build the
+    # tiled graph, as they read node 0's row of d_land
     nav = _s3_hopf_nav()
     for name in ("cKDTree", "csr_matrix", "dijkstra"):
         oracle._scipy(name)  # imported before tracing starts
@@ -1185,7 +1201,7 @@ def test_cold_orbit_build_peak_memory():
     finally:
         tracemalloc.stop()
     assert len(g.nodes) == 20_040 and len(g.mult) == 120
-    assert peak < 25e6, f"traced peak {peak / 1e6:.1f} MB"
+    assert peak < 10e6, f"traced peak {peak / 1e6:.1f} MB"
     rng = np.random.default_rng(3)
     est = oracle_distance_pairs(g, nav, nav.space.sample(rng, 20), nav.space.sample(rng, 20))
     assert np.isfinite(est).all()
