@@ -26,11 +26,7 @@ h(W, W) factor by factor, in the order `Product.h_inner` sums them, so
 a product's log and wind are never concatenated into ambient arrays:
 the lengths are the same bit for bit at about half the fixed cost of a
 call, which the queries pay several times per pair (a one-row call on
-S^3 x R^2 fell from about 110 to 60 us). The build streams its kNN and
-its edge weights in blocks of `_CHUNK` = 2^16 edges: the kd-tree answers
-`_CHUNK // k` base rows at a time, and each block of weights gathers its
-own endpoints, so their temporaries stay a few MB whatever the net's
-size, where one block of every edge set the build's peak memory.
+S^3 x R^2 fell from about 110 to 60 us).
 
 The net is an orbit net: the orbit of nb = ceil(n / |G|) sampled base
 points under a finite group G of orthogonal ambient maps that preserve h
@@ -47,29 +43,30 @@ M_g M_h, is formed one row g at a time (`_multiplication_table`), so
 the build holds no (|G|^2, |G|) array of the traces of every product
 against every map, which for 2I would be 13.8 MB, most of its peak.
 
-The net's edges join each node to its k nearest neighbours. They are
-stored undirected from the base rows, one row (b, h * nb + c) per
-edge with the two weights F(b -> M_h c) and back; the edge's mirror
-c -> (h^-1, b) out of base row c shares the row (with the trivial group
-that is one row (r, c) with r < c). The search graph holds both
-orientations: its base rows are built and then tiled, row g * nb + b
-being base row b with each column h * nb + c moved to mult[g, h] * nb + c
-for the group table mult. The base rows are the edges' own arcs plus
-their mirrors, two CSR matrices summed: the edges are stored sorted by
-row, so their arrays are CSR rows as they stand and no array of every
-arc is concatenated; with rows out of order the graph would be wrong.
-A copied weight is the F-length of its own arc
-to about 1e-14 relative, as the nodes M_g b are rounded, so the
-guarantee below holds to that rounding, which the queries' 1e-9 margins
-cover. (An arc between antipodes, which h_log takes along a fixed
-direction, copies to another half great circle between the same nodes.)
+The net's edges join each node to its k nearest neighbours, and the
+graph stores the search graph's base rows, the arcs out of the nb base
+nodes, as the arrays (indptr, indices, data) of an (nb, n) CSR matrix:
+each edge b -> (h * nb + c) as its arc F(b -> M_h c) in row b and its
+mirror c -> (h^-1, b), the arc under M_h^-1 run back, in row c (with
+the trivial group, the arcs r -> c and c -> r). The build sums the
+edges' own arcs and their mirrors as two CSR matrices, dropping each
+input once used, so that the sum's operands and result alone set its
+peak (`_base_rows`). The arrays are read-only, as the search graph
+shares their memory: with the trivial group it is a CSR matrix over
+them, and an orbit net's is tiled from them, row g * nb + b being row b
+with each column h * nb + c moved to mult[g, h] * nb + c for the group
+table mult. A copied weight is the F-length of its own arc to about
+1e-14 relative, as the nodes M_g b are rounded, so the guarantee below
+holds to that rounding, which the queries' 1e-9 margins cover. (An arc
+between antipodes, which h_log takes along a fixed direction, copies to
+another half great circle between the same nodes.)
+
 A kd-tree over `space.embed` of all nodes finds the edges: each node's k
 nearest neighbours in chord; it serves the build alone. The guarantee
 asks only that each edge be an actual arc, whichever nodes it joins; on
 R^n, spheres and SU(2), where h-distance grows with the chord, these are
-the h-kNN as well.
-eps, the largest h-distance from a node to its chord-nearest
-neighbour, comes from that same query. The build picks 8
+the h-kNN as well. eps, the largest h-distance from a node to its
+chord-nearest neighbour, comes from that same query. The build picks 8
 landmark nodes (node 0 alone on a compact space) by farthest-point
 sampling over the embedding, from node 0, and stores the graph distances
 from each to every node, d_land. On an orbit net (S^3 and SU(2), both
@@ -80,10 +77,10 @@ each edge both ways, the search graph is strongly connected exactly when
 node 0 reaches every node, or GraphDisconnected is raised. On a compact
 space the build also stores the leg row, leg_row[v] = F(o -> v) from
 node 0 = o to every node. The cache is an uncompressed `.npz` of the
-nodes, the base rows' edges, mult, d_land and the leg row; older
-compressed ones still load, and an unreadable file, one without a key,
-or one whose edges are not sorted by row, is a miss, rebuilt and
-replaced.
+nodes, the base rows' three arrays, mult, d_land and the leg row; older
+compressed ones still load. An unreadable file, one without a key, or
+one whose arrays do not fit its nodes and mult, which would end a query
+in an IndexError, is a miss, rebuilt and replaced.
 
 Queries run one pipeline on every space. On a compact space (no R^n
 factor) a pre-step first carries each pair by an F-isometry to a pair
@@ -105,13 +102,11 @@ every estimate exactly what an unbounded search gives.
 Two certified lower bounds confine both phases to the nodes that can
 still matter, and leave every estimate bit for bit what the search over
 all nodes gives:
-* the Zermelo bound. The indicatrix is the h-unit sphere translated by
-  W (Bao-Robles-Shen), so F(v) >= |v|_h / (1 + max|W|), and an arc is at
-  least its chord over 1 + max|W|. The two-arc curves run only through
-  the nodes whose chord sum (from o in place of x' on a compact space)
-  allows a curve as short as one already known; as the x-legs are known
-  before any leg to y is computed, a leg z -> y runs only where its
-  chord fits in what the x-leg leaves of that length.
+* the Zermelo bound (Bao-Robles-Shen): an arc is at least its chord over
+  1 + max|W|, so the two-arc curves run only through the nodes whose
+  chord sums allow a curve as short as one already known, and a leg
+  z -> y only where its chord fits in what the x-leg leaves of that
+  length (`_best_two_arc`).
 * the landmark (ALT) bound of Goldberg & Harrelson (SODA 2005): by the
   directed triangle inequality, d_G(s, t) >= d_G(l, t) - d_G(l, s) for
   every landmark l. A pair whose bound exceeds its budget runs no search;
@@ -142,17 +137,14 @@ from .randers import NavigationData, navigation_norm
 from .spaces import Product, space_from_config
 
 C_HINT = 4.0
-_CACHE_VERSION = 11
+_CACHE_VERSION = 12
 _N_LANDMARKS = 8
-# edges per block of the build's kNN and edge weights. A block's
-# endpoints, logs, winds and sums take about 230 bytes per edge on
-# S^3 x R^2, so 2^16 edges hold some 15 MB, each per-edge array 512 KiB,
-# within a CPU's L2 or L3 cache. A block of 10^6 took all 688k edges of
-# the 10^4-node, k = 128 S^3 x R^2 net at once and set the build's traced
-# peak (183 MB); the kd-tree's answer for every base row then set it
-# (84 MB). In blocks of 2^16 // k base rows the kNN peaks near 31 MB, and
-# it took the same time as in one query, or in blocks of 2^17 and 2^18
-# edges, so the one constant serves both phases
+# edges per block of the build's kNN and edge weights: a block's endpoints,
+# logs, winds and sums take about 230 bytes per edge on S^3 x R^2, so 2^16
+# edges hold some 15 MB, each per-edge array 512 KiB. All 688k edges of the
+# 10^4-node, k = 128 S^3 x R^2 net in one block set the build's traced peak
+# (183 MB), the kd-tree's answer for every base row then (84 MB); in blocks
+# of 2^16 // k base rows the kNN peaks near 31 MB, at the time of one query
 _CHUNK = 65_536
 
 
@@ -219,23 +211,27 @@ class NetGraph:
     k: int
     seed: int
     nodes: np.ndarray  # node g * nb + b is M_g applied to base node b < nb
-    rows: np.ndarray  # the base rows' edges, from base node rows[i] to node cols[i]
-    cols: np.ndarray
-    weights_fwd: np.ndarray  # F-length rows[i] -> cols[i]
-    weights_rev: np.ndarray  # F-length cols[i] -> rows[i]
+    # the base rows as a read-only (nb, n) CSR matrix: base node b's arcs
+    # run to the nodes indices[indptr[b]:indptr[b + 1]], data their F-lengths
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
     eps: float
     d_land: np.ndarray  # (landmarks, n) graph distances from the landmarks; node 0's first
     mult: np.ndarray  # (|G|, |G|) group table: M_mult[g, h] = M_g M_h
     leg_row: np.ndarray  # F(o -> v) from node 0 to every node on a compact space, else empty
 
+    def __post_init__(self):  # read-only, as the search graph shares their memory
+        for name in set(_STORED) - {"eps"}:
+            getattr(self, name).flags.writeable = False
+
     @cached_property
     def csr(self):
         """The directed search graph: every edge in both orientations,
-        tiled from the base rows to every orbit. The build keeps the one
-        its landmark search ran on, with the trivial group; an orbit net
+        tiled from the base rows to every orbit. With the trivial group it
+        is a CSR matrix over the stored arrays, no copy; an orbit net
         searches its base rows, and no query of a compact space reads this."""
-        return _search_graph(len(self.nodes), self.rows, self.cols,
-                             self.weights_fwd, self.weights_rev, self.mult)
+        return _search_graph(len(self.nodes), self.indptr, self.indices, self.data, self.mult)
 
     @cached_property
     def coords(self) -> np.ndarray:
@@ -253,20 +249,17 @@ class NetGraph:
         """Chord lengths from node 0 to every node."""
         return _chords(self.coords, self.coords[:, 0])
 
-    @cached_property
+    @property
     def n_arcs(self) -> int:
-        """The search graph's arc count, csr.nnz, from numpy alone: each
-        base row's edge, and its mirror where that is another arc
-        (`_two_way`), on every orbit."""
-        two = _two_way(self.rows, self.cols, len(self.nodes) // len(self.mult), self.mult)[2]
-        return len(self.mult) * (len(self.rows) + int(np.count_nonzero(two)))
+        """The search graph's arc count, csr.nnz: the base rows' on every orbit."""
+        return len(self.mult) * len(self.indices)
 
     @cached_property
     def graph_hash(self) -> str:
         h = hashlib.sha256()
         h.update(json.dumps(self.nav_config, sort_keys=True).encode())
         h.update(np.int64([len(self.nodes), self.k, self.seed]).tobytes())
-        for a in (self.nodes, self.rows, self.cols, self.weights_fwd, self.weights_rev):
+        for a in (self.nodes, self.indptr, self.indices, self.data):
             h.update(a.tobytes())
         return h.hexdigest()
 
@@ -298,51 +291,57 @@ def _mirrors(rows, cols, nb, mult):
     return c, mirror
 
 
-def _two_way(rows, cols, nb, mult):
-    """(c, mirror, two): the mirrors of `_mirrors`, and the mask of the
-    edges whose mirror is another arc than the edge itself."""
-    c, mirror = _mirrors(rows, cols, nb, mult)
-    return c, mirror, (c != rows) | (mirror != cols)
-
-
-def _base_rows(n, rows, cols, fwd, rev, mult):
-    """The search graph's base rows, shape (nb, n): every edge b -> (h, c),
-    from base node b to node h * nb + c, and its mirror (`_mirrors`), which
-    M_h^-1 maps the arc back onto (one arc when the two coincide).
-
+def _base_rows(n, edges, mult):
+    """The search graph's base rows, shape (nb, n), as CSR arrays (indptr,
+    indices, data), from edges = [rows, cols, fwd, rev], the edges
+    b -> (h, c) of `_knn_edges` and their weights both ways: every edge,
+    from base node b to node h * nb + c, and its mirror (`_mirrors`),
+    which M_h^-1 maps the arc back onto (one arc when the two coincide).
     They are the sum of two CSR matrices with no arc in common: the edges'
-    own arcs, whose arrays are CSR rows as they stand, as rows is sorted
-    (and each row's columns with it, `_knn_edges`), and the mirrors that
-    are other arcs. No array of every arc is concatenated."""
+    own arcs, CSR rows as they stand, as rows is sorted (and each row's
+    columns with it), and the mirrors that are other arcs. The list is
+    emptied and each array dropped once used, so only the sum's operands
+    and result are held at its peak: 34 MB traced in the build of a
+    10^4-node, k = 128 S^3 x R^2 net, 49 MB with every input held."""
+    rows, cols, fwd, rev = edges
+    edges.clear()
     nb = n // len(mult)
-    c, mirror, two = _two_way(rows, cols, nb, mult)
-    csr_matrix = _scipy("csr_matrix")
+    c, mirror = _mirrors(rows, cols, nb, mult)
+    two = (c != rows) | (mirror != cols)
+    if not two.all():  # an edge that is its own mirror is one arc
+        rev, c, mirror = rev[two], c[two], mirror[two]
+    mirrors = _scipy("csr_matrix")((rev, (c, mirror)), shape=(nb, n))
+    del rev, c, mirror, two
     indptr = np.append(0, np.cumsum(np.bincount(rows, minlength=nb)))
-    return (csr_matrix((fwd, cols, indptr), shape=(nb, n))
-            + csr_matrix((rev[two], (c[two], mirror[two])), shape=(nb, n)))
+    del rows
+    base = _scipy("csr_matrix")((fwd, cols, indptr), shape=(nb, n)) + mirrors
+    for a in (base.indptr, base.indices, base.data):  # before a search graph shares them
+        a.flags.writeable = False
+    return base.indptr, base.indices, base.data
 
 
-def _search_graph(n, rows, cols, fwd, rev, mult):
-    """The directed search graph, `_base_rows` tiled to every orbit: row
-    g * nb + b is base row b with each column h * nb + c moved to
-    mult[g, h] * nb + c, its image under M_g, with the same weights."""
-    base = _base_rows(n, rows, cols, fwd, rev, mult)
+def _search_graph(n, indptr, indices, data, mult):
+    """The directed search graph, the base rows (`_base_rows`) tiled to
+    every orbit: row g * nb + b is base row b with each column h * nb + c
+    moved to mult[g, h] * nb + c, its image under M_g, with the same
+    weights. With the trivial group it shares the base rows' arrays."""
+    csr_matrix = _scipy("csr_matrix")
     size = len(mult)
     if size == 1:  # the trivial group: the base rows are every row
-        return base
+        return csr_matrix((data, indices, indptr), shape=(n, n))
     nb = n // size
-    h, c = np.divmod(base.indices, nb)
-    indices = np.take(mult, h, axis=1)  # C-ordered, so ravel() below copies nothing
-    indices *= nb
-    indices += c
-    indptr = base.indptr[:-1] + base.nnz * np.arange(size)[:, None]
-    return csr_matrix((np.tile(base.data, size), indices.ravel(),
-                       np.append(indptr.ravel(), size * base.nnz)), shape=(n, n))
+    h, c = np.divmod(indices, nb)
+    tiled = np.take(mult, h, axis=1)  # C-ordered, so ravel() below copies nothing
+    tiled *= nb
+    tiled += c
+    starts = indptr[:-1] + len(indices) * np.arange(size)[:, None]
+    return csr_matrix((np.tile(data, size), tiled.ravel(),
+                       np.append(starts.ravel(), size * len(indices))), shape=(n, n))
 
 
-def _orbit_distances(base, mult, n):
+def _orbit_distances(indptr, indices, data, mult, n):
     """Graph distances from node 0 to every node of an orbit net's search
-    graph, from its base rows (`_base_rows`) alone: node (g, b) = g * nb + b
+    graph, from its base rows' CSR arrays alone: node (g, b) = g * nb + b
     takes base row b's arcs, each column h * nb + c moved to
     mult[g, h] * nb + c, so no tiled graph is built. An unreachable node
     keeps inf.
@@ -363,29 +362,26 @@ def _orbit_distances(base, mult, n):
     block of rows is then read row by row, not arc by arc. Each block is
     gathered with `np.take` into slices of buffers made once per search,
     of a whole block's size: the four planes of one 2 MiB scratch block
-    (at _CHUNK arcs) and a mask. The indices are intp, which `take` reads
-    as they stand rather than converting a copy. glibc maps an array
-    above its mmap threshold afresh, and the threshold rises only to the
-    largest mapped block freed so far (the heap is trimmed above twice
-    it): arrays of a few hundred KB made afresh each block were paged in
-    anew, and in a fresh process the search of a cold 2 * 10^4-node S^3
-    build made some 23k minor faults and took 0.09-0.12 s, against 0.8k
-    and 0.055-0.065 s with the buffers. Freed, the one block also leaves
-    the threshold at 2 MiB, above the queries' temporaries: as five
-    buffers of at most 0.5 MiB it stayed below 0.8 MiB, and 100 queries
-    that follow made 6k minor faults, not 0.6k."""
+    (at _CHUNK arcs) and a mask, the indices intp, which `take` reads as
+    they stand. glibc maps an array above its mmap threshold afresh, and
+    the threshold rises only to the largest mapped block freed so far:
+    arrays made afresh each block were paged in anew, 23k minor faults and
+    0.09-0.12 s for the search of a cold 2 * 10^4-node S^3 build, against
+    0.8k and 0.055-0.065 s with the buffers. Freed, the one block leaves
+    the threshold at 2 MiB, above the queries' temporaries (five 0.5 MiB
+    buffers left it below 0.8 MiB: 6k minor faults in 100 queries, not 0.6k)."""
     size = len(mult)
     nb = n // size
-    lens = np.diff(base.indptr)
+    lens = np.diff(indptr)
     fill = np.arange(lens.max()) < lens[:, None]
     w = np.full(fill.shape, np.inf)
-    w[fill] = base.data
+    w[fill] = data
     h = np.zeros(fill.shape, dtype=np.intp)
     c = np.zeros(fill.shape, dtype=np.intp)
-    h[fill], c[fill] = np.divmod(base.indices, nb)
+    h[fill], c[fill] = np.divmod(indices, nb)
     # an arc b -> (h, c) is M_h's image of an arc into base node c
     min_in = np.full(nb, np.inf)
-    np.minimum.at(min_in, c[fill], base.data)
+    np.minimum.at(min_in, c[fill], data)
     min_out = w.min(axis=1)  # inf on a row with no arcs, which is all padding
     # node (g, b)'s arc to (h, c) ends at mult_nb[g * size + h] + c
     mult_nb = (mult.astype(np.intp) * nb).ravel()
@@ -516,16 +512,12 @@ def _knn_edges(space, nodes, k, mult):
     the nodes onto themselves, so kNN(g * nb + b) is M_g kNN(b). An edge
     and its mirror (`_mirrors`) take one key, the lesser of their codes
     row * n + column, and one of the two rows stands for the edge: with
-    the trivial group, the row (r, c) with r < c.
-
-    The tree answers blocks of `_CHUNK // k` base rows, so each answer
-    holds about `_CHUNK` edges; only the keys of every edge are kept whole.
-    The edges come out sorted by row, and each row's by column, the order
-    in which `_search_graph` reads them as CSR rows.
-
-    Where h-distance grows with the chord (R^n, spheres, SU(2)) these are
-    the h-kNN; on a product the edges may differ from them, and each is
-    still an actual arc.
+    the trivial group, the row (r, c) with r < c. The tree answers blocks
+    of `_CHUNK // k` base rows, so each answer holds about `_CHUNK` edges;
+    only the keys of every edge are kept whole. The edges come out sorted
+    by row, and each row's by column, the order in which `_base_rows`
+    reads them as CSR rows. Where h-distance grows with the chord (R^n,
+    spheres, SU(2)) these are the h-kNN.
     """
     n = len(nodes)
     nb = n // len(mult)
@@ -604,26 +596,27 @@ def build_graph(nav: NavigationData, n_nodes: int, k: int, seed: int,
     n_nodes = len(nodes)
 
     rows, cols, d_nn = _knn_edges(space, nodes, k, mult)
-    fwd = np.empty(len(rows))
-    rev = np.empty(len(rows))
+    fwd, rev = np.empty(len(rows)), np.empty(len(rows))
     for lo in range(0, len(rows), _CHUNK):
         sl = slice(lo, lo + _CHUNK)
         fwd[sl], rev[sl] = _arc_weights(nav, nodes[rows[sl]], nodes[cols[sl]])
     # eps = max over nodes of the h-distance to the chord-nearest neighbour
     eps = float(np.max(d_nn))
+    # handed over in a list, which `_base_rows` empties to drop each array once used
+    edges = [rows, cols, fwd, rev]
+    del rows, cols, fwd, rev
+    indptr, indices, data = _base_rows(n_nodes, edges, mult)
 
-    # a compact space carries every query to one from node 0 (`_to_base_point`);
-    # the search graph holds each edge both ways: strongly connected iff
-    # node 0 reaches all
+    # a compact space carries every query to one from node 0 (`_to_base_point`); the
+    # search graph holds each edge both ways: strongly connected iff node 0 reaches all
     coords = np.ascontiguousarray(space.embed(nodes).T)
     if len(mult) > 1:
         # an orbit net, on S^3 or SU(2): compact, so node 0 is the one
         # landmark, and its queries never search the tiled graph
         csr = None
-        d_land = _orbit_distances(_base_rows(n_nodes, rows, cols, fwd, rev, mult),
-                                  mult, n_nodes)[None]
+        d_land = _orbit_distances(indptr, indices, data, mult, n_nodes)[None]
     else:
-        csr = _search_graph(n_nodes, rows, cols, fwd, rev, mult)
+        csr = _search_graph(n_nodes, indptr, indices, data, mult)
         m = 1 if space.compact else _N_LANDMARKS
         d_land = _scipy("dijkstra")(csr, directed=True, indices=_landmarks(coords, m))
     far = np.count_nonzero(np.isinf(d_land[0]))
@@ -631,9 +624,8 @@ def build_graph(nav: NavigationData, n_nodes: int, k: int, seed: int,
         raise GraphDisconnected(f"{far} nodes unreachable from node 0 at k={k}; use a larger k")
     # the x-legs of every compact query start at node 0 (`_best_two_arc`)
     leg_row = _arc_weights(nav, nodes[0], nodes)[0] if space.compact else np.empty(0)
-    g = NetGraph(nav_config=cfg, k=k, seed=seed, nodes=nodes, rows=rows, cols=cols,
-                 weights_fwd=fwd, weights_rev=rev, eps=eps, d_land=d_land, mult=mult,
-                 leg_row=leg_row)
+    g = NetGraph(nav_config=cfg, k=k, seed=seed, nodes=nodes, indptr=indptr, indices=indices,
+                 data=data, eps=eps, d_land=d_land, mult=mult, leg_row=leg_row)
     # the queries reuse the embedding, and the matrix the landmark search
     # ran on where there is one
     vars(g)["coords"] = coords
@@ -658,10 +650,18 @@ def _load(path: Path) -> NetGraph:
     with open(path, "rb") as f, np.load(f, allow_pickle=False) as z:
         meta = json.loads(str(z["meta"]))
         stored = {name: z[name] for name in _STORED}
-    if np.any(stored["rows"][1:] < stored["rows"][:-1]):
-        # the search graph reads rows as CSR row runs (`_search_graph`)
-        raise ValueError(f"oracle cache {str(path)!r} holds unsorted edges")
-    stored["eps"] = float(stored["eps"])
+    nodes, indptr, indices, data, eps, d_land, mult, leg_row = stored.values()
+    compact = space_from_config(meta["cfg"]["space"]).compact
+    # each array must fit nodes and mult, or a query indexes out of range
+    ranks = [a.ndim for a in stored.values()] == [2, 1, 1, 1, 0, 2, 2, 1]
+    n, size = (len(nodes), len(mult)) if ranks else (0, 0)
+    if not (ranks and size >= 1 and mult.shape == (size, size) and n % size == 0
+            and len(indptr) == n // size + 1 and indptr[0] == 0 and np.all(np.diff(indptr) >= 0)
+            and indptr[-1] == len(indices) == len(data) and 0 <= indices.min(initial=0)
+            and indices.max(initial=0) < n and len(d_land) >= 1 and d_land.shape[1] == n
+            and len(leg_row) == (n if compact else 0)):
+        raise ValueError(f"oracle cache {str(path)!r} holds arrays that do not fit its nodes")
+    stored["eps"] = float(eps)
     return NetGraph(nav_config=meta["cfg"], k=meta["k"], seed=meta["seed"], **stored)
 
 
@@ -670,8 +670,8 @@ def _best_two_arc(nav, g: NetGraph, x, y, hop):
     the 2-arc x -> z -> y through the best node z, or x -> u -> z -> v -> y,
     which refines each of its legs through its own best node, when that is
     shorter; s and t are the nodes nearest x and y in chord (o = node 0
-    for x on a compact space). The arcs between a point and nodes, both ways, take
-    one h-log per node.
+    for x on a compact space). The arcs between a point and nodes, both
+    ways, take one h-log per node.
 
     An x-leg x -> v is the arc from x, except on a compact space, where x
     lies at node 0 = o up to rounding (`_to_base_point`): there it is the

@@ -189,6 +189,31 @@ def test_truncated_oracle_cache_is_rebuilt(tmp_path, capsys):
         assert path.read_bytes() == data
 
 
+@pytest.mark.parametrize("key", ["indices", "d_land"])
+def test_oracle_cache_that_does_not_fit_its_nodes_is_rebuilt(key, tmp_path, capsys):
+    # a readable file whose arrays index past the nodes used to end the
+    # query in an IndexError traceback; it is a miss, rebuilt and replaced
+    args = ["--space", E2, "--wind", WIND, "--nodes", "2000", "--k", "10",
+            "--cache", str(tmp_path)]
+    query = ["oracle", "query"] + args + ["--x", "[0,0]", "--y", "[1,0]"]
+    assert main(["oracle", "build"] + args) == 0
+    capsys.readouterr()
+    assert main(query) == 0
+    want = _report(capsys.readouterr().out)["result"]
+    (path,) = tmp_path.iterdir()
+    data = path.read_bytes()
+    with np.load(path) as z:
+        arrays = {name: z[name] for name in z.files}
+    if key == "indices":
+        arrays[key][7] = 5000
+    else:
+        arrays[key] = arrays[key][:, :10]
+    np.savez(path, **arrays)
+    assert main(query) == 0
+    assert _report(capsys.readouterr().out)["result"] == want
+    assert path.read_bytes() == data
+
+
 def test_reports_are_byte_identical(tmp_path, capsys):
     argv = ["distance", "--space", E2, "--wind", WIND, "--x", "[0,0]", "--y", "[1,0]"]
     main(argv)
@@ -929,8 +954,8 @@ def test_a_compact_cached_query_starts_without_scipy(tmp_path):
 
 def test_a_cached_build_starts_without_scipy(tmp_path):
     # a cache hit reports the graph without tiling it: n_edges is counted
-    # from the base rows and their mirrors, so no scipy loads, and the
-    # report is the cold build's
+    # from the stored base rows, so no scipy loads, and the report is the
+    # cold build's
     args = ["oracle", "build", "--space", S3, "--wind", HOPF, "--nodes", "2000", "--k", "16",
             "--cache", str(tmp_path)]
     cold, imported = _cli_imports(*args)

@@ -38,6 +38,12 @@ from randers_lab.spaces import CompactGroup, Euclidean, Product, Sphere, random_
 from conftest import ANTI_HOPF, conjugated_hopf
 
 
+def _arcs(g):
+    """The stored base rows' arcs as (tails, heads, F-lengths), one entry
+    per arc: the search graph's rows of the base nodes."""
+    return np.repeat(np.arange(len(g.indptr) - 1), np.diff(g.indptr)), g.indices, g.data
+
+
 @pytest.fixture(scope="module")
 def e2_graph(tmp_path_factory):
     e = Euclidean(2)
@@ -57,11 +63,13 @@ def test_build_reports_connectivity_and_eps(e2_graph):
     nav, g, _ = e2_graph
     assert len(g.nodes) == 10_000
     assert g.eps > 0
-    # row/col arrays describe an undirected edge list over all nodes,
-    # weighted in both directions
-    assert g.rows.min() >= 0 and g.cols.max() < len(g.nodes)
-    assert (g.rows < g.cols).all()
-    assert (g.weights_fwd > 0).all() and (g.weights_rev > 0).all()
+    # the stored arcs join nodes of the net, no node to itself, each edge
+    # in both orientations, weighted in both directions
+    tails, heads, w = _arcs(g)
+    assert heads.min() >= 0 and heads.max() < len(g.nodes)
+    assert len(g.indptr) == len(g.nodes) + 1 and (tails != heads).all()
+    assert np.count_nonzero(tails < heads) == np.count_nonzero(tails > heads) == len(w) // 2
+    assert (w > 0).all()
 
 
 def test_same_seed_same_hash(e2_graph):
@@ -89,11 +97,14 @@ def test_querying_with_wrong_nav_rejected(e2_graph):
 
 def test_directed_weights_are_asymmetric(e2_graph):
     nav, g, _ = e2_graph
-    # each stored edge carries both directions, and the search graph holds
-    # them as its two orientations
-    r, c = g.rows[:2000], g.cols[:2000]
-    fwd, rev = g.weights_fwd[:2000], g.weights_rev[:2000]
+    # each edge's two arcs carry its two directions, the F-lengths there
+    # and back of the one h-geodesic, and the search graph holds both
+    tails, heads, w = _arcs(g)
+    up = np.flatnonzero(tails < heads)[:2000]
+    r, c = tails[up], heads[up]
+    fwd, rev = _arc_weights(nav, g.nodes[r], g.nodes[c])
     assert np.max(np.abs(fwd - rev)) > 1e-3
+    assert np.array_equal(w[up], fwd)
     assert np.array_equal(np.asarray(g.csr[r, c]).ravel(), fwd)
     assert np.array_equal(np.asarray(g.csr[c, r]).ravel(), rev)
 
@@ -348,11 +359,11 @@ def test_compressed_cache_still_loads(tmp_path):
     (path,) = tmp_path.iterdir()
     with np.load(path) as z:
         arrays = {key: z[key] for key in z.files}
-    assert {"rows", "cols", "weights_fwd", "weights_rev", "d_land"} <= arrays.keys()
+    assert {"indptr", "indices", "data", "d_land"} <= arrays.keys()
     np.savez_compressed(path, **arrays)
     with np.load(path) as z:
-        assert z.zip.getinfo("rows.npy").compress_type != 0
-        assert z.zip.getinfo("weights_rev.npy").compress_type != 0
+        assert z.zip.getinfo("indices.npy").compress_type != 0
+        assert z.zip.getinfo("data.npy").compress_type != 0
         assert z.zip.getinfo("d_land.npy").compress_type != 0
     loaded = build_graph(nav, 1000, 8, seed=0, cache_dir=tmp_path)
     assert loaded.graph_hash == g.graph_hash
@@ -435,14 +446,41 @@ def test_knn_edges_match_brute_force(space, k):
         assert np.max(d_nn) == np.max(d.min(axis=1))
 
 
-def test_build_keeps_its_csr(monkeypatch):
-    # the landmark search's matrix is reused by the queries
-    monkeypatch.delenv("RANDERS_LAB_CACHE", raising=False)
+def test_build_keeps_its_csr(tmp_path):
+    # the landmark search's matrix is reused by the queries, and with the
+    # trivial group it is the stored base rows, no copy, in the build and
+    # after a reload alike: each edge is two of its arcs
     e = Euclidean(2)
     nav = NavigationData(e, EuclideanKilling(e, np.array([0.5, 0.0])))
-    g = build_graph(nav, 1000, 8, seed=0)
+    g = build_graph(nav, 1000, 8, seed=0, cache_dir=tmp_path)
     assert "csr" in vars(g)
-    assert g.csr.shape == (1000, 1000) and g.csr.nnz == 2 * len(g.rows)
+    rows, _, _ = _knn_edges(e, g.nodes, 8, g.mult)
+    assert g.csr.shape == (1000, 1000) and g.csr.nnz == 2 * len(rows) == g.n_arcs
+    loaded = build_graph(nav, 1000, 8, seed=0, cache_dir=tmp_path)
+    assert "csr" not in vars(loaded)
+    for graph in (g, loaded):
+        for part in ("indptr", "indices", "data"):
+            assert np.shares_memory(getattr(graph.csr, part), getattr(graph, part))
+
+
+@pytest.mark.parametrize("cached", [False, True], ids=["built", "loaded"])
+def test_stored_arrays_are_read_only(cached, tmp_path):
+    # the search graph shares the stored arrays' memory, so a write into it,
+    # such as an in-place sort or sum, fails rather than change graph_hash
+    nav = _e2_nav()
+    g = build_graph(nav, 1000, 8, seed=0, cache_dir=tmp_path)
+    if cached:
+        g = build_graph(nav, 1000, 8, seed=0, cache_dir=tmp_path)
+    digest = g.graph_hash
+    for name in oracle._STORED:
+        if name != "eps":
+            assert not getattr(g, name).flags.writeable, name
+    with pytest.raises(ValueError, match="read-only"):
+        g.csr.data[:] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        g.csr.indices[::-1].sort()
+    vars(g).pop("graph_hash")
+    assert g.graph_hash == digest
 
 
 def test_batches_must_align(e2_nav, hopf_nav):
@@ -547,22 +585,53 @@ def _e2_nav():
     return NavigationData(e2, EuclideanKilling(e2, np.array([0.5, 0.0])))
 
 
-@pytest.mark.parametrize("make_nav", [_e2_nav, _s3_hopf_nav], ids=["E2", "S3-hopf-0.3"])
-def test_cache_with_unsorted_edges_is_a_miss(make_nav, tmp_path):
-    # the search graph reads rows as CSR row runs, so a file whose edges
-    # are out of row order is rebuilt and replaced, like an unreadable one
-    nav = make_nav()
+def _set(i, value):
+    def spoil(a):
+        a[i] = value
+        return a
+    return spoil
+
+
+def _swap_rows(a):  # indptr no longer non-decreasing, its ends kept
+    i = int(np.flatnonzero(np.diff(a) > 0)[1])
+    a[i], a[i + 1] = a[i + 1], a[i]
+    return a
+
+
+# one spoiled array per case, each failing one check: on the 1000-node E^2
+# net (1000 base rows) and the 1080-node S^3 orbit net (9 base rows)
+_SPOILS = {
+    "indptr-from-1": ("E2", "indptr", _set(0, 1)),
+    "indptr-decreasing": ("E2", "indptr", _swap_rows),
+    "indptr-end-short": ("E2", "indptr", lambda a: np.append(a[:-1], a[-1] - 1)),
+    "indptr-a-row-short": ("S3", "indptr", lambda a: a[:-1]),
+    "indptr-2-d": ("E2", "indptr", lambda a: a[None]),
+    "indices-5000": ("E2", "indices", _set(7, 5000)),
+    "indices-negative": ("S3", "indices", _set(0, -1)),
+    "data-short": ("E2", "data", lambda a: a[:-1]),
+    "d_land-10-columns": ("E2", "d_land", lambda a: a[:, :10]),
+    "d_land-no-rows": ("E2", "d_land", lambda a: a[:0]),
+    "leg_row-10-entries": ("S3", "leg_row", lambda a: a[:10]),
+    "leg_row-on-E2": ("E2", "leg_row", lambda a: np.zeros(1000)),
+    "mult-not-square": ("S3", "mult", lambda a: a[:, :60]),
+    "mult-size-7": ("S3", "mult", lambda a: a[:7, :7]),
+    "nodes-cut": ("E2", "nodes", lambda a: a[:500]),
+}
+
+
+@pytest.mark.parametrize("space, key, spoil", _SPOILS.values(), ids=_SPOILS.keys())
+def test_cache_that_does_not_fit_its_nodes_is_a_miss(space, key, spoil, tmp_path):
+    # a file whose arrays do not fit its nodes and mult would end a query in
+    # an IndexError; it is rebuilt and replaced, like an unreadable one
+    nav = {"E2": _e2_nav, "S3": _s3_hopf_nav}[space]()
     g = build_graph(nav, 1000, 8, seed=0, cache_dir=tmp_path)
     (path,) = tmp_path.iterdir()
     data = path.read_bytes()
     with np.load(path) as z:
-        arrays = {key: z[key] for key in z.files}
-    order = np.random.default_rng(0).permutation(len(g.rows))
-    for key in ("rows", "cols", "weights_fwd", "weights_rev"):
-        arrays[key] = arrays[key][order]
-    assert (np.diff(arrays["rows"]) < 0).any()
+        arrays = {name: z[name] for name in z.files}
+    arrays[key] = spoil(arrays[key].copy())
     np.savez(path, **arrays)
-    with pytest.raises(ValueError, match="unsorted edges"):
+    with pytest.raises(ValueError, match="holds arrays that do not fit its nodes"):
         _load(path)
     rebuilt = build_graph(nav, 1000, 8, seed=0, cache_dir=tmp_path)
     assert rebuilt.graph_hash == g.graph_hash
@@ -588,7 +657,7 @@ def test_knn_and_edge_weights_in_blocks_keep_the_graph(make_nav, monkeypatch):
     monkeypatch.setattr(oracle, "_CHUNK", 1000)
     blocks = build_graph(nav, 1000, 8, seed=3)
     assert queries == [125] * 8
-    assert len(blocks.rows) > 3 * 1000
+    assert len(blocks.indices) > 2 * 3 * 1000  # over 3000 edges, two arcs each
     assert blocks.graph_hash == whole.graph_hash
 
 
@@ -739,10 +808,17 @@ def test_undirected_storage_keeps_the_directed_graph(make_nav, n_edges, eps):
     # F(r, log_r(c)) bit for bit
     nav = make_nav()
     g = build_graph(nav, 2000, 10, seed=0)
-    assert 2 * len(g.mult) * len(g.rows) == g.csr.nnz == n_edges
+    rows, cols, _ = _knn_edges(nav.space, g.nodes, g.k, g.mult)
+    assert 2 * len(g.mult) * len(rows) == g.n_arcs == g.csr.nnz == n_edges
     assert g.eps == eps
-    a, b = g.nodes[g.rows], g.nodes[g.cols]
-    assert np.array_equal(g.weights_fwd, nav.finsler_norm(a, nav.space.h_log(a, b)))
+    # each edge's own arc in its base row; the arcs are sorted by their codes
+    tails, heads, w = _arcs(g)
+    n = len(g.nodes)
+    codes = tails * n + heads
+    own = np.searchsorted(codes, rows * n + cols)
+    assert np.array_equal(codes[own], rows * n + cols)
+    a, b = g.nodes[rows], g.nodes[cols]
+    assert np.array_equal(w[own], nav.finsler_norm(a, nav.space.h_log(a, b)))
 
 
 def _all_nodes_two_arc(nav, g, x, y, hop):
@@ -1066,7 +1142,7 @@ def test_orbit_net_edges_are_the_brute_force_knn(name, orbit_graphs):
     # (both orientations), up to ties at the k-th distance within 1e-12
     nav, g = orbit_graphs[name]
     n, k = len(g.nodes), g.k
-    assert n == 480 and len(g.mult) == 120 and g.rows.max() < 4
+    assert n == 480 and len(g.mult) == 120 and len(g.indptr) == 4 + 1
     i, j = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
     d = nav.space.h_distance(g.nodes[i.ravel()], g.nodes[j.ravel()]).reshape(n, n)
     np.fill_diagonal(d, np.inf)
@@ -1159,8 +1235,7 @@ def test_orbit_distances_are_the_tiled_dijkstra(which, chunk, orbit_graphs, monk
     else:
         g = build_graph(_s3_hopf_nav(), 240, 239, seed=7)
     monkeypatch.setattr(oracle, "_CHUNK", chunk)
-    base = oracle._base_rows(len(g.nodes), g.rows, g.cols, g.weights_fwd, g.weights_rev, g.mult)
-    D = oracle._orbit_distances(base, g.mult, len(g.nodes))
+    D = oracle._orbit_distances(g.indptr, g.indices, g.data, g.mult, len(g.nodes))
     assert np.array_equal(D, dijkstra(g.csr, directed=True, indices=[0])[0])
     assert np.array_equal(g.d_land, D[None])
 
@@ -1168,20 +1243,34 @@ def test_orbit_distances_are_the_tiled_dijkstra(which, chunk, orbit_graphs, monk
 def test_disconnected_orbit_net_counts_the_tiled_graphs_unreachable_nodes(monkeypatch):
     # the search on the base rows leaves inf where scipy does on the tiled
     # graph, so the error counts the same nodes
-    args = []
+    kept = []
     base_rows = oracle._base_rows
 
-    def keep(*a):
-        args.append(a)
-        return base_rows(*a)
+    def keep(n, edges, mult):
+        kept.append((n, *base_rows(n, edges, mult), mult))
+        return kept[-1][1:4]
 
     monkeypatch.setattr(oracle, "_base_rows", keep)
     with pytest.raises(GraphDisconnected) as refused:
         build_graph(_s3_hopf_nav(), 240, 2, seed=7)
     far = np.count_nonzero(np.isinf(
-        dijkstra(oracle._search_graph(*args[0]), directed=True, indices=0)))
+        dijkstra(oracle._search_graph(*kept[0]), directed=True, indices=0)))
     assert far > 0
     assert str(refused.value).startswith(f"{far} nodes unreachable from node 0 at k=2")
+
+
+def _traced_peak(run):
+    """(run(), the peak of the memory traced while it runs), the scipy
+    names imported before tracing starts."""
+    for name in ("cKDTree", "csr_matrix", "dijkstra"):
+        oracle._scipy(name)
+    tracemalloc.start()
+    try:
+        out = run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return out, peak
 
 
 def test_cold_orbit_build_peak_memory():
@@ -1192,14 +1281,7 @@ def test_cold_orbit_build_peak_memory():
     # table leaves a peak of about 6 MB. Nor do compact queries build the
     # tiled graph, as they read node 0's row of d_land
     nav = _s3_hopf_nav()
-    for name in ("cKDTree", "csr_matrix", "dijkstra"):
-        oracle._scipy(name)  # imported before tracing starts
-    tracemalloc.start()
-    try:
-        g = build_graph(nav, 20_000, 256, seed=61)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    g, peak = _traced_peak(lambda: build_graph(nav, 20_000, 256, seed=61))
     assert len(g.nodes) == 20_040 and len(g.mult) == 120
     assert peak < 10e6, f"traced peak {peak / 1e6:.1f} MB"
     rng = np.random.default_rng(3)
@@ -1217,14 +1299,14 @@ def _product_nav(factor, wind):
 
 @pytest.mark.parametrize("name, make_nav, n, k, seed, digest", [
     ("E2", _e2_nav, 10_000, 12, 0,
-     "580eae13694138032f8e6f68546eb38141e5cb7e01c113ab66887cd831c47bbc"),
+     "bd01cb8b2d89f4eeb4a42197db8fb2e0caa2bae8c093a5adcabe7207502fda05"),
     ("S3xR2", lambda: _product_nav(Euclidean(2), EuclideanKilling(Euclidean(2), [0.3, 0.0])),
-     10_000, 128, 61, "92f2f1dc00032143eeae27f2a11a61c6677694f5fb01d6443ddd8f9d5584262d"),
+     10_000, 128, 61, "7beaf2095beb168c94cb1eb71d945db5bf9006b7b096f3781c5e73b4d61e552e"),
     ("S5-qjq", lambda: NavigationData(Sphere(5, 1.3), NOETHER_WINDS["qjq-S5"]), 2000, 32, 5,
-     "0e56de28bda37667d7748a3e37ddb465557c18e11e487f4389e197ca9146f8e1"),
+     "d63b473ded78314561f0c125bcf5a301c205b0a4de3b0b7449d44fe10efdd6cd"),
     ("S3xSU2", lambda: _product_nav(CompactGroup("SU2", 0.8), GroupKilling(
         CompactGroup("SU2", 0.8), np.array([0.0, 0.4, 0.0, 0.0]), np.zeros(4))),
-     2000, 32, 5, "d13d5e640185bc4ae1a0982c2fa0bfd3d1a2c702cbb5ff8f6eb8619562eb3209"),
+     2000, 32, 5, "218de706318d5896598e264de5f6c7befb66cf7736cfc5682d60af0d0404ac04"),
 ], ids=["E2", "S3xR2", "S5-qjq", "S3xSU2"])
 def test_trivial_group_keeps_the_graph(name, make_nav, n, k, seed, digest):
     # spaces outside S^3 and SU(2) take the trivial group: n random nodes,
@@ -1236,21 +1318,34 @@ def test_trivial_group_keeps_the_graph(name, make_nav, n, k, seed, digest):
 
 def test_cold_product_build_peak_memory():
     # the kNN and the edge weights run in blocks of 2^16 edges, and the
-    # search graph is summed from the edges' own arcs and their mirrors, so
-    # the traced peak of this 688k-edge build is the search graph's, about
-    # 49 MB; with the whole kNN answer and one COO of every arc it was
-    # about 84 MB, and with every edge weight in one block about 183 MB
+    # base rows are summed from the edges' own arcs and their mirrors, each
+    # input dropped once used, so the traced peak of this 688k-edge build is
+    # the sum's, about 34 MB; with the inputs held through the sum it was
+    # 49 MB, with the whole kNN answer and one COO of every arc about 84 MB,
+    # and with every edge weight in one block about 183 MB
     nav = _product_nav(Euclidean(2), EuclideanKilling(Euclidean(2), [0.3, 0.0]))
-    for name in ("cKDTree", "csr_matrix", "dijkstra"):
-        oracle._scipy(name)  # imported before tracing starts
-    tracemalloc.start()
-    try:
-        g = build_graph(nav, 10_000, 128, seed=61)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert len(g.rows) == 688_368
-    assert peak < 65e6, f"traced peak {peak / 1e6:.1f} MB"
+    g, peak = _traced_peak(lambda: build_graph(nav, 10_000, 128, seed=61))
+    assert g.n_arcs == 2 * 688_368
+    assert peak < 47e6, f"traced peak {peak / 1e6:.1f} MB"
+
+
+def test_product_reload_with_the_previous_graph_held_peak_memory(tmp_path):
+    # the benchmark's oracle-product workload loads the next graph from the
+    # cache while the previous one and its csr, built by the queries, are
+    # held. The csr is the stored arrays, no copy, so the traced peak is
+    # two graphs, about 36 MB; with the edges stored and the csr assembled
+    # from them it was 53 MB
+    nav = _product_nav(Euclidean(2), EuclideanKilling(Euclidean(2), [0.3, 0.0]))
+    build_graph(nav, 10_000, 128, seed=61, cache_dir=tmp_path)
+
+    def reload_held():
+        held = build_graph(nav, 10_000, 128, seed=61, cache_dir=tmp_path)
+        assert held.csr.nnz == held.n_arcs
+        return held, build_graph(nav, 10_000, 128, seed=61, cache_dir=tmp_path)
+
+    (held, g), peak = _traced_peak(reload_held)
+    assert g.graph_hash == held.graph_hash and "csr" in vars(held)
+    assert peak < 40e6, f"traced peak {peak / 1e6:.1f} MB"
 
 
 @pytest.mark.parametrize("which", ["E2", "S3xR2", "S3-hopf", "S3-anti-hopf", "SU2-right",
@@ -1268,6 +1363,50 @@ def test_search_graph_pattern_is_symmetric(which, orbit_graphs):
     pattern.data[:] = 1.0
     assert pattern.nnz > 0 and (pattern != pattern.T).nnz == 0
     assert np.isfinite(g.d_land).all()
+
+
+def _edges(nav, nodes, k, mult):
+    """The undirected edges (rows, cols, fwd, rev) as the build forms them:
+    `_knn_edges`, then both weights by `_arc_weights` in blocks of `_CHUNK`
+    edges."""
+    rows, cols, _ = _knn_edges(nav.space, nodes, k, mult)
+    fwd, rev = np.empty(len(rows)), np.empty(len(rows))
+    for lo in range(0, len(rows), oracle._CHUNK):
+        sl = slice(lo, lo + oracle._CHUNK)
+        fwd[sl], rev[sl] = _arc_weights(nav, nodes[rows[sl]], nodes[cols[sl]])
+    return rows, cols, fwd, rev
+
+
+def _summed_base_rows(n, rows, cols, fwd, rev, mult):
+    """The base rows as the build summed them before it stored them: the
+    edges' own arcs, CSR rows as they stand, plus their mirrors that are
+    other arcs, two CSR matrices, with every input held."""
+    nb = n // len(mult)
+    h, c = np.divmod(cols, nb)
+    mirror = np.argmin(mult, axis=1).astype(cols.dtype)[h] * nb + rows
+    two = (c != rows) | (mirror != cols)
+    indptr = np.append(0, np.cumsum(np.bincount(rows, minlength=nb)))
+    return (csr_matrix((fwd, cols, indptr), shape=(nb, n))
+            + csr_matrix((rev[two], (c[two], mirror[two])), shape=(nb, n)))
+
+
+@pytest.mark.parametrize("which", ["E2", "S3xR2", *ORBIT_WINDS, "antipodal"])
+def test_stored_base_rows_are_the_summed_edges(which, orbit_graphs):
+    # the second route: the kNN edges and their weights, summed as two CSR
+    # matrices with every input held, give the stored arrays bit for bit,
+    # also where edges between antipodes are their own mirrors
+    if which in orbit_graphs:
+        nav, g = orbit_graphs[which]
+    else:
+        make_nav, n, k = {"E2": (_e2_nav, 1000, 16), "antipodal": (_s3_hopf_nav, 240, 239),
+                          "S3xR2": (lambda: _product_nav(Euclidean(2), EuclideanKilling(
+                              Euclidean(2), [0.3, 0.0])), 1000, 16)}[which]
+        nav = make_nav()
+        g = build_graph(nav, n, k, seed=7)
+    want = _summed_base_rows(len(g.nodes), *_edges(nav, g.nodes, g.k, g.mult), g.mult)
+    for part in ("indptr", "indices", "data"):
+        got, ref = getattr(g, part), getattr(want, part)
+        assert got.dtype == ref.dtype and np.array_equal(got, ref)
 
 
 def _generic_tiling(n, rows, cols, fwd, rev, mult):
@@ -1294,7 +1433,7 @@ def test_trivial_group_search_graph_is_the_base_rows():
     nav = _product_nav(Euclidean(2), EuclideanKilling(Euclidean(2), [0.3, 0.0]))
     g = build_graph(nav, 1000, 16, seed=61)
     assert len(g.mult) == 1
-    want = _generic_tiling(len(g.nodes), g.rows, g.cols, g.weights_fwd, g.weights_rev, g.mult)
+    want = _generic_tiling(len(g.nodes), *_edges(nav, g.nodes, g.k, g.mult), g.mult)
     for part in ("data", "indices", "indptr"):
         got, ref = getattr(g.csr, part), getattr(want, part)
         assert got.dtype == ref.dtype and np.array_equal(got, ref)
